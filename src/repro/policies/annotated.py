@@ -18,8 +18,10 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import PolicyError
-from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
+from repro.policies.base import PlacementContext, PlacementPolicy
 from repro.policies.bwaware import BwAwarePolicy
 
 if TYPE_CHECKING:
@@ -99,21 +101,19 @@ class AnnotatedPolicy(PlacementPolicy):
             self._bo_quota[allocation.alloc_id] = quota
             remaining -= quota
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
         if self._bo_zone is None or self._co_zone is None:
             self.prepare((), ctx)
         hint = coerce_hint(allocation.hint)
         if hint is PlacementHint.BANDWIDTH_OPTIMIZED:
             quota = self._bo_quota.get(allocation.alloc_id,
                                        allocation.n_pages)
-            if page_index < quota:
-                return spill_chain(self._bo_zone, ctx)
-            return spill_chain(self._co_zone, ctx)
+            return np.where(pages < quota, self._bo_zone, self._co_zone)
         if hint is PlacementHint.CAPACITY_OPTIMIZED:
-            return spill_chain(self._co_zone, ctx)
+            return np.full(len(pages), self._co_zone)
         # BW hint and unannotated allocations both use BW-AWARE.
-        return self._fallback.preferred_zones(allocation, page_index, ctx)
+        return self._fallback.first_zones(allocation, pages, ctx)
 
     def describe(self) -> str:
         return "ANNOTATED (program hints + BW-AWARE fallback)"

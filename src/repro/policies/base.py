@@ -7,6 +7,12 @@ zone is full the physical allocator falls through to the next entry,
 reproducing the spill semantics of Linux ``mbind``/``set_mempolicy``
 that drive the paper's capacity-constraint results.
 
+Policies answer in batches: :meth:`PlacementPolicy.first_zones` gives
+the first-choice zone of many pages of one allocation at once, and
+:meth:`PlacementPolicy.spill_order` the chain behind each first zone.
+Together they define the per-page chain
+(:meth:`PlacementPolicy.preferred_zones`).
+
 Policies are deliberately thin decision objects: they see only the
 firmware tables (SRAT/SLIT/SBIT), current zone occupancy and the
 allocation metadata.  They never touch the page table; the
@@ -65,25 +71,56 @@ class PlacementPolicy(abc.ABC):
     Lifecycle: the process calls :meth:`prepare` once with the full
     allocation list (GPU programs hoist allocations to kernel start, per
     the CUDA best-practices guidance the paper cites), then
-    :meth:`preferred_zones` once per page in program order.
+    :meth:`first_zones` once per allocation it faults in, with that
+    allocation's unmapped pages in program order.
+
+    The batch contract: a policy must answer a batch exactly as it
+    would answer the same pages asked one at a time, in order.
+    Stateful policies (random draws, round-robin counters) advance once
+    per page asked.  The process asks for no page beyond the one that
+    exhausts memory, so state after an out-of-memory error matches the
+    page-by-page walk too.  ``ctx.free_pages`` reflects occupancy at
+    the start of the allocation.
     """
 
     #: short identifier used in reports and the policy registry.
     name: str = "base"
+    #: MPOL_BIND semantics: only zones in :meth:`spill_order` are tried
+    #: and their exhaustion raises :class:`OutOfMemoryError`.
+    strict: bool = False
 
     def prepare(self, allocations: Sequence[Allocation],
                 ctx: PlacementContext) -> None:
         """Hook for policies needing whole-program knowledge (oracle)."""
 
     @abc.abstractmethod
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        """First-choice zone for each of ``pages`` of ``allocation``.
+
+        ``pages`` holds page indices (counting from 0 within the
+        allocation) in increasing order; the result has one zone id per
+        entry, in the same order.
+        """
+
+    def spill_order(self, first: int,
+                    ctx: PlacementContext) -> Sequence[int]:
+        """Zone preference chain for a page whose first choice is
+        ``first``.
+
+        The first zone with a free frame wins; zones absent from the
+        chain are appended by the allocator as a final fallback unless
+        the policy is :attr:`strict`.  Default: :func:`spill_chain`.
+        """
+        return spill_chain(first, ctx)
+
     def preferred_zones(self, allocation: Allocation, page_index: int,
                         ctx: PlacementContext) -> Sequence[int]:
-        """Zone preference chain for page ``page_index`` of ``allocation``.
-
-        ``page_index`` counts from 0 within the allocation.  The first
-        zone with a free frame wins; zones absent from the chain are
-        appended by the allocator as a final fallback.
-        """
+        """Zone preference chain for page ``page_index`` of
+        ``allocation``: a one-page :meth:`first_zones` call followed by
+        :meth:`spill_order`."""
+        first = self.first_zones(allocation, np.array([page_index]), ctx)
+        return self.spill_order(int(first[0]), ctx)
 
     def describe(self) -> str:
         """One-line human description for reports."""

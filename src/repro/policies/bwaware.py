@@ -30,7 +30,6 @@ from repro.core.errors import PolicyError
 from repro.policies.base import (
     PlacementContext,
     PlacementPolicy,
-    spill_chain,
     validate_fractions,
 )
 
@@ -114,17 +113,17 @@ class BwAwarePolicy(PlacementPolicy):
         self._fractions = tuple(fractions)
         self._cumulative = np.cumsum(np.asarray(fractions, dtype=float))
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
         if self._cumulative is None:
             self.prepare((), ctx)
         # The paper's implementation: draw in [0, 1), find the bucket.
         # A LOCAL-style shortcut when some fraction is zero falls out
         # naturally because a zero-width bucket can never be drawn.
-        draw = ctx.rng.random()
-        zone = int(np.searchsorted(self._cumulative, draw, side="right"))
-        zone = min(zone, ctx.n_zones - 1)
-        return spill_chain(zone, ctx)
+        # One vector draw is the same stream as one scalar draw per page.
+        draws = ctx.rng.random(len(pages))
+        zones = np.searchsorted(self._cumulative, draws, side="right")
+        return np.minimum(zones, ctx.n_zones - 1)
 
     def describe(self) -> str:
         if self._fractions is not None and len(self._fractions) == 2:
@@ -154,16 +153,19 @@ class CounterBwAwarePolicy(BwAwarePolicy):
         super().prepare(allocations, ctx)
         self._placed = np.zeros(ctx.n_zones, dtype=np.int64)
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
         if self._placed is None:
             self.prepare((), ctx)
         target = np.asarray(self.fractions)
-        total = self._placed.sum() + 1
-        deficit = target * total - self._placed
-        zone = int(np.argmax(deficit))
-        self._placed[zone] += 1
-        return spill_chain(zone, ctx)
+        zones = np.empty(len(pages), dtype=np.int64)
+        # Each pick depends on every earlier one: loop page by page.
+        for k in range(len(pages)):
+            total = self._placed.sum() + 1
+            deficit = target * total - self._placed
+            zones[k] = np.argmax(deficit)
+            self._placed[zones[k]] += 1
+        return zones
 
     def describe(self) -> str:
         return super().describe().replace("BW-AWARE", "BW-AWARE-COUNTER")

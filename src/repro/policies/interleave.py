@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import PolicyError
-from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
+from repro.policies.base import PlacementContext, PlacementPolicy
 
 if TYPE_CHECKING:
     from repro.vm.page import Allocation
@@ -53,12 +55,12 @@ class InterleavePolicy(PlacementPolicy):
             return self._subset
         return tuple(range(ctx.n_zones))
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
-        zones = self._zones(ctx)
-        choice = zones[self._counter % len(zones)]
-        self._counter += 1
-        return spill_chain(choice, ctx)
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        zones = np.asarray(self._zones(ctx))
+        turns = self._counter + np.arange(len(pages))
+        self._counter += len(pages)
+        return zones[turns % len(zones)]
 
     def describe(self) -> str:
         if self._subset is not None:

@@ -10,9 +10,11 @@ table, which is exactly the gap BW-AWARE closes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
+import numpy as np
+
+from repro.policies.base import PlacementContext, PlacementPolicy
 
 if TYPE_CHECKING:
     from repro.vm.page import Allocation
@@ -23,9 +25,9 @@ class LocalPolicy(PlacementPolicy):
 
     name = "LOCAL"
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
-        return spill_chain(ctx.local_zone, ctx)
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        return np.full(len(pages), ctx.local_zone)
 
     def describe(self) -> str:
         return "LOCAL (latency-optimized Linux default)"

@@ -22,7 +22,7 @@ refinement is layered on top) and then lets the
   initial static policy on stationary workloads.
 
 Because ONLINE's outcome depends on history, it cannot answer the
-static per-page question alone: :meth:`preferred_zones` delegates to
+static per-page question alone: :meth:`first_zones` delegates to
 the initial policy (that *is* ONLINE's placement at allocation time),
 and the experiment harness detects ``dynamic = True`` and replays the
 trace through :class:`repro.migration.engine.MigrationSimulator`.
@@ -154,11 +154,13 @@ class OnlinePolicy(PlacementPolicy):
     def prepare(self, allocations, ctx: PlacementContext) -> None:
         self.initial_policy().prepare(allocations, ctx)
 
-    def preferred_zones(self, allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
-        return self.initial_policy().preferred_zones(
-            allocation, page_index, ctx
-        )
+    def first_zones(self, allocation, pages,
+                    ctx: PlacementContext):
+        return self.initial_policy().first_zones(allocation, pages, ctx)
+
+    def spill_order(self, first: int,
+                    ctx: PlacementContext) -> Sequence[int]:
+        return self.initial_policy().spill_order(first, ctx)
 
     # -- canonical description -----------------------------------------
 

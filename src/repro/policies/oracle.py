@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.errors import PolicyError
-from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
+from repro.policies.base import PlacementContext, PlacementPolicy
 
 if TYPE_CHECKING:
     from repro.vm.page import Allocation
@@ -112,8 +112,8 @@ class OraclePolicy(PlacementPolicy):
             cursor += take
         return decision
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
         if self._decision is None:
             raise PolicyError("OraclePolicy used before prepare()")
         offset = self._offsets.get(allocation.alloc_id)
@@ -121,8 +121,7 @@ class OraclePolicy(PlacementPolicy):
             raise PolicyError(
                 f"allocation {allocation.name!r} not seen at prepare()"
             )
-        zone = int(self._decision[offset + page_index])
-        return spill_chain(zone, ctx)
+        return self._decision[offset + pages]
 
     def describe(self) -> str:
         return "ORACLE (perfect page-access knowledge, two-phase)"

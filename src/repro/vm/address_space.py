@@ -123,6 +123,48 @@ class AddressSpace:
         self._frame[idx] = -1
         return mapping
 
+    def _span(self, allocation: Allocation) -> slice:
+        start = allocation.first_vpn - self._base_vpn
+        return slice(start, start + allocation.n_pages)
+
+    def allocation_zones(self, allocation: Allocation) -> np.ndarray:
+        """Read-only zone id per page of ``allocation`` (``UNMAPPED``
+        where a page is not faulted in)."""
+        view = self._zone[self._span(allocation)]
+        view.flags.writeable = False
+        return view
+
+    def unmapped_pages(self, allocation: Allocation) -> np.ndarray:
+        """Indices, within ``allocation``, of its unmapped pages."""
+        return np.flatnonzero(self._zone[self._span(allocation)] == UNMAPPED)
+
+    def map_pages(self, allocation: Allocation, pages: np.ndarray,
+                  zones: np.ndarray, frames: np.ndarray) -> None:
+        """Install mappings for pages ``pages`` of ``allocation``."""
+        span = self._span(allocation)
+        zone_view = self._zone[span]
+        taken = np.flatnonzero(zone_view[pages] != UNMAPPED)
+        if taken.size:
+            vpn = allocation.first_vpn + int(pages[taken[0]])
+            raise TranslationError(f"vpn {vpn} is already mapped")
+        zone_view[pages] = zones
+        self._frame[span][pages] = frames
+
+    def unmap_pages(self, allocation: Allocation
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unmap every mapped page of ``allocation``.
+
+        Returns the released ``(zones, frames)`` in page order.
+        """
+        span = self._span(allocation)
+        zone_view = self._zone[span]
+        frame_view = self._frame[span]
+        mapped = zone_view != UNMAPPED
+        released = zone_view[mapped], frame_view[mapped]
+        zone_view[mapped] = UNMAPPED
+        frame_view[mapped] = -1
+        return released
+
     def is_mapped(self, vpn: int) -> bool:
         idx = vpn - self._base_vpn
         if idx < 0 or idx >= len(self._zone):
@@ -161,10 +203,7 @@ class AddressSpace:
         and the analytic engines consume: entry ``k`` is the zone backing
         the ``k``-th page of the program footprint.
         """
-        pieces = []
-        for allocation in self._allocations:
-            start = allocation.first_vpn - self._base_vpn
-            pieces.append(self._zone[start:start + allocation.n_pages])
+        pieces = [self._zone[self._span(a)] for a in self._allocations]
         if not pieces:
             return np.empty(0, dtype=np.int16)
         flat = np.concatenate(pieces)

@@ -7,12 +7,16 @@ zones in order, and only raise :class:`OutOfMemoryError` once *every*
 zone is exhausted.  This fallback is load-bearing for the paper's
 capacity-constraint experiments — when the BO pool fills, placement
 policies silently spill to the CO pool exactly as ``mbind`` does.
+
+:meth:`PhysicalMemory.allocate_pages` applies that chain to a whole
+batch of pages at once, with the result of the page-by-page walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.errors import ConfigError, OutOfMemoryError
 from repro.memory.topology import SystemTopology
@@ -23,9 +27,10 @@ class ZoneAllocator:
     """Frame allocator for a single zone.
 
     Frames are integers in ``[0, capacity_pages)``.  A simple bump
-    pointer plus an explicit free list is enough: the simulator never
-    cares about physical frame adjacency, only about which *zone* backs
-    each page.
+    pointer plus an explicit LIFO free list is enough: the simulator
+    never cares about physical frame adjacency, only about which *zone*
+    backs each page.  A set mirrors the free list so the double-free
+    check is O(1).
     """
 
     def __init__(self, zone_id: int, capacity_pages: int) -> None:
@@ -35,6 +40,7 @@ class ZoneAllocator:
         self.capacity_pages = capacity_pages
         self._next_frame = 0
         self._free_list: list[int] = []
+        self._free_set: set[int] = set()
 
     @property
     def used_pages(self) -> int:
@@ -53,7 +59,9 @@ class ZoneAllocator:
     def allocate(self) -> int:
         """Take one frame; raises :class:`OutOfMemoryError` when full."""
         if self._free_list:
-            return self._free_list.pop()
+            frame = self._free_list.pop()
+            self._free_set.discard(frame)
+            return frame
         if self._next_frame >= self.capacity_pages:
             raise OutOfMemoryError(
                 f"zone {self.zone_id} exhausted "
@@ -63,8 +71,13 @@ class ZoneAllocator:
         self._next_frame += 1
         return frame
 
-    def allocate_many(self, count: int) -> list[int]:
-        """Take up to ``count`` frames (all-or-nothing)."""
+    def allocate_many(self, count: int) -> np.ndarray:
+        """Take ``count`` frames (all-or-nothing).
+
+        The frames come in the order ``count`` calls to :meth:`allocate`
+        would return them: recycled frames last-freed first, then fresh
+        ones from the bump pointer.
+        """
         if count < 0:
             raise ConfigError("count must be >= 0")
         if count > self.free_pages:
@@ -72,15 +85,39 @@ class ZoneAllocator:
                 f"zone {self.zone_id}: requested {count} frames, "
                 f"{self.free_pages} free"
             )
-        return [self.allocate() for _ in range(count)]
+        keep = max(0, len(self._free_list) - count)
+        recycled = self._free_list[keep:][::-1]
+        del self._free_list[keep:]
+        self._free_set.difference_update(recycled)
+        fresh = count - len(recycled)
+        frames = np.concatenate([
+            np.asarray(recycled, dtype=np.int64),
+            np.arange(self._next_frame, self._next_frame + fresh,
+                      dtype=np.int64),
+        ])
+        self._next_frame += fresh
+        return frames
 
     def free(self, frame: int) -> None:
         """Return a frame to the pool."""
-        if not 0 <= frame < self._next_frame:
-            raise ConfigError(f"frame {frame} was never allocated")
-        if frame in self._free_list:
-            raise ConfigError(f"double free of frame {frame}")
-        self._free_list.append(frame)
+        self.free_many((frame,))
+
+    def free_many(self, frames: Iterable[int]) -> None:
+        """Return frames to the pool in order (all-or-nothing).
+
+        Raises :class:`ConfigError` for the first frame that was never
+        allocated or is already free, before returning any.
+        """
+        listed = [int(frame) for frame in frames]
+        batch: set[int] = set()
+        for frame in listed:
+            if not 0 <= frame < self._next_frame:
+                raise ConfigError(f"frame {frame} was never allocated")
+            if frame in self._free_set or frame in batch:
+                raise ConfigError(f"double free of frame {frame}")
+            batch.add(frame)
+        self._free_list.extend(listed)
+        self._free_set.update(batch)
 
 
 class PhysicalMemory:
@@ -111,7 +148,7 @@ class PhysicalMemory:
     def has_space(self, zone_id: int) -> bool:
         return not self.allocator(zone_id).full
 
-    def allocate(self, preferred: Sequence[int],
+    def allocate(self, preferred: Iterable[int],
                  strict: bool = False) -> PageMapping:
         """Allocate one frame following a zone preference chain.
 
@@ -119,15 +156,90 @@ class PhysicalMemory:
         zones missing from the list are appended in id order as a last
         resort so a policy bug can never fail an allocation the machine
         could serve.  With ``strict=True`` (MPOL_BIND semantics) only
-        the listed zones are tried and exhaustion raises.
+        the listed zones are tried and exhaustion raises.  This is a
+        one-page call of :meth:`allocate_pages`.
         """
+        chain = self._chain(preferred, strict)
+        zones, frames, error = self.allocate_pages(
+            np.zeros(1, dtype=np.int64), lambda _: chain, strict)
+        if error is not None:
+            raise error
+        return PageMapping(int(zones[0]), int(frames[0]))
+
+    def allocate_pages(self, first: np.ndarray,
+                       spill_order: Callable[[int], Sequence[int]],
+                       strict: bool = False
+                       ) -> tuple[np.ndarray, np.ndarray,
+                                  Optional[Exception]]:
+        """Allocate one frame per page, pages in order.
+
+        ``first[i]`` is page ``i``'s first-choice zone and
+        ``spill_order(zone)`` the preference chain behind a first zone
+        (completed as in :meth:`allocate`).  The outcome is exactly that
+        of calling :meth:`allocate` once per page, in order, with the
+        page's chain.  Between two moments where a zone fills, a page's
+        zone depends only on its first zone, so the batch is placed in
+        at most one array pass per zone that fills.
+
+        Returns ``(zones, frames, error)``.  ``zones`` and ``frames``
+        cover the placed prefix of the pages.  ``error`` is what the
+        next page raised (its chain exhausted, or a zone the topology
+        lacks), or ``None`` when every page was placed.  The prefix
+        stays allocated either way, as it would page by page.
+        """
+        firsts, first_index = np.unique(np.asarray(first),
+                                        return_inverse=True)
+        chains = [self._chain(spill_order(int(zone)), strict)
+                  for zone in firsts]
+        n_pages = first_index.size
+        zones = np.empty(n_pages, dtype=np.int16)
+        frames = np.empty(n_pages, dtype=np.int64)
+        start = 0
+        while start < n_pages:
+            # Where each first zone lands while no zone fills; -1 marks
+            # a first zone whose chain cannot be served.
+            redirect = np.empty(len(chains), dtype=np.int64)
+            errors: dict[int, Exception] = {}
+            for k, chain in enumerate(chains):
+                try:
+                    redirect[k] = self._first_free(chain)
+                except (ConfigError, OutOfMemoryError) as exc:
+                    redirect[k] = -1
+                    errors[k] = exc
+            target = redirect[first_index[start:]]
+            blocked = np.flatnonzero(target < 0)
+            stop = start + int(blocked[0]) if blocked.size else n_pages
+            if stop == start:
+                error = errors[int(first_index[start])]
+                return zones[:start], frames[:start], error
+            # Cut the segment after the page that takes a zone's last
+            # free frame: the pages behind it see a different chain.
+            counts = np.bincount(target[:stop - start])
+            for zone_id in np.flatnonzero(counts).tolist():
+                free = self._allocators[zone_id].free_pages
+                if counts[zone_id] >= free:
+                    fill = np.flatnonzero(target == zone_id)[free - 1]
+                    stop = min(stop, start + int(fill) + 1)
+            segment = target[:stop - start]
+            zones[start:stop] = segment
+            placed = frames[start:stop]
+            for zone_id, count in enumerate(np.bincount(segment).tolist()):
+                if count:
+                    placed[segment == zone_id] = \
+                        self._allocators[zone_id].allocate_many(count)
+            start = stop
+        return zones, frames, None
+
+    def _chain(self, preferred: Iterable[int], strict: bool) -> list[int]:
         chain = list(preferred)
         if not strict:
-            chain += [z for z in self._allocators if z not in preferred]
+            chain += [z for z in self._allocators if z not in chain]
+        return chain
+
+    def _first_free(self, chain: list[int]) -> int:
         for zone_id in chain:
-            allocator = self.allocator(zone_id)
-            if not allocator.full:
-                return PageMapping(zone_id, allocator.allocate())
+            if not self.allocator(zone_id).full:
+                return zone_id
         raise OutOfMemoryError(
             f"zones {chain} exhausted in topology {self.topology.name}"
         )
@@ -135,6 +247,15 @@ class PhysicalMemory:
     def free(self, mapping: PageMapping) -> None:
         """Return one frame."""
         self.allocator(mapping.zone_id).free(mapping.frame)
+
+    def free_many(self, zones: np.ndarray, frames: np.ndarray) -> None:
+        """Return the frames ``frames[i]`` of zones ``zones[i]``.
+
+        Each zone's free list receives its frames in the given order,
+        as freeing them one by one would.
+        """
+        for zone_id in np.unique(zones).tolist():
+            self.allocator(zone_id).free_many(frames[zones == zone_id])
 
     def occupancy(self) -> dict[int, tuple[int, int]]:
         """``{zone_id: (used_pages, capacity_pages)}`` snapshot."""

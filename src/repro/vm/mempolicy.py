@@ -14,8 +14,10 @@ from __future__ import annotations
 import enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import PolicyError
-from repro.policies.base import PlacementContext, PlacementPolicy, spill_chain
+from repro.policies.base import PlacementContext, PlacementPolicy
 from repro.policies.bwaware import BwAwarePolicy
 from repro.policies.interleave import InterleavePolicy
 from repro.policies.local import LocalPolicy
@@ -44,8 +46,12 @@ class BindPolicy(PlacementPolicy):
             raise PolicyError("MPOL_BIND needs a non-empty nodemask")
         self._zones = zones
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        return np.full(len(pages), self._zones[0])
+
+    def spill_order(self, first: int,
+                    ctx: PlacementContext) -> Sequence[int]:
         return self._zones
 
     def describe(self) -> str:
@@ -62,9 +68,9 @@ class PreferredPolicy(PlacementPolicy):
             raise PolicyError("preferred zone must be >= 0")
         self._zone = int(zone_id)
 
-    def preferred_zones(self, allocation: Allocation, page_index: int,
-                        ctx: PlacementContext) -> Sequence[int]:
-        return spill_chain(self._zone, ctx)
+    def first_zones(self, allocation: Allocation, pages: np.ndarray,
+                    ctx: PlacementContext) -> np.ndarray:
+        return np.full(len(pages), self._zone)
 
     def describe(self) -> str:
         return f"PREFERRED zone {self._zone}"

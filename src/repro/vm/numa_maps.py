@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.units import PAGE_SIZE
+from repro.vm.address_space import UNMAPPED
 from repro.vm.process import Process
 
 
@@ -43,20 +43,15 @@ def allocation_breakdown(process: Process) -> tuple[AllocationPlacement, ...]:
     n_zones = len(process.topology)
     breakdown = []
     for allocation in process.space.allocations:
-        counts = np.zeros(n_zones, dtype=np.int64)
-        mapped = 0
-        for vpn in allocation.vpns():
-            if process.space.is_mapped(vpn):
-                virtual_address = vpn * PAGE_SIZE
-                mapping = process.space.translate(virtual_address)
-                counts[mapping.zone_id] += 1
-                mapped += 1
+        zones = process.space.allocation_zones(allocation)
+        mapped = zones[zones != UNMAPPED]
+        counts = np.bincount(mapped, minlength=n_zones)
         breakdown.append(AllocationPlacement(
             name=allocation.name,
             va_start=allocation.va_start,
             n_pages=allocation.n_pages,
             pages_by_zone=tuple(int(c) for c in counts),
-            mapped_pages=mapped,
+            mapped_pages=int(mapped.size),
         ))
     return tuple(breakdown)
 

@@ -13,6 +13,14 @@ paper:
 * the **bulk style** used by the experiment harness — reserve every
   allocation, then :meth:`place_all` with one policy, which gives
   whole-program policies (the oracle) their two-phase ``prepare`` hook.
+
+Both styles fault pages in through :meth:`Process.fault_in`, the one
+placement path, which works an allocation at a time: it asks the
+effective policy once for the first-choice zone of every unmapped page
+(in page order), then lets :meth:`PhysicalMemory.allocate_pages` apply
+the spill chains and hand out frames for the whole batch.  Zones,
+frames and policy state (random draws, round-robin counters) come out
+exactly as if each page had been faulted in on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from repro.memory.acpi import FirmwareTables, enumerate_tables
 from repro.memory.topology import SystemTopology
 from repro.policies.base import PlacementContext, PlacementPolicy
 from repro.policies.local import LocalPolicy
-from repro.vm.address_space import AddressSpace
+from repro.vm.address_space import UNMAPPED, AddressSpace
 from repro.vm.allocator import PhysicalMemory
 from repro.vm.page import Allocation
 
@@ -80,7 +88,7 @@ class Process:
         exactly once (no migration), mirroring the paper's focus on
         initial placement.
         """
-        if any(self.space.is_mapped(vpn) for vpn in allocation.vpns()):
+        if (self.space.allocation_zones(allocation) != UNMAPPED).any():
             raise PolicyError(
                 f"mbind on {allocation.name!r} after pages were placed; "
                 "this model does not migrate pages"
@@ -105,16 +113,35 @@ class Process:
         return allocation
 
     def fault_in(self, allocation: Allocation) -> None:
-        """Place every page of ``allocation`` using its effective policy."""
+        """Place every unmapped page of ``allocation`` with its
+        effective policy.
+
+        The policy answers once, for the unmapped pages in order.  On a
+        non-strict policy every zone backs every chain, so memory runs
+        out exactly at the page after the last free frame; the policy is
+        asked for no page beyond that one.  When a page cannot be
+        placed, the pages before it stay mapped and its
+        :class:`OutOfMemoryError` propagates.
+        """
         policy = self._vma_policies.get(allocation.alloc_id, self._policy)
         self._ensure_prepared(policy)
-        strict = bool(getattr(policy, "strict", False))
-        for page_index, vpn in enumerate(allocation.vpns()):
-            if self.space.is_mapped(vpn):
-                continue
-            chain = policy.preferred_zones(allocation, page_index, self._ctx)
-            mapping = self.physical.allocate(chain, strict=strict)
-            self.space.map_page(vpn, mapping)
+        pages = self.space.unmapped_pages(allocation)
+        if not policy.strict:
+            pages = pages[:self.physical.total_free_pages() + 1]
+        if not pages.size:
+            return
+        first = np.asarray(policy.first_zones(allocation, pages, self._ctx))
+        if first.shape != pages.shape:
+            raise PolicyError(
+                f"{policy.name} answered {first.size} zones for "
+                f"{pages.size} pages"
+            )
+        zones, frames, error = self.physical.allocate_pages(
+            first, lambda zone: policy.spill_order(zone, self._ctx),
+            strict=policy.strict)
+        self.space.map_pages(allocation, pages[:zones.size], zones, frames)
+        if error is not None:
+            raise error
 
     def _ensure_prepared(self, policy: PlacementPolicy) -> None:
         if id(policy) not in self._prepared_policies:
@@ -152,9 +179,7 @@ class Process:
         The virtual range stays reserved (no VA reuse), which keeps
         trace virtual addresses stable across the run.
         """
-        for vpn in allocation.vpns():
-            if self.space.is_mapped(vpn):
-                self.physical.free(self.space.unmap_page(vpn))
+        self.physical.free_many(*self.space.unmap_pages(allocation))
 
     def occupancy_fraction(self, zone_id: int) -> float:
         """Fraction of a zone's frames currently used."""

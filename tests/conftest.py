@@ -7,8 +7,11 @@ edge cases are easy to hit.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.units import GIB, PAGE_SIZE
 from repro.memory.acpi import enumerate_tables
@@ -63,3 +66,10 @@ def make_context(topology, seed: int = 7) -> PlacementContext:
         local_zone=topology.gpu_local_zone,
         rng=np.random.default_rng(seed),
     )
+
+
+# Hypothesis profiles for suites that leave ``max_examples`` to the
+# profile: ``dev`` (default) keeps tier-1 fast, ``ci`` searches harder.
+settings.register_profile("ci", max_examples=300, deadline=None)
+settings.register_profile("dev", max_examples=40, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))

@@ -1,5 +1,6 @@
 """Physical frame allocators and the spill chain."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ConfigError, OutOfMemoryError
@@ -54,6 +55,31 @@ class TestZoneAllocator:
         assert alloc.free_pages == 3
         assert len(alloc.allocate_many(3)) == 3
 
+    def test_allocate_many_matches_repeated_allocate(self):
+        batch, single = ZoneAllocator(0, 8), ZoneAllocator(0, 8)
+        for alloc in (batch, single):
+            for _ in range(5):
+                alloc.allocate()
+            for frame in (3, 1, 4):
+                alloc.free(frame)
+        # Recycled frames last-freed first, then the bump pointer.
+        assert batch.allocate_many(5).tolist() == [4, 1, 3, 5, 6]
+        assert [single.allocate() for _ in range(5)] == [4, 1, 3, 5, 6]
+        assert batch.used_pages == single.used_pages == 7
+
+    def test_free_many_keeps_errors_and_is_all_or_nothing(self):
+        alloc = ZoneAllocator(0, 4)
+        alloc.allocate_many(3)
+        with pytest.raises(ConfigError, match="frame 3 was never allocated"):
+            alloc.free_many([0, 3])
+        with pytest.raises(ConfigError, match="double free of frame 1"):
+            alloc.free_many([1, 2, 1])
+        assert alloc.used_pages == 3
+        alloc.free_many([2, 0])
+        with pytest.raises(ConfigError, match="double free of frame 0"):
+            alloc.free(0)
+        assert alloc.allocate() == 0
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
             ZoneAllocator(0, 0)
@@ -104,6 +130,37 @@ class TestPhysicalMemory:
             physical.allocate([0, 1])
         with pytest.raises(OutOfMemoryError):
             physical.allocate([0, 1])
+
+    def test_generator_preference_lists_each_zone_once(self):
+        # Regression: a generator argument was exhausted by the chain
+        # copy, so every zone was appended a second time.
+        physical = self._physical()
+        assert physical.allocate(z for z in [1]).zone_id == 1
+        for _ in range(physical.total_free_pages()):
+            physical.allocate([0, 1])
+        with pytest.raises(OutOfMemoryError, match=r"zones \[0, 1\] "):
+            physical.allocate(z for z in [0])
+
+    def test_allocate_pages_spills_in_page_order(self):
+        physical = self._physical()
+        capacity = physical.allocator(0).capacity_pages
+        first = np.zeros(capacity + 2, dtype=np.int64)
+        zones, frames, error = physical.allocate_pages(
+            first, lambda zone: [zone])
+        assert error is None
+        assert zones.tolist() == [0] * capacity + [1, 1]
+        assert frames.tolist() == list(range(capacity)) + [0, 1]
+
+    def test_allocate_pages_returns_prefix_and_error_on_oom(self):
+        physical = self._physical()
+        capacity = physical.allocator(0).capacity_pages
+        first = np.zeros(capacity + 1, dtype=np.int64)
+        zones, frames, error = physical.allocate_pages(
+            first, lambda zone: [zone], strict=True)
+        assert zones.size == frames.size == capacity
+        assert isinstance(error, OutOfMemoryError)
+        assert str(error).startswith("zones [0] exhausted")
+        assert physical.allocator(0).full
 
     def test_free_returns_frame(self):
         physical = self._physical()
