@@ -244,6 +244,7 @@ def _bench_runner_overhead(n_accesses: int, repeats: int,
         execute_spec,
         make_spec,
     )
+    from repro.runner.sweep import partition_misses
     from repro.workloads.base import clear_trace_cache
 
     # Pool forking + process scheduling make this the noisiest bench
@@ -262,7 +263,7 @@ def _bench_runner_overhead(n_accesses: int, repeats: int,
                         trace_accesses=max(2_000, n_accesses // 16),
                         seed=seed + 1)
               for co in (10, 20, 30, 40)]
-    n_chunks = min(jobs, len(specs))
+    n_chunks = len(partition_misses(specs, jobs))
 
     golden = [encode_result(r)
               for r in SweepRunner(jobs=1, cache=False).run(specs)]

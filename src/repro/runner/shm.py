@@ -459,6 +459,11 @@ def publish_for_specs(arena: SharedTraceArena,
                       ) -> dict[tuple, TraceHandle]:
     """Publish every trace the given specs will need; returns handles.
 
+    Each returned handle carries one reference, taken as soon as its
+    key is live (so publishing a later key of the same call cannot
+    evict it); the caller must :meth:`~SharedTraceArena.release` every
+    returned key once its consumers are done with the segment.
+
     ``synthesize`` is injectable for tests; the default resolves the
     workload and synthesizes through the ordinary (memoized)
     ``dram_trace`` path, so the parent pays each synthesis exactly
@@ -474,14 +479,15 @@ def publish_for_specs(arena: SharedTraceArena,
                 if key in handles:
                     continue
                 if key in arena:
-                    handles[key] = arena.handles()[key]
+                    handles[key] = arena.retain(key)
                     continue
                 try:
                     if synthesize is not None:
                         trace = synthesize(key)
                     else:
                         trace = _synthesize(key)
-                    handles[key] = arena.publish(key, trace)
+                    arena.publish(key, trace)
+                    handles[key] = arena.retain(key)
                     published_bytes += handles[key].nbytes
                 except Exception as exc:  # noqa: BLE001 - advisory path
                     log_event("runner.shm.publish_skipped",

@@ -9,25 +9,38 @@ order, using three accelerations that never change the numbers:
 * **in-batch dedup** — identical specs within one batch execute once
   (experiments routinely re-run their baseline per sweep point);
 * **process fan-out** — remaining specs are split into deterministic
-  contiguous chunks and executed on a ``ProcessPoolExecutor``.
+  contiguous chunks and streamed through a ``ProcessPoolExecutor``.
 
 Determinism: every experiment is fully reproducible from its spec (all
 randomness is seeded, and no state carries over between runs), so the
 partitioning of specs onto workers cannot affect results — parallel
-output is bit-identical to a serial run.  Chunks are contiguous slices
-of the miss list, which both makes the partition a pure function of
-``(n_misses, jobs)`` and preserves the workload-major order figure
-loops emit, so each worker synthesizes every trace it needs at most
-once.  Executed results are round-tripped through the cache codec even
+output is bit-identical to a serial run.  Chunks are contiguous blocks
+of the miss list (:func:`partition_misses`): consecutive specs that
+need the same traces stay together, and a block is capped at
+``ceil(n_misses / jobs)`` specs so even a one-trace sweep spreads over
+every worker.  The partition is a pure function of the specs and
+``jobs``, and it preserves the workload-major order figure loops emit.
+
+Streaming: the parent publishes one block's traces, submits that block
+at once, and harvests finished chunks without blocking before it
+builds the next block's traces — so workers compute workload 1 while
+the parent synthesizes workload 2, and decoding and checkpointing
+overlap the remaining compute.  Harvest is strictly in submission
+order, which keeps checkpoint order (and fault targeting) deterministic;
+once every block is submitted the parent blocks on the oldest pending
+chunk.  Executed results are round-tripped through the cache codec even
 on the serial path, so a value can never depend on whether it came
 from a worker, the cache, or an in-process run.
 
 Fault tolerance: the fan-out path survives crashed workers, hung
 chunks, and transient exceptions.  Each chunk gets a wall-clock budget
-(``chunk_timeout_s``); a timeout or a ``BrokenProcessPool`` abandons
-and rebuilds the pool, and the failed chunks are retried with
-exponential backoff + deterministic jitter, **split in half** on each
-retry so a single poisoned spec is progressively isolated.  A spec
+(``chunk_timeout_s``) counted from the moment it can hold a worker —
+the later of its submit and the harvest of the chunk ``jobs`` places
+ahead of it — so time spent queued behind other chunks never counts.
+A timeout or a ``BrokenProcessPool`` abandons and rebuilds the pool,
+and the failed chunks are retried with exponential backoff +
+deterministic jitter, **split in half** on each retry so a single
+poisoned spec is progressively isolated.  A spec
 that exhausts ``max_retries`` gets one last in-process attempt (the
 degraded serial fallback); if that fails too the sweep raises a
 structured :class:`~repro.core.errors.SweepError` naming the offending
@@ -51,7 +64,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -86,8 +100,8 @@ from repro.runner.salt import code_version_salt
 from repro.runner.shm import (
     SharedTraceArena,
     TraceHandle,
-    attach_trace,
     install_worker_handles,
+    planned_trace_keys,
     publish_for_specs,
     shm_available,
     shm_setting,
@@ -173,25 +187,20 @@ def execute_spec(spec: RunSpec) -> ExperimentResult:
     )
 
 
-def _worker_init(handles: "Optional[dict[tuple, TraceHandle]]",
-                 assignments: "Optional[tuple[tuple[int, ...], ...]]",
+def _worker_init(assignments: "Optional[tuple[tuple[int, ...], ...]]",
                  counter) -> None:
-    """Pool initializer: pin the worker, pre-attach shared traces.
+    """Pool initializer: pin the worker to its core group.
 
     ``counter`` is a lock-guarded ``multiprocessing.Value`` dealing
-    each worker a distinct index into the core-group table.  Both
-    halves are optional and best-effort — a worker that cannot pin or
-    attach still computes identical results.
+    each worker a distinct index into the core-group table.  Optional
+    and best-effort — a worker that cannot pin still computes
+    identical results.
     """
     if assignments:
         with counter.get_lock():
             index = counter.value
             counter.value += 1
         apply_affinity(assignments[index % len(assignments)])
-    if handles:
-        install_worker_handles(handles)
-        for handle in handles.values():
-            attach_trace(handle)  # warm the mapping; misses are fine
 
 
 def _run_chunk_body(specs: Sequence[RunSpec],
@@ -239,20 +248,25 @@ def _execute_chunk(specs: Sequence[RunSpec],
     return pack_chunk(_run_chunk_body(specs, action)), []
 
 
-def _chunk_slices(n: int, chunks: int) -> list[range]:
-    """Split ``range(n)`` into ``chunks`` contiguous balanced slices.
+def partition_misses(specs: Sequence[RunSpec], jobs: int) -> list[range]:
+    """Split ``range(len(specs))`` into contiguous execution blocks.
 
-    Pure function of its arguments — the partition (and therefore which
-    worker runs what) never depends on timing.
+    Consecutive specs with equal
+    :func:`~repro.runner.shm.planned_trace_keys` form one trace group;
+    a group is cut every ``ceil(len(specs) / jobs)`` specs, so a sweep
+    over a single trace still spreads over every worker.  Pure function
+    of its arguments — the partition (and therefore which worker runs
+    what) never depends on timing.
     """
-    chunks = max(1, min(chunks, n))
-    base, extra = divmod(n, chunks)
-    slices, start = [], 0
-    for i in range(chunks):
-        size = base + (1 if i < extra else 0)
-        slices.append(range(start, start + size))
-        start += size
-    return slices
+    n = len(specs)
+    cap = -(-n // max(1, jobs))
+    traces = [planned_trace_keys(spec) for spec in specs]
+    blocks, start = [], 0
+    for i in range(1, n + 1):
+        if i == n or i - start == cap or traces[i] != traces[start]:
+            blocks.append(range(start, i))
+            start = i
+    return blocks
 
 
 @dataclass
@@ -296,6 +310,139 @@ class SweepOutcome:
         return self.results[index]
 
 
+@dataclass
+class _Chunk:
+    """One submitted block awaiting harvest."""
+
+    block: list[int]
+    future: Future
+    #: arena keys retained for the block, released when it settles.
+    traces: tuple
+    #: when the chunk could first hold a worker (its timeout clock);
+    #: ``None`` while ``jobs`` older chunks are still unsettled.
+    clock: Optional[float]
+
+
+class _Wave:
+    """One pass of blocks through the pool: streamed submit, in-order
+    harvest.
+
+    ``failed`` collects ``(block, cause)`` pairs for the retry logic;
+    ``broken`` records that the pool has to be abandoned and rebuilt.
+    """
+
+    def __init__(self, runner: "SweepRunner", specs: Sequence[RunSpec],
+                 keys: Sequence[str], results: list, durations: list,
+                 recovery: RecoveryStats) -> None:
+        self.runner = runner
+        self.specs = specs
+        self.keys = keys
+        self.results = results
+        self.durations = durations
+        self.recovery = recovery
+        self.tracing = obs_trace.enabled()
+        self.pending: deque[_Chunk] = deque()
+        self.failed: list[tuple[list[int], str]] = []
+        self.broken = False
+
+    def submit(self, block: list[int]) -> None:
+        """Publish the block's traces, then hand the block to the pool."""
+        runner = self.runner
+        block_specs = [self.specs[i] for i in block]
+        # Every block of a wave takes exactly one fault decision, even
+        # when an earlier chunk already broke the pool: how many were
+        # submitted by then is timing, the decision sequence is not.
+        action = runner._decide("|".join(s.label() for s in block_specs))
+        if self.broken:
+            self.failed.append((block, "worker pool broken"))
+            return
+        handles = runner._publish_block(block_specs)
+        try:
+            with obs_trace.span("runner.submit", cat="runner",
+                                n_specs=len(block)):
+                future = runner._ensure_pool().submit(
+                    _execute_chunk, block_specs, action, self.tracing,
+                    handles or None)
+        except BaseException as exc:
+            runner._release(handles)
+            if not isinstance(exc, BrokenExecutor):
+                raise
+            self.recovery.worker_crashes += 1
+            self.broken = True
+            self.failed.append(
+                (block, f"worker pool broke on submit: {exc}"))
+            return
+        clock = (time.monotonic() if len(self.pending) < runner.jobs
+                 else None)
+        self.pending.append(_Chunk(block, future, tuple(handles), clock))
+
+    def drain(self, wait: bool) -> None:
+        """Settle pending chunks in submission order: all of them when
+        ``wait``, else only the prefix that has already finished."""
+        jobs = self.runner.jobs
+        while self.pending and (wait or self.pending[0].future.done()):
+            chunk = self.pending.popleft()
+            try:
+                self._settle(chunk)
+            finally:
+                self.runner._release(chunk.traces)
+                if (len(self.pending) >= jobs
+                        and self.pending[jobs - 1].clock is None):
+                    self.pending[jobs - 1].clock = time.monotonic()
+
+    def close(self) -> None:
+        """Release the traces of chunks left pending by an abort."""
+        while self.pending:
+            self.runner._release(self.pending.popleft().traces)
+
+    def _settle(self, chunk: _Chunk) -> None:
+        runner, specs = self.runner, self.specs
+        block, future = chunk.block, chunk.future
+        labels = [specs[i].label() for i in block]
+        with obs_trace.span("runner.chunk", cat="runner",
+                            specs=labels) as chunk_span:
+            if self.broken:
+                # Pool already abandoned: salvage finished chunks,
+                # requeue the rest.
+                if future.done() and future.exception() is None:
+                    runner._harvest(specs, self.keys, block,
+                                    future.result(), self.results,
+                                    self.durations)
+                    chunk_span.annotate(outcome="salvaged")
+                else:
+                    self.failed.append((block, "worker pool broken"))
+                    chunk_span.annotate(outcome="abandoned")
+                return
+            timeout = None
+            if runner.chunk_timeout_s is not None:
+                timeout = max(0.05, chunk.clock + runner.chunk_timeout_s
+                              - time.monotonic())
+            try:
+                with obs_trace.span("runner.wait", cat="runner"):
+                    payload = future.result(timeout=timeout)
+            except FuturesTimeoutError:
+                self.recovery.chunk_timeouts += 1
+                self.broken = True
+                cause = f"chunk exceeded {runner.chunk_timeout_s}s timeout"
+                self.failed.append((block, cause))
+                chunk_span.annotate(outcome="timeout")
+            except BrokenExecutor as exc:
+                self.recovery.worker_crashes += 1
+                self.broken = True
+                self.failed.append((block, f"worker crashed: {exc}"))
+                chunk_span.annotate(outcome="crashed")
+            except Exception as exc:  # noqa: BLE001
+                self.recovery.chunk_errors += 1
+                self.failed.append(
+                    (block, f"{type(exc).__name__}: {exc}"))
+                chunk_span.annotate(
+                    outcome="error", cause=f"{type(exc).__name__}: {exc}")
+            else:
+                runner._harvest(specs, self.keys, block, payload,
+                                self.results, self.durations)
+                chunk_span.annotate(outcome="ok")
+
+
 class SweepRunner:
     """Fan experiment specs across workers, through a result cache.
 
@@ -307,20 +454,28 @@ class SweepRunner:
     when caching, else in-memory manifests only).
 
     Resilience knobs: ``chunk_timeout_s`` (``None`` → disabled or
-    ``REPRO_CHUNK_TIMEOUT``) bounds each chunk's wall clock before it
-    is declared hung; ``max_retries`` (``None`` → 2 or
-    ``REPRO_MAX_RETRIES``) bounds per-spec retry attempts; ``backoff``
-    schedules the inter-retry sleeps; ``fault_plan`` overrides the
-    process-wide injection plan (``None`` → ``REPRO_FAULTS``/installed
-    plan via :func:`repro.resilience.faults.active_plan`).
+    ``REPRO_CHUNK_TIMEOUT``) bounds each chunk's wall clock, counted
+    from when it can hold a worker, before it is declared hung;
+    ``max_retries`` (``None`` → 2 or ``REPRO_MAX_RETRIES``) bounds
+    per-spec retry attempts; ``backoff`` schedules the inter-retry
+    sleeps; ``fault_plan`` overrides the process-wide injection plan
+    (``None`` → ``REPRO_FAULTS``/installed plan via
+    :func:`repro.resilience.faults.active_plan`).
+
+    Parallel runs are streamed: misses are cut into trace-grouped
+    blocks (:func:`partition_misses`), each block is submitted as soon
+    as its traces are published, and finished chunks are harvested in
+    submission order while later blocks are still being built.
 
     Zero-copy substrate: ``shm`` (``None`` → ``REPRO_SHM``, else
     automatic: on for parallel runs when the platform supports it)
     publishes each unique workload trace into a shared-memory segment
     once per sweep and ships segment names to workers instead of
-    re-synthesizing per process; ``pin_cores`` (``None`` →
-    ``REPRO_PIN_CORES``, default off) pins each worker to its own
-    core group.  Both are accelerations only — results are
+    re-synthesizing per process; a block holds a reference on its
+    segments from submit to harvest, so the ``REPRO_SHM_MAX_BYTES``
+    budget only ever evicts traces no pending chunk needs.
+    ``pin_cores`` (``None`` → ``REPRO_PIN_CORES``, default off) pins
+    each worker to its own core group.  Both are accelerations only — results are
     bit-identical with them on, off, or unavailable.  The worker pool
     persists across ``run()`` calls (warm workers keep their decoded
     traces); call :meth:`close` to release the pool and unlink all
@@ -369,7 +524,6 @@ class SweepRunner:
         pin = pin_cores if pin_cores is not None else pin_setting()
         self.pin_cores = bool(pin) if pin is not None else False
         self._arena: Optional[SharedTraceArena] = None
-        self._handles: dict[tuple, TraceHandle] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         #: injectable for tests; the only place the runner sleeps.
         self._sleep = time.sleep
@@ -395,17 +549,18 @@ class SweepRunner:
             self._arena = SharedTraceArena()
         return self._arena
 
-    def _publish_traces(self, specs: Sequence[RunSpec],
-                        misses: Sequence[int]) -> None:
-        """Publish every trace the missed specs need, refresh handles."""
-        arena = self._ensure_arena()
-        self._handles.update(
-            publish_for_specs(arena, [specs[i] for i in misses]))
-        # Drop handles for segments the arena has since evicted, so a
-        # worker is never pointed at an unlinked segment needlessly.
-        live = arena.handles()
-        self._handles = {k: h for k, h in self._handles.items()
-                         if k in live}
+    def _publish_block(self, block_specs: Sequence[RunSpec]
+                       ) -> dict[tuple, TraceHandle]:
+        """Publish the traces one block needs, each retained until the
+        block settles (see :meth:`_release`); ``{}`` without shm."""
+        if not self.shm_enabled:
+            return {}
+        return publish_for_specs(self._ensure_arena(), block_specs)
+
+    def _release(self, traces) -> None:
+        """Drop the references :meth:`_publish_block` took."""
+        for key in traces:
+            self._arena.release(key)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The persistent worker pool, built (or rebuilt) on demand."""
@@ -422,8 +577,7 @@ class SweepRunner:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
-                initargs=(dict(self._handles) or None,
-                          assignments, counter),
+                initargs=(assignments, counter),
             )
         return self._pool
 
@@ -439,7 +593,6 @@ class SweepRunner:
         used again afterwards.
         """
         self._teardown_pool()
-        self._handles.clear()
         if self._arena is not None:
             self._arena.close()
             self._arena = None
@@ -599,8 +752,6 @@ class SweepRunner:
                         recovery: RecoveryStats,
                         deadline: Optional[float] = None) -> None:
         if self.jobs > 1 and len(misses) > 1:
-            if self.shm_enabled:
-                self._publish_traces(specs, misses)
             self._execute_parallel(specs, keys, misses, results,
                                    durations, recovery, deadline)
         else:
@@ -662,7 +813,8 @@ class SweepRunner:
                           deadline: Optional[float]) -> None:
         queue: list[list[int]] = [
             [misses[j] for j in block]
-            for block in _chunk_slices(len(misses), self.jobs)
+            for block in partition_misses([specs[i] for i in misses],
+                                          self.jobs)
         ]
         attempts = {index: 0 for index in misses}
         failed: dict[int, str] = {}
@@ -672,95 +824,18 @@ class SweepRunner:
                 self._check_deadline(
                     deadline,
                     [specs[i].label() for blk in queue for i in blk])
-                pool = self._ensure_pool()
-                # Handles ride along with every chunk (idempotent
-                # merge in the worker) so a pool rebuilt mid-sweep —
-                # whose initializer saw a stale snapshot — still
-                # learns every published segment.
-                handles = (dict(self._handles)
-                           if self.shm_enabled and self._handles
-                           else None)
-                wave, queue = queue, []
-                submitted: list[tuple[list[int], object]] = []
-                failed_blocks: list[tuple[list[int], str]] = []
-                pool_broken = False
-                tracing = obs_trace.enabled()
-                with obs_trace.span("runner.submit", cat="runner",
-                                    n_chunks=len(wave)):
-                    for position, block in enumerate(wave):
-                        chunk_key = "|".join(
-                            specs[i].label() for i in block)
-                        action = self._decide(chunk_key)
-                        try:
-                            future = pool.submit(
-                                _execute_chunk,
-                                [specs[i] for i in block], action,
-                                tracing, handles)
-                        except BrokenExecutor as exc:
-                            recovery.worker_crashes += 1
-                            pool_broken = True
-                            for late in wave[position:]:
-                                failed_blocks.append(
-                                    (late, f"worker pool broke on "
-                                           f"submit: {exc}"))
-                            break
-                        submitted.append((block, future))
+                wave = _Wave(self, specs, keys, results, durations,
+                             recovery)
+                try:
+                    for block in queue:
+                        wave.submit(block)
+                        wave.drain(wait=False)
+                    wave.drain(wait=True)
+                finally:
+                    wave.close()
+                queue = []
 
-                wave_deadline = (
-                    time.monotonic() + self.chunk_timeout_s
-                    if self.chunk_timeout_s is not None else None)
-                for block, future in submitted:
-                    labels = [specs[i].label() for i in block]
-                    with obs_trace.span("runner.chunk", cat="runner",
-                                        specs=labels) as chunk_span:
-                        if pool_broken:
-                            # Pool already abandoned: salvage finished
-                            # chunks, requeue the rest.
-                            if (future.done()
-                                    and future.exception() is None):
-                                self._harvest(specs, keys, block,
-                                              future.result(), results,
-                                              durations)
-                                chunk_span.annotate(outcome="salvaged")
-                            else:
-                                failed_blocks.append(
-                                    (block, "worker pool broken"))
-                                chunk_span.annotate(outcome="abandoned")
-                            continue
-                        timeout = None
-                        if wave_deadline is not None:
-                            timeout = max(
-                                0.05, wave_deadline - time.monotonic())
-                        try:
-                            with obs_trace.span("runner.wait",
-                                                cat="runner"):
-                                payload = future.result(timeout=timeout)
-                        except FuturesTimeoutError:
-                            recovery.chunk_timeouts += 1
-                            pool_broken = True
-                            cause = (f"chunk exceeded "
-                                     f"{self.chunk_timeout_s}s timeout")
-                            failed_blocks.append((block, cause))
-                            chunk_span.annotate(outcome="timeout")
-                        except BrokenExecutor as exc:
-                            recovery.worker_crashes += 1
-                            pool_broken = True
-                            failed_blocks.append(
-                                (block, f"worker crashed: {exc}"))
-                            chunk_span.annotate(outcome="crashed")
-                        except Exception as exc:  # noqa: BLE001
-                            recovery.chunk_errors += 1
-                            failed_blocks.append(
-                                (block, f"{type(exc).__name__}: {exc}"))
-                            chunk_span.annotate(
-                                outcome="error",
-                                cause=f"{type(exc).__name__}: {exc}")
-                        else:
-                            self._harvest(specs, keys, block, payload,
-                                          results, durations)
-                            chunk_span.annotate(outcome="ok")
-
-                if pool_broken:
+                if wave.broken:
                     # A hung worker cannot be cancelled and a crashed
                     # pool cannot accept work: abandon and rebuild.
                     # The arena is untouched — workers never own
@@ -772,8 +847,8 @@ class SweepRunner:
                     log_event("runner.pool_rebuild", level="warning",
                               rebuilds=recovery.pool_rebuilds)
 
-                if failed_blocks:
-                    for block, cause in failed_blocks:
+                if wave.failed:
+                    for block, cause in wave.failed:
                         retriable: list[int] = []
                         for index in block:
                             attempts[index] += 1

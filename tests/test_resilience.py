@@ -363,6 +363,27 @@ class TestRunnerRecovery:
         assert recovery["chunk_timeouts"] >= 1
         assert recovery["pool_rebuilds"] >= 1
 
+    def test_timeout_counts_run_time_not_queue_time(self):
+        """A budget longer than any one chunk's run but shorter than the
+        whole sweep: chunks queued behind others must not time out."""
+        specs = specs_for(("bfs", "lbm", "needle", "srad", "kmeans",
+                           "spmv", "hotspot", "lud"), ("LOCAL",))
+        baseline = SweepRunner(jobs=1, cache=False).run(specs)
+        # Eight one-spec chunks on two workers, each slowed to ~0.4 s:
+        # the last starts ~1.2 s after it was submitted.
+        plan = FaultPlan([FaultRule("runner.chunk", "hang", times=99,
+                                    delay_s=0.4)])
+        runner = quiet(SweepRunner(jobs=2, cache=False, fault_plan=plan,
+                                   chunk_timeout_s=1.0))
+        try:
+            outcome = runner.run(specs)
+        finally:
+            runner.close()
+        assert outcome.manifest.wall_time_s > runner.chunk_timeout_s
+        assert outcome.manifest.recovery["chunk_timeouts"] == 0
+        for a, b in zip(baseline.results, outcome.results):
+            assert encode_result(a) == encode_result(b)
+
     def test_transient_error_retried_serially(self):
         plan = FaultPlan([FaultRule("runner.chunk", "error")])
         runner = quiet(SweepRunner(jobs=1, cache=False, fault_plan=plan,

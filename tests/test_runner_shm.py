@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import RunnerError
 from repro.gpu.trace import DramTrace
+from repro.resilience.faults import FaultPlan, FaultRule
 from repro.runner import (
     CorePool,
     SharedTraceArena,
@@ -269,6 +270,8 @@ class TestPlannedKeys:
         handles = publish_for_specs(arena, grid_specs())
         assert handles  # one per unique (workload, epochs) need
         assert set(handles) == set(arena.handles())
+        # each returned handle holds one reference for the caller
+        assert all(arena.refcount(key) == 2 for key in handles)
 
 
 # ----------------------------------------------------------------------
@@ -428,3 +431,48 @@ class TestGoldenEquivalence:
             assert runner._pool is not None or runner._arena is not None
         assert runner._pool is None
         assert runner._arena is None
+
+
+@needs_shm
+class TestBudgetRetention:
+    def test_tiny_budget_never_evicts_a_pending_chunks_trace(
+            self, monkeypatch):
+        """Under a budget smaller than any trace, the runner's
+        references keep each pending chunk's segments alive until the
+        chunk is harvested; only traces nobody is waiting on are
+        evicted, and nothing survives close()."""
+        monkeypatch.setenv("REPRO_SHM_MAX_BYTES", "1")
+        before = list_repro_segments()
+        first = [make_spec(w, p, trace_accesses=ACCESSES)
+                 for w in WORKLOADS for p in ("LOCAL", "BW-AWARE")]
+        second = [make_spec(w, "LOCAL", trace_accesses=ACCESSES)
+                  for w in ("srad", "kmeans")]
+        serial = [encode_result(r) for r in
+                  SweepRunner(jobs=1, cache=False).run(first + second)]
+        clear_trace_cache()
+        # Every chunk sleeps first, so block 1 is still pending while
+        # the parent publishes the later blocks' traces.
+        plan = FaultPlan([FaultRule("runner.chunk", "hang", times=99,
+                                    delay_s=0.2)])
+        runner = SweepRunner(jobs=2, cache=False, shm=True,
+                             fault_plan=plan)
+        live_at_harvest = []
+        harvest = runner._harvest
+
+        def spy(specs, keys, block, *rest):
+            live_at_harvest.extend(
+                key in runner._arena
+                for i in block for key in planned_trace_keys(specs[i]))
+            return harvest(specs, keys, block, *rest)
+
+        runner._harvest = spy
+        try:
+            out = [encode_result(r) for r in runner.run(first)]
+            out += [encode_result(r) for r in runner.run(second)]
+            evicted = runner._arena.evicted
+        finally:
+            runner.close()
+        assert live_at_harvest and all(live_at_harvest)
+        assert evicted >= len(WORKLOADS)  # the budget did bite
+        assert out == serial
+        assert list_repro_segments() <= before

@@ -15,12 +15,17 @@ from repro.runner import (
     ResultCache,
     SweepRunner,
     active,
+    bw_ratio_policy,
     configured,
     encode_result,
     make_spec,
 )
-from repro.runner.sweep import _chunk_slices
+from repro.runner import shm as runner_shm
+from repro.runner import sweep as runner_sweep
+from repro.runner.shm import planned_trace_keys, shm_available
+from repro.runner.sweep import partition_misses
 from repro.workloads import get_workload
+from repro.workloads.base import clear_trace_cache
 
 ACCESSES = 12_000
 WORKLOADS = ("bfs", "lbm", "needle")
@@ -45,20 +50,99 @@ def assert_results_equal(a, b):
     assert encode_result(a) == encode_result(b)
 
 
-class TestChunkSlices:
-    def test_covers_range_exactly(self):
-        for n in (0, 1, 2, 7, 16, 100):
-            for jobs in (1, 2, 3, 4, 9):
-                slices = _chunk_slices(n, jobs)
-                flat = [i for block in slices for i in block]
-                assert flat == list(range(n))
+def grouped_specs(sizes):
+    """Consecutive trace groups of the given sizes (one workload each)."""
+    names = ("bfs", "lbm", "needle", "srad", "kmeans", "spmv")
+    return [
+        make_spec(names[g], bw_ratio_policy(5 + 5 * point),
+                  trace_accesses=ACCESSES)
+        for g, size in enumerate(sizes)
+        for point in range(size)
+    ]
 
-    def test_balanced(self):
-        sizes = [len(block) for block in _chunk_slices(10, 4)]
-        assert sizes == [3, 3, 2, 2]
+
+SHAPES = ((), (1,), (5,), (3, 1, 4), (2, 2, 2), (7, 1), (1, 1, 1, 1, 6))
+
+
+class TestPartitionMisses:
+    def test_covers_every_miss_once_in_order(self):
+        for shape in SHAPES:
+            specs = grouped_specs(shape)
+            for jobs in (1, 2, 3, 4, 9):
+                blocks = partition_misses(specs, jobs)
+                flat = [i for block in blocks for i in block]
+                assert flat == list(range(len(specs)))
+
+    def test_trace_group_split_only_at_cap(self):
+        for shape in SHAPES:
+            specs = grouped_specs(shape)
+            traces = [planned_trace_keys(spec) for spec in specs]
+            for jobs in (1, 2, 3, 4, 9):
+                cap = -(-len(specs) // jobs)
+                blocks = partition_misses(specs, jobs)
+                for block in blocks:
+                    assert 1 <= len(block) <= cap
+                    assert len({traces[i] for i in block}) == 1
+                for earlier, later in zip(blocks, blocks[1:]):
+                    if traces[earlier[0]] == traces[later[0]]:
+                        assert len(earlier) == cap
+
+    def test_single_trace_sweep_spreads_over_every_worker(self):
+        for n in range(2, 13):
+            assert len(partition_misses(grouped_specs((n,)), 2)) == 2
+        sizes = [len(b) for b in partition_misses(grouped_specs((12,)), 4)]
+        assert sizes == [3, 3, 3, 3]
+
+    def test_extra_epoch_trace_is_its_own_group(self):
+        specs = [make_spec("bfs", policy, trace_accesses=ACCESSES)
+                 for policy in ("LOCAL", "BW-AWARE", "ONLINE@epochs=32")]
+        assert partition_misses(specs, 1) == [range(0, 2), range(2, 3)]
 
     def test_deterministic(self):
-        assert _chunk_slices(17, 4) == _chunk_slices(17, 4)
+        specs = grouped_specs((3, 1, 4))
+        assert (partition_misses(specs, 3)
+                == partition_misses(grouped_specs((3, 1, 4)), 3))
+
+
+@pytest.mark.skipif(not shm_available(),
+                    reason="no multiprocessing.shared_memory")
+class TestStreamedFanOut:
+    def test_first_block_submitted_before_last_trace_published(
+            self, monkeypatch):
+        """Workers start on workload 1 while the parent is still
+        synthesizing later workloads' traces."""
+        events = []
+
+        def synthesize(key):
+            events.append(("publish", key[0]))
+            return runner_shm._synthesize(key)
+
+        publish = runner_sweep.publish_for_specs
+        monkeypatch.setattr(
+            runner_sweep, "publish_for_specs",
+            lambda arena, specs, **kw: publish(
+                arena, specs, synthesize=synthesize, **kw))
+        serial = SweepRunner(jobs=1, cache=False).run(grid_specs())
+        clear_trace_cache()
+        runner = SweepRunner(jobs=2, cache=False, shm=True)
+        decide = runner._decide
+
+        def record_submit(chunk_key):
+            events.append(("submit", chunk_key))
+            return decide(chunk_key)
+
+        runner._decide = record_submit
+        try:
+            outcome = runner.run(grid_specs())
+        finally:
+            runner.close()
+        kinds = [kind for kind, _ in events]
+        published = [name for kind, name in events if kind == "publish"]
+        assert published == list(WORKLOADS)
+        last_publish = len(kinds) - 1 - kinds[::-1].index("publish")
+        assert kinds.index("submit") < last_publish
+        for a, b in zip(serial.results, outcome.results):
+            assert_results_equal(a, b)
 
 
 class TestGoldenSerialVsParallel:
