@@ -333,6 +333,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"new {case.new_ms:9.1f} ms  old {old} {speedup}")
     for key in sorted(report.summary):
         print(f"{key}: {report.summary[key]:.3f}")
+    print(f"kernel: {report.kernel}")
 
     out = args.out or f"BENCH_{report.rev}.json"
     path = Path(out)

@@ -1,0 +1,176 @@
+"""Build and load the native windowed-service kernel (``_windowed.c``).
+
+The C file is compiled on first use — the first detailed or banked
+replay, never at import — into a content-addressed shared library under
+``$XDG_CACHE_HOME/repro/native/`` (default ``~/.cache/repro/native/``),
+keyed by the source bytes, the compile flags and the machine, and then
+loaded through :mod:`ctypes`.  Later processes find the library on disk
+and only pay the ``dlopen``.  Builds write a temporary file in the same
+directory and ``os.replace`` it into place, so concurrent first builds
+are safe.  Each library ends in a trailer holding the SHA-256 of the
+bytes before it, checked before ``dlopen``: mapping a truncated shared
+object kills the process with SIGBUS instead of raising, so a damaged
+cached library must be caught on disk — it is rebuilt.
+
+The flags keep IEEE semantics: no ``-ffast-math`` or ``-march=native``,
+and ``-ffp-contract=off`` so no multiply-add is fused — any of those
+would change the last bits the kernel must share with the numpy path.
+
+Without a compiler, with an unwritable cache directory, or when the
+library will not load, :func:`kernel` logs one line and returns
+``None`` for the rest of the process; :mod:`repro.gpu.service` then
+runs its numpy kernel.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+from typing import Callable, Optional
+
+import numpy as np
+
+from repro.obs.log import log_event
+
+#: compiler driver; tests point it at a missing name to force the
+#: numpy fallback.
+CC = "cc"
+
+#: compile flags; part of the library's cache key.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+SOURCE = Path(__file__).with_name("_windowed.c")
+
+#: must match ``repro_windowed_abi()`` in the C source.
+_ABI = 1
+
+#: library trailer: magic, then the SHA-256 of everything before it.
+_MAGIC = b"repro-native-v1\0"
+_TRAILER_SIZE = len(_MAGIC) + 32
+
+NativeKernel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                         int, int], float]
+
+_lock = threading.Lock()
+_resolved = False
+_kernel: Optional[NativeKernel] = None
+
+
+def cache_dir() -> Path:
+    """Where built libraries live (outside any per-run result cache)."""
+    base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
+    return Path(base) / "repro" / "native"
+
+
+def library_path() -> Path:
+    """The content-addressed library file for this source, flags and
+    machine."""
+    digest = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
+                 platform.system().encode(), platform.machine().encode()):
+        digest.update(part)
+        digest.update(b"\0")
+    return cache_dir() / f"_windowed-{digest.hexdigest()[:16]}.so"
+
+
+def _intact(path: Path) -> bool:
+    """Whether ``path`` ends in a trailer matching the bytes before it."""
+    data = path.read_bytes()
+    body, trailer = data[:-_TRAILER_SIZE], data[-_TRAILER_SIZE:]
+    return (len(data) > _TRAILER_SIZE
+            and trailer == _MAGIC + hashlib.sha256(body).digest())
+
+
+def _compile(target: Path) -> None:
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-",
+                               suffix=".so")
+    os.close(fd)
+    try:
+        done = subprocess.run([CC, *CFLAGS, "-o", tmp, str(SOURCE)],
+                              capture_output=True, text=True, timeout=120)
+        if done.returncode != 0:
+            raise OSError(f"{CC} exited {done.returncode}: "
+                          f"{done.stderr.strip()[:200]}")
+        # The loader maps segments by offset; trailing bytes are inert.
+        with open(tmp, "r+b") as handle:
+            digest = hashlib.sha256(handle.read()).digest()
+            handle.write(_MAGIC + digest)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    if not _intact(path):
+        raise OSError(f"{path.name}: damaged or truncated")
+    lib = ctypes.CDLL(str(path))
+    try:
+        abi_fn = lib.repro_windowed_abi
+    except AttributeError as exc:
+        raise OSError(f"{path.name}: {exc}") from None
+    abi_fn.argtypes = []
+    abi_fn.restype = ctypes.c_int
+    abi = abi_fn()
+    if abi != _ABI:
+        raise OSError(f"{path.name}: ABI {abi}, expected {_ABI}")
+    return lib
+
+
+def _bind(lib: ctypes.CDLL) -> NativeKernel:
+    fn = lib.repro_simulate_windowed
+    fn.restype = ctypes.c_double
+    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3 + [
+        ctypes.POINTER(ctypes.c_int)]
+
+    def simulate(ready_base, occupancy, latency, channel_ids,
+                 n_channels, window):
+        arrays = [np.ascontiguousarray(a, dtype=np.float64)
+                  for a in (ready_base, occupancy, latency)]
+        channels = np.ascontiguousarray(channel_ids, dtype=np.int64)
+        status = ctypes.c_int(0)
+        last = fn(*(a.ctypes.data for a in arrays), channels.ctypes.data,
+                  channels.size, n_channels, max(1, int(window)),
+                  ctypes.byref(status))
+        if status.value != 0:
+            raise MemoryError("native windowed kernel: out of memory")
+        return last
+
+    return simulate
+
+
+def _load() -> NativeKernel:
+    path = library_path()
+    if path.exists():
+        try:
+            return _bind(_open(path))
+        except OSError:
+            pass  # stale or damaged: rebuild below
+    _compile(path)
+    return _bind(_open(path))
+
+
+def kernel() -> Optional[NativeKernel]:
+    """The native kernel, built/loaded on first call; ``None`` when it
+    is unavailable (the caller falls back to numpy)."""
+    global _resolved, _kernel
+    if not _resolved:
+        with _lock:
+            if not _resolved:
+                try:
+                    _kernel = _load()
+                except (OSError, RuntimeError,
+                        subprocess.SubprocessError) as exc:
+                    log_event("gpu.kernel.fallback", level="warning",
+                              message="repro: native windowed kernel "
+                                      f"unavailable ({exc}); using numpy")
+                    _kernel = None
+                _resolved = True
+    return _kernel

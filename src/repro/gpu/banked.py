@@ -35,7 +35,11 @@ from repro.core.errors import SimulationError
 from repro.core.units import LINE_SIZE, PAGE_SIZE
 from repro.gpu.config import GpuConfig
 from repro.obs import trace as obs_trace
-from repro.gpu.service import simulate_windowed
+from repro.gpu.service import (
+    check_channel_count,
+    kernel_path,
+    simulate_windowed,
+)
 from repro.gpu.trace import (
     DramTrace,
     SimResult,
@@ -136,7 +140,8 @@ class BankedEngine:
             topology: SystemTopology,
             chars: WorkloadCharacteristics) -> SimResult:
         with obs_trace.span("engine.banked", cat="gpu",
-                            accesses=trace.n_accesses):
+                            accesses=trace.n_accesses) as span:
+            span.annotate(kernel=kernel_path())
             return self._simulate(trace, zone_map, topology, chars)
 
     def _simulate(self, trace: DramTrace, zone_map: np.ndarray,
@@ -151,6 +156,7 @@ class BankedEngine:
         zone_channels = np.array([zone.channels for zone in topology],
                                  dtype=np.int64)
         n_channels_total = int(zone_channels.sum())
+        check_channel_count(n_channels_total)
         window = max(1, int(min(
             chars.parallelism,
             self.config.total_mshrs(n_channels_total),

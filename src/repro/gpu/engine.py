@@ -34,7 +34,12 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.gpu.config import GpuConfig
 from repro.obs import trace as obs_trace
-from repro.gpu.service import rank_within_groups, simulate_windowed
+from repro.gpu.service import (
+    check_channel_count,
+    kernel_path,
+    rank_within_groups,
+    simulate_windowed,
+)
 from repro.gpu.trace import (
     DramTrace,
     SimResult,
@@ -56,7 +61,8 @@ class DetailedEngine:
             topology: SystemTopology,
             chars: WorkloadCharacteristics) -> SimResult:
         with obs_trace.span("engine.detailed", cat="gpu",
-                            accesses=trace.n_accesses):
+                            accesses=trace.n_accesses) as span:
+            span.annotate(kernel=kernel_path())
             return self._simulate(trace, zone_map, topology, chars)
 
     def _simulate(self, trace: DramTrace, zone_map: np.ndarray,
@@ -71,6 +77,7 @@ class DetailedEngine:
         zone_channels = np.array([zone.channels for zone in topology],
                                  dtype=np.int64)
         n_channels_total = int(zone_channels.sum())
+        check_channel_count(n_channels_total)
         window = int(min(
             chars.parallelism,
             self.config.total_mshrs(n_channels_total),

@@ -37,20 +37,44 @@ enforces against the sequential reference.
 Windows smaller than ``_MIN_BATCH_WINDOW`` batch poorly (a batch can
 never exceed the window), so tiny-window runs fall back to an exact
 sequential replay.
+
+:func:`simulate_windowed` runs a compiled port of this kernel
+(``_windowed.c``, built and loaded on first use by
+:mod:`repro.gpu._native`) that performs the same batch schedule and the
+same float operations in the same order, so its result equals the numpy
+kernel's bit for bit.  The numpy kernel (:func:`_simulate_numpy` and
+:func:`_simulate_sequential`) is the fallback on hosts where the
+library cannot be built or loaded, and the oracle the native path is
+tested against; :func:`kernel_path` says which one this process runs.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
-__all__ = ["rank_within_groups", "simulate_windowed"]
+from repro.core.errors import SimulationError
+
+__all__ = ["check_channel_count", "kernel_path", "rank_within_groups",
+           "simulate_windowed"]
+
+#: the event engines store channel ids as int16.
+MAX_CHANNELS = int(np.iinfo(np.int16).max)
 
 #: below this window size the batched core degenerates (a batch can
 #: never exceed the window, so per-batch numpy overhead dominates);
 #: replay serially instead.
 _MIN_BATCH_WINDOW = 32
+
+
+def check_channel_count(n_channels: int) -> None:
+    """Reject topologies whose channel ids overflow the engines' int16."""
+    if n_channels > MAX_CHANNELS:
+        raise SimulationError(
+            f"{n_channels} memory channels exceed the event engines' "
+            f"limit of {MAX_CHANNELS} (channel ids are int16)")
 
 
 def rank_within_groups(groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -98,6 +122,47 @@ def _simulate_sequential(ready_base: np.ndarray, occupancy: np.ndarray,
     return max(inflight) if inflight else 0.0
 
 
+def _native_kernel():
+    from repro.gpu import _native  # deferred: loads on first replay
+
+    return _native.kernel()
+
+
+def kernel_path() -> str:
+    """``"native"`` when :func:`simulate_windowed` runs the compiled
+    kernel in this process, else ``"numpy"`` (builds or loads the
+    library on first call)."""
+    return "numpy" if _native_kernel() is None else "native"
+
+
+def _check_inputs(ready_base: np.ndarray, occupancy: np.ndarray,
+                  latency: np.ndarray, channel_ids: np.ndarray,
+                  n_channels: int) -> None:
+    n = ready_base.size
+    if not all(a.ndim == 1 and a.size == n
+               for a in (ready_base, occupancy, latency, channel_ids)):
+        raise SimulationError(
+            "simulate_windowed: ready_base, occupancy, latency and "
+            "channel_ids must be 1-D arrays of equal length")
+    if n == 0:
+        return
+    if not np.issubdtype(channel_ids.dtype, np.integer):
+        raise SimulationError("simulate_windowed: channel_ids must be "
+                              f"integers, not {channel_ids.dtype}")
+    low, high = int(channel_ids.min()), int(channel_ids.max())
+    if low < 0 or high >= n_channels:
+        raise SimulationError(
+            f"simulate_windowed: channel ids span [{low}, {high}], "
+            f"outside [0, {n_channels})")
+    # min/max propagate NaN, so finite extremes mean finite arrays.
+    for name, values in (("ready_base", ready_base),
+                         ("occupancy", occupancy), ("latency", latency)):
+        if not (math.isfinite(values.min())
+                and math.isfinite(values.max())):
+            raise SimulationError(
+                f"simulate_windowed: {name} has non-finite values")
+
+
 def simulate_windowed(ready_base: np.ndarray, occupancy: np.ndarray,
                       latency: np.ndarray, channel_ids: np.ndarray,
                       n_channels: int, window: int) -> float:
@@ -106,8 +171,25 @@ def simulate_windowed(ready_base: np.ndarray, occupancy: np.ndarray,
     ``ready_base[i]`` is the earliest issue time of request ``i``
     ignoring the window (the compute throttle), ``occupancy[i]`` its
     channel transfer time, ``latency[i]`` the post-transfer latency and
-    ``channel_ids[i]`` the global channel it is served by.
+    ``channel_ids[i]`` the global channel it is served by.  Inputs are
+    checked first (equal lengths, ``0 <= channel_ids < n_channels``,
+    finite times) and rejected with :class:`SimulationError`; then the
+    native kernel runs, or the numpy one where it is unavailable — both
+    give the same float.
     """
+    arrays = [np.asarray(a) for a in (ready_base, occupancy, latency,
+                                      channel_ids)]
+    _check_inputs(*arrays, n_channels)
+    native = _native_kernel()
+    if native is not None:
+        return native(*arrays, n_channels, window)
+    return _simulate_numpy(*arrays, n_channels, window)
+
+
+def _simulate_numpy(ready_base: np.ndarray, occupancy: np.ndarray,
+                    latency: np.ndarray, channel_ids: np.ndarray,
+                    n_channels: int, window: int) -> float:
+    """The batched numpy kernel (fallback and oracle of the native one)."""
     n = int(ready_base.size)
     if n == 0:
         return 0.0

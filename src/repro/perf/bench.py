@@ -9,7 +9,9 @@ produces (raw SM streams, post-cache traces, BW-AWARE zone maps):
   OrderedDict replay (and asserts the miss-index streams are
   bit-identical while at it);
 * ``detailed`` / ``banked`` — the engines' ``run`` vs the seed heap
-  loops (asserting ``total_time_ns`` agrees to 1e-9 relative);
+  loops (asserting ``total_time_ns`` agrees to 1e-9 relative); the
+  report's ``kernel`` field records whether the engines ran the native
+  windowed-service kernel or its numpy fallback;
 * ``cold_run`` — wall time of ``run_experiment("bfs",
   policy="BW-AWARE", engine="detailed")`` in a fresh interpreter, the
   end-to-end number a user feels.
@@ -44,6 +46,7 @@ from repro.gpu.banked import BankedEngine
 from repro.gpu.cache import CacheHierarchy
 from repro.gpu.config import table1_config
 from repro.gpu.engine import DetailedEngine
+from repro.gpu.service import kernel_path
 from repro.memory.topology import simulated_baseline
 from repro.vm.process import Process
 from repro.workloads import get_workload
@@ -91,6 +94,9 @@ class BenchReport:
     numpy: str
     cases: list[BenchCase] = field(default_factory=list)
     summary: dict[str, float] = field(default_factory=dict)
+    #: windowed-service kernel the engine benches ran: "native" or
+    #: "numpy" (empty in reports that predate the native kernel).
+    kernel: str = ""
 
     def to_json(self) -> str:
         payload = {"schema": SCHEMA_VERSION, **asdict(self)}
@@ -351,6 +357,7 @@ def run_bench(quick: bool = False, repeats: Optional[int] = None,
         rev=_git_rev(), created_unix=time.time(), quick=quick,
         n_accesses=n_accesses, repeats=repeats,
         python=sys.version.split()[0], numpy=np.__version__,
+        kernel=kernel_path(),
     )
     for name in workloads:
         note(f"filter   {name}")

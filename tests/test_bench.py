@@ -61,6 +61,13 @@ class TestRunBench:
         assert rebuilt.case("filter", "bfs").new_ms == pytest.approx(
             tiny_report.case("filter", "bfs").new_ms)
 
+    def test_records_kernel_path(self, tiny_report):
+        from repro.gpu.service import kernel_path
+
+        assert tiny_report.kernel == kernel_path()
+        assert json.loads(tiny_report.to_json())["kernel"] in (
+            "native", "numpy")
+
 
 class TestCheckRegression:
     def _report(self, new_ms, match=True):

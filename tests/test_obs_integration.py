@@ -155,6 +155,27 @@ class TestRunnerTraceMerging:
         assert obs_trace.active() is None
 
 
+class TestEngineSpans:
+    """The event engines' spans say which windowed-service kernel ran."""
+
+    @pytest.mark.parametrize("engine", ("detailed", "banked"))
+    def test_engine_span_carries_kernel(self, tmp_path, monkeypatch,
+                                        engine):
+        from repro.core.experiment import run_experiment
+        from repro.gpu import service
+
+        tracer = obs_trace.install(tmp_path / "engine-trace.json")
+        expected = service.kernel_path()
+        run_experiment("bfs", engine=engine, trace_accesses=5_000)
+        monkeypatch.setattr(service, "_native_kernel", lambda: None)
+        run_experiment("bfs", engine=engine, trace_accesses=5_000)
+        spans = [e for e in tracer.events
+                 if e["name"] == f"engine.{engine}"]
+        assert [e["args"]["accesses"] > 0 for e in spans] == [True] * 2
+        first, second = (e["args"]["kernel"] for e in spans)
+        assert (first, second) == (expected, "numpy")
+
+
 # ----------------------------------------------------------------------
 # tentpole: one request, one trace tree, one trace id
 # ----------------------------------------------------------------------

@@ -144,6 +144,24 @@ class TestCacheKeyInvalidation:
             assert module in sources, module
         assert not any(name.startswith("perf/") for name in sources)
 
+    def test_salt_covers_native_kernel_source(self, tmp_path):
+        """Editing the C kernel must orphan cached results too."""
+        import shutil
+        from pathlib import Path
+
+        import repro
+        from repro.runner.salt import source_salt
+
+        copy = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = source_salt(copy)
+        kernel = copy / "gpu" / "_windowed.c"
+        kernel.write_bytes(kernel.read_bytes() + b"\n/* edited */\n")
+        assert source_salt(copy) != before
+        assert source_salt(Path(repro.__file__).resolve().parent) == (
+            code_version_salt())
+
 
 class TestResultCodec:
     def test_round_trip_identity(self):
