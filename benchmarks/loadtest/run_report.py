@@ -1,32 +1,19 @@
-"""Produce the committed scale-out serving report (REPORT_<rev>.json).
+"""Produce a serving load-test report (REPORT_<rev>.json).
 
-Four measured scenarios, all through ``repro.serve.loadtest`` (closed
-loop — offered load tracks service capacity, so "saturated QPS" is
-well defined):
+Two measured scenarios against one ``repro serve`` daemon, both through
+``repro.serve.loadtest`` (closed loop — offered load tracks service
+capacity, so "saturated QPS" is well defined):
 
-1. ``single_placement``  — saturated placement QPS, single daemon;
-2. ``cluster_placement`` — the same offered load, router + N shards;
-3. ``cluster_mixed``     — placement + cold-simulate overload against
-   a deliberately small admission queue: shows bounded placement p99
-   while cold work is shed with 429 + Retry-After;
-4. ``single_mixed``      — the same mixed overload against the single
-   daemon, for contrast (no lanes: placement still answers, but
-   there is no cold-shedding front door).
-
-Plus a correctness check: the same simulate spec through the cluster
-and through a single daemon must return byte-identical ``result``
-payloads.
+1. ``single_placement`` — saturated placement QPS;
+2. ``single_mixed``     — placement beside a cold-simulate overload:
+   how far placement QPS and p99 hold while long simulate jobs queue.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/loadtest/run_report.py \
-        [--shards 4] [--duration 10] [--out benchmarks/loadtest/...]
+        [--duration 10] [--out benchmarks/loadtest/...]
 
-The report records the host (CPU count!) alongside the numbers: the
-acceptance target for sharding (>= 2.5x placement QPS on 4 shards) is
-only reachable with >= ~5 cores; on smaller hosts the report is still
-the honest record of the overload behaviour (lanes, shedding,
-Retry-After), which is host-independent.
+The report records the host (CPU count) alongside the numbers.
 """
 
 from __future__ import annotations
@@ -38,12 +25,7 @@ import subprocess
 import sys
 import tempfile
 
-from repro.serve import (
-    BackgroundCluster,
-    BackgroundServer,
-    ServeClient,
-    ServeConfig,
-)
+from repro.serve import BackgroundServer, ServeConfig
 from repro.serve.loadtest import format_summary, run_loadtest
 
 
@@ -71,8 +53,8 @@ def mixed_scenario(url: str, duration_s: float,
                    placement_workers: int,
                    simulate_workers: int) -> dict:
     # Long cold simulates (500k accesses) + a small distinct-spec pool
-    # that keeps refreshing: sustained cold pressure for the admission
-    # queue while placement traffic rides alongside.
+    # that keeps refreshing: sustained cold pressure on the daemon
+    # while placement traffic rides alongside.
     return run_loadtest(url, duration_s=duration_s,
                         placement_workers=placement_workers,
                         simulate_workers=simulate_workers,
@@ -80,25 +62,8 @@ def mixed_scenario(url: str, duration_s: float,
                         trace_accesses=500_000)
 
 
-def byte_identical_check(cluster_url: str) -> dict:
-    """Same spec through the cluster and a fresh single daemon."""
-    via_cluster = ServeClient(cluster_url, timeout_s=120).simulate(
-        workload="stencil", seed=7, trace_accesses=20_000, retries=5)
-    with BackgroundServer(ServeConfig(
-            port=0, cache_dir=_fresh_cache())) as single:
-        via_single = ServeClient(single.base_url, timeout_s=120).simulate(
-            workload="stencil", seed=7, trace_accesses=20_000)
-    left = json.dumps(via_cluster["result"], sort_keys=True)
-    right = json.dumps(via_single["result"], sort_keys=True)
-    return {
-        "spec": via_cluster["spec"],
-        "identical": left == right,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--duration", type=float, default=10.0)
     parser.add_argument("--placement-workers", type=int, default=8)
     parser.add_argument("--simulate-workers", type=int, default=6)
@@ -117,12 +82,10 @@ def main(argv=None) -> int:
             "platform": sys.platform,
             "python": sys.version.split()[0],
         },
-        "shards": args.shards,
         "duration_s": args.duration,
         "scenarios": {},
     }
 
-    # --- saturated placement: single daemon ---------------------------
     print("== single daemon: saturated placement ==", flush=True)
     with BackgroundServer(ServeConfig(
             port=0, cache_dir=_fresh_cache())) as single:
@@ -131,38 +94,6 @@ def main(argv=None) -> int:
         report["scenarios"]["single_placement"] = result
         print(format_summary(result), flush=True)
 
-    # --- saturated placement: router + shards -------------------------
-    print(f"== router + {args.shards} shards: saturated placement ==",
-          flush=True)
-    with BackgroundCluster(ServeConfig(
-            port=0, shards=args.shards,
-            cache_dir=_fresh_cache())) as cluster:
-        result = placement_scenario(cluster.base_url, args.duration,
-                                    args.placement_workers)
-        report["scenarios"]["cluster_placement"] = result
-        print(format_summary(result), flush=True)
-
-    # --- mixed overload: router + shards, small admission queue -------
-    print(f"== router + {args.shards} shards: mixed overload ==",
-          flush=True)
-    with BackgroundCluster(ServeConfig(
-            port=0, shards=args.shards,
-            cache_dir=_fresh_cache(),
-            proxy_inflight_per_shard=2,
-            admission_capacity=8,
-            admission_high_watermark=6,
-            admission_low_watermark=3)) as cluster:
-        result = mixed_scenario(cluster.base_url, args.duration,
-                                args.placement_workers,
-                                args.simulate_workers)
-        report["scenarios"]["cluster_mixed"] = result
-        print(format_summary(result), flush=True)
-        print("== byte-identical simulate check ==", flush=True)
-        check = byte_identical_check(cluster.base_url)
-        report["byte_identical_simulate"] = check
-        print(f"identical: {check['identical']}", flush=True)
-
-    # --- mixed overload: single daemon (contrast) ----------------------
     print("== single daemon: mixed overload ==", flush=True)
     with BackgroundServer(ServeConfig(
             port=0, cache_dir=_fresh_cache())) as single:
@@ -173,23 +104,16 @@ def main(argv=None) -> int:
         print(format_summary(result), flush=True)
 
     scenarios = report["scenarios"]
-    single_qps = scenarios["single_placement"]["lanes"][
-        "placement"]["qps"]
-    cluster_qps = scenarios["cluster_placement"]["lanes"][
-        "placement"]["qps"]
+    saturated = scenarios["single_placement"]["lanes"]["placement"]
+    mixed = scenarios["single_mixed"]["lanes"]
     report["summary"] = {
-        "placement_qps_single": single_qps,
-        "placement_qps_cluster": cluster_qps,
-        "placement_speedup": (round(cluster_qps / single_qps, 3)
-                              if single_qps else None),
-        "mixed_placement_p99_ms_cluster": scenarios["cluster_mixed"][
-            "lanes"].get("placement", {}).get("p99_ms"),
-        "mixed_shed_429_cluster": scenarios["cluster_mixed"][
-            "totals"]["shed_429"],
-        "mixed_retry_after_hints": scenarios["cluster_mixed"][
-            "retry_after_hints"],
-        "byte_identical_simulate": report[
-            "byte_identical_simulate"]["identical"],
+        "placement_qps": saturated["qps"],
+        "placement_p99_ms": saturated["p99_ms"],
+        "mixed_placement_qps": mixed.get("placement", {}).get("qps"),
+        "mixed_placement_p99_ms": mixed.get("placement", {}).get(
+            "p99_ms"),
+        "mixed_cold_simulate_qps": mixed.get("simulate_cold", {}).get(
+            "qps"),
     }
 
     with open(out, "w", encoding="utf-8") as fh:

@@ -448,19 +448,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig
     from repro.serve import run as serve_run
 
-    kwargs = {}
-    # None → the ServeConfig default (which reads the REPRO_SERVE_*
-    # environment knobs), so flags only override when given.
-    if args.shards is not None:
-        kwargs["shards"] = args.shards
-    if args.queue_limit is not None:
-        kwargs["admission_capacity"] = args.queue_limit
-    if args.high_watermark is not None:
-        kwargs["admission_high_watermark"] = args.high_watermark
-    if args.low_watermark is not None:
-        kwargs["admission_low_watermark"] = args.low_watermark
-    if args.shard_inflight is not None:
-        kwargs["proxy_inflight_per_shard"] = args.shard_inflight
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -478,14 +465,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         use_shm=args.shm,
         pin_cores=args.pin_cores,
-        **kwargs,
     )
-    if config.shards > 0:
-        from repro.serve.cluster import run_cluster
-
-        run_cluster(config)
-    else:
-        serve_run(config)
+    serve_run(config)
     return 0
 
 
@@ -844,22 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--jobs > 1)")
     p_serve.add_argument("--no-shm", dest="shm", action="store_false",
                          help="disable shared-memory trace shipping")
-    p_serve.add_argument("--shards", type=int, default=None,
-                         help="worker-daemon shards behind a front "
-                              "router (0/unset = single daemon; "
-                              "$REPRO_SERVE_SHARDS)")
-    p_serve.add_argument("--queue-limit", type=int, default=None,
-                         help="router admission queue capacity "
-                              "($REPRO_SERVE_QUEUE_LIMIT)")
-    p_serve.add_argument("--high-watermark", type=int, default=None,
-                         help="queued depth that starts shedding cold "
-                              "work ($REPRO_SERVE_HIGH_WATERMARK)")
-    p_serve.add_argument("--low-watermark", type=int, default=None,
-                         help="queued depth that stops shedding again "
-                              "($REPRO_SERVE_LOW_WATERMARK)")
-    p_serve.add_argument("--shard-inflight", type=int, default=None,
-                         help="concurrent proxied requests per shard "
-                              "($REPRO_SERVE_SHARD_INFLIGHT)")
     p_serve.add_argument("--pin-cores", dest="pin_cores",
                          action="store_true", default=None,
                          help="pin runner workers to their own core "
@@ -927,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load = sub.add_parser(
         "loadtest",
         help="closed-loop load generator against a running daemon "
-             "or cluster (per-lane QPS/p50/p99 JSON report)")
+             "(per-lane QPS/p50/p99 JSON report)")
     p_load.add_argument("--url", default=None,
                         help="target base URL (default "
                              "$REPRO_SERVE_URL or the local daemon)")

@@ -106,13 +106,13 @@ class OnlinePolicy(PlacementPolicy):
         if budget_pages_per_epoch is not None \
                 and int(budget_pages_per_epoch) < 0:
             raise PolicyError("budget_pages_per_epoch must be >= 0 or None")
-        if hysteresis < 1.0:
+        if not hysteresis >= 1.0:
             raise PolicyError("hysteresis must be >= 1")
         if not 0.0 < decay <= 1.0:
             raise PolicyError("decay out of (0, 1]")
-        if cost_scale < 0:
-            raise PolicyError("cost_scale must be >= 0")
-        if max_overhead is not None and max_overhead < 0:
+        if not 0 <= cost_scale < float("inf"):
+            raise PolicyError("cost_scale must be finite and >= 0")
+        if max_overhead is not None and not max_overhead >= 0:
             raise PolicyError("max_overhead must be >= 0 or None")
         self.initial = initial
         self.epochs = int(epochs)

@@ -19,35 +19,21 @@ See ``docs/api.md`` ("Serving") for the endpoint catalogue and
 semantics.
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionShedError,
-    ShardUnavailableError,
-)
 from repro.serve.batching import (
     BatchSaturatedError,
     MicroBatcher,
     SingleFlight,
 )
 from repro.serve.client import ServeClient
-from repro.serve.cluster import (
-    BackgroundCluster,
-    RouterApp,
-    run_cluster,
-)
 from repro.serve.config import (
     DEFAULT_HOST,
     DEFAULT_PORT,
-    ROLE_ROUTER,
-    ROLE_SHARD,
-    ROLE_SINGLE,
     SERVE_URL_ENV,
     ServeConfig,
     default_serve_url,
 )
 from repro.serve.http import BackgroundServer, ServeApp, run
 from repro.serve.metrics import MetricsRegistry, parse_metrics
-from repro.serve.ring import HashRing
 from repro.serve.service import (
     BadRequestError,
     DeadlineExceededError,
@@ -57,33 +43,23 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionShedError",
-    "BackgroundCluster",
     "BackgroundServer",
     "BadRequestError",
     "BatchSaturatedError",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DeadlineExceededError",
-    "HashRing",
     "MetricsRegistry",
     "MicroBatcher",
     "PlacementService",
-    "ROLE_ROUTER",
-    "ROLE_SHARD",
-    "ROLE_SINGLE",
-    "RouterApp",
     "SERVE_URL_ENV",
     "ServeApp",
     "ServeClient",
     "ServeConfig",
     "ServiceSaturatedError",
     "ServiceUnavailableError",
-    "ShardUnavailableError",
     "SingleFlight",
     "default_serve_url",
     "parse_metrics",
     "run",
-    "run_cluster",
 ]

@@ -67,15 +67,12 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _HttpRequest:
-    __slots__ = ("method", "target", "path", "query", "headers", "body",
+    __slots__ = ("method", "path", "query", "headers", "body",
                  "body_file", "deadline")
 
     def __init__(self, method: str, target: str,
                  headers: Mapping[str, str], body: bytes) -> None:
         self.method = method
-        #: raw request target, kept verbatim so the cluster router can
-        #: re-emit the request to a shard without re-encoding.
-        self.target = target
         split = urlsplit(target)
         self.path = unquote(split.path)
         self.query = {k: v[-1] for k, v in parse_qs(split.query).items()}
@@ -85,17 +82,8 @@ class _HttpRequest:
         #: octet-stream bodies never land in one bytes object); ``body``
         #: is empty when this is set.
         self.body_file = None
-        #: absolute time.monotonic() budget, set by the router.
+        #: absolute time.monotonic() budget, set by ``ServeApp._dispatch``.
         self.deadline: Optional[float] = None
-
-    def body_bytes(self) -> bytes:
-        """The full body regardless of spooling (proxy re-emission)."""
-        if self.body_file is not None:
-            self.body_file.seek(0)
-            data = self.body_file.read()
-            self.body_file.seek(0)
-            return data
-        return self.body
 
     def close(self) -> None:
         if self.body_file is not None:
@@ -207,9 +195,8 @@ async def read_http_request(reader: asyncio.StreamReader,
                             max_body_bytes: int,
                             idle_timeout_s: Optional[float] = None
                             ) -> Optional[_HttpRequest]:
-    """Parse one HTTP/1.1 request off ``reader`` (shared with the
-    cluster router, which speaks the same protocol in front of the
-    shards).  Returns ``None`` on a clean EOF before a request line.
+    """Parse one HTTP/1.1 request off ``reader``.  Returns ``None`` on
+    a clean EOF before a request line.
 
     ``idle_timeout_s`` is the slowloris guard: every read — request
     line, each header line, each body chunk — must deliver bytes
@@ -547,7 +534,10 @@ class ServeApp:
         try:
             seed = int(query.get("seed", "0"))
         except ValueError:
-            raise ServeError("'seed' must be an integer", status=400)
+            seed = -1
+        if seed < 0:
+            raise ServeError("'seed' must be a non-negative integer",
+                             status=400)
         result = await self.service.profile(
             workload,
             dataset=query.get("dataset", "default"),

@@ -1,24 +1,20 @@
 """Closed-loop load generator for the placement service (``repro loadtest``).
 
-Drives any ``repro serve`` target — single daemon or router+shards,
-the wire is identical — with a mix of placement and simulate traffic
-and reports QPS and latency percentiles *per admission lane*, which is
-the shape the scale-out acceptance numbers are quoted in
+Drives a ``repro serve`` daemon with a mix of placement and simulate
+traffic and reports QPS and latency percentiles per request class —
+the shape the committed serving numbers are quoted in
 (``benchmarks/loadtest/``).
 
 Closed loop: each worker thread issues its next request the moment the
 previous one completes, so offered load tracks service capacity and
 "saturated QPS" is well-defined (no open-loop coordinated omission).
-Backpressure answers (429 shed/evicted, 503 breaker/draining/dead
-shard) are *recorded*, not retried — the point of the report is to see
-the shedding, and every shed's ``Retry-After`` is aggregated so the
-drain-rate hinting is visible too.
+Backpressure answers (429 queue full, 503 breaker open or draining)
+are *recorded*, not retried, and every ``Retry-After`` hint is
+aggregated so the daemon's backoff advice is visible too.
 
-Lanes in the report:
+Request classes in the report (its ``lanes`` key):
 
-* ``placement`` — closed-form hint requests; each worker tags its
-  requests with a distinct ``workload`` name so a router spreads them
-  across shards exactly as distinct applications would;
+* ``placement`` — closed-form hint requests;
 * ``simulate_warm`` — simulate specs this run has already completed
   once (server-side: a result-cache hit);
 * ``simulate_cold`` — first-time specs (a real experiment run).
@@ -115,9 +111,8 @@ def run_loadtest(url: str,
             latency_s=time.perf_counter() - started,
             retry_after=retry_after))
 
-    def placement_loop(worker: int, state: _WorkerState) -> None:
+    def placement_loop(state: _WorkerState) -> None:
         client = ServeClient(url, timeout_s=timeout_s)
-        payload_workload = f"app-{worker}"
         while not stop.is_set():
             started = time.perf_counter()
             try:
@@ -125,9 +120,6 @@ def run_loadtest(url: str,
                     "sizes": list(_PLACEMENT_SIZES),
                     "hotness": list(_PLACEMENT_HOTNESS),
                     "bo_capacity_bytes": 40960,
-                    # router affinity key: distinct per worker, as
-                    # distinct applications would be.
-                    "workload": payload_workload,
                 })
                 record(state, "placement", started, 200, None)
             except ServeError as exc:
@@ -160,7 +152,7 @@ def run_loadtest(url: str,
         state = _WorkerState()
         states.append(state)
         threads.append(threading.Thread(
-            target=placement_loop, args=(w, state),
+            target=placement_loop, args=(state,),
             name=f"loadtest-placement-{w}", daemon=True))
     for w in range(simulate_workers):
         state = _WorkerState()

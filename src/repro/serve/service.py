@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import math
 import os
 import time
 from collections import OrderedDict
@@ -63,14 +64,18 @@ from repro.resilience.faults import (
     active_plan,
 )
 from repro.memory.acpi import FirmwareTables, Sbit, enumerate_tables
-from repro.memory.topology import topology_by_name, topology_names
+from repro.memory.topology import (
+    simulated_baseline,
+    topology_by_name,
+    topology_names,
+)
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.policies.registry import policy_names
 from repro.profiling.cdf import AccessCdf
 from repro.profiling.profiler import PageAccessProfiler
 from repro.runner import ResultCache, SweepRunner, make_spec
-from repro.runner.spec import RunSpec
+from repro.runner.spec import RunSpec, parse_policy
 from repro.runtime.hints import get_allocation
 from repro.serve.batching import BatchSaturatedError, MicroBatcher, SingleFlight
 from repro.serve.config import ServeConfig
@@ -128,34 +133,65 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
 
 def _int_field(payload: Mapping[str, Any], key: str, default: Any = None,
                minimum: Optional[int] = None) -> Any:
-    value = payload.get(key, default)
+    value = payload.get(key)
     if value is None:
-        return None
+        return default
     try:
         value = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise BadRequestError(f"field {key!r} must be an integer")
     if minimum is not None and value < minimum:
         raise BadRequestError(f"field {key!r} must be >= {minimum}")
     return value
 
 
+def _finite_float(value: Any) -> float:
+    """``float(value)``, raising ValueError unless the result is finite
+    (JSON's ``NaN``/``Infinity`` and ``1e400`` parse to non-finite
+    floats; integers past the float range overflow)."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError("number out of range")
+    if not math.isfinite(value):
+        raise ValueError("number must be finite")
+    return value
+
+
+def _workload_field(payload: Mapping[str, Any]) -> tuple[str, Any]:
+    """The required ``workload`` name and the workload it resolves to."""
+    name = _require(payload, "workload")
+    if not isinstance(name, str):
+        raise BadRequestError("'workload' must be a string")
+    try:
+        return name, get_workload(name)
+    except WorkloadError as exc:
+        raise BadRequestError(str(exc))
+
+
+def _check_dataset(workload: Any, dataset: Any,
+                   key: str = "dataset") -> str:
+    """Reject a dataset the workload does not define (HTTP 400), before
+    any job runs — the runner would otherwise fail the job and count
+    the client's mistake against the circuit breaker."""
+    known = workload.datasets()
+    if not isinstance(dataset, str) or dataset not in known:
+        raise BadRequestError(
+            f"unknown {key} {dataset!r} for workload "
+            f"{workload.name!r}; known: {list(known)}")
+    return dataset
+
+
 def parse_simulate_spec(payload: Mapping[str, Any]) -> RunSpec:
     """Validate a ``/v1/simulate`` payload into a canonical RunSpec.
 
-    Module-level (no service state) so the cluster router can derive
-    the routing job key from *exactly* the canonicalization the shard
-    will use — same validation, same error text, without owning a
-    runner.
+    Every client mistake answers 400 here, before a job starts, so only
+    backend failures ever reach the runner's retries and the breaker.
     """
-    workload = _require(payload, "workload")
+    workload, resolved = _workload_field(payload)
     policy = payload.get("policy", "BW-AWARE")
-    if not isinstance(workload, str) or not isinstance(policy, str):
-        raise BadRequestError("'workload' and 'policy' must be strings")
-    try:
-        get_workload(workload)
-    except WorkloadError as exc:
-        raise BadRequestError(str(exc))
+    if not isinstance(policy, str):
+        raise BadRequestError("'policy' must be a string")
     base = policy.upper().partition("@")[0]
     if base not in policy_names():
         raise BadRequestError(
@@ -175,10 +211,10 @@ def parse_simulate_spec(payload: Mapping[str, Any]) -> RunSpec:
     capacity = payload.get("bo_capacity_fraction")
     if capacity is not None:
         try:
-            capacity = float(capacity)
+            capacity = _finite_float(capacity)
         except (TypeError, ValueError):
             raise BadRequestError(
-                "'bo_capacity_fraction' must be a number"
+                "'bo_capacity_fraction' must be a finite number"
             )
         if capacity <= 0:
             raise BadRequestError(
@@ -187,40 +223,40 @@ def parse_simulate_spec(payload: Mapping[str, Any]) -> RunSpec:
     engine = payload.get("engine", "throughput")
     if engine not in ("throughput", "detailed", "banked"):
         raise BadRequestError(f"unknown engine {engine!r}")
-    dataset = payload.get("dataset", "default")
+    dataset = _check_dataset(resolved, payload.get("dataset", "default"))
     training = payload.get("training_dataset")
-    if training is not None and not isinstance(training, str):
-        raise BadRequestError("'training_dataset' must be a string")
+    if training is not None:
+        training = _check_dataset(resolved, training, "training_dataset")
     try:
-        return make_spec(
+        spec = make_spec(
             workload, policy,
-            dataset=str(dataset),
+            dataset=dataset,
             topology=topology,
             bo_capacity_fraction=capacity,
             trace_accesses=_int_field(payload, "trace_accesses",
                                       minimum=1),
-            seed=_int_field(payload, "seed", default=0) or 0,
+            seed=_int_field(payload, "seed", default=0, minimum=0),
             training_dataset=training,
             engine=engine,
         )
+        # Build the policy now: its option checks would otherwise
+        # first run inside the job.
+        fractions = getattr(parse_policy(spec.policy),
+                            "explicit_fractions", None)
     except ReproError as exc:
         raise BadRequestError(str(exc))
+    if fractions is not None:
+        n_zones = len((topology or simulated_baseline()).zones)
+        if len(fractions) != n_zones:
+            raise BadRequestError(
+                f"policy {spec.policy!r} gives {len(fractions)} "
+                f"fractions for {n_zones} zones")
+    return spec
 
 
 def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
-    """Validate a ``/v1/autotune`` payload into canonical parameters.
-
-    Module-level for the same reason as :func:`parse_simulate_spec`:
-    the cluster router derives the warm-lane job key from exactly the
-    parameters the shard will tune with.
-    """
-    workload = _require(payload, "workload")
-    if not isinstance(workload, str):
-        raise BadRequestError("'workload' must be a string")
-    try:
-        get_workload(workload)
-    except (WorkloadError, IngestError) as exc:
-        raise BadRequestError(str(exc))
+    """Validate a ``/v1/autotune`` payload into canonical parameters."""
+    workload, resolved = _workload_field(payload)
     topology_name = payload.get("topology", "baseline")
     if not isinstance(topology_name, str):
         raise BadRequestError(
@@ -245,33 +281,25 @@ def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
         )
     try:
         controller = RatioController(**{
-            key: float(value) for key, value in controller_params.items()
+            key: _finite_float(value)
+            for key, value in controller_params.items()
         })
     except (TypeError, ValueError, ReproError) as exc:
         raise BadRequestError(f"bad controller parameters: {exc}")
     return {
         "workload": workload,
-        "dataset": str(payload.get("dataset", "default")),
+        "dataset": _check_dataset(resolved,
+                                  payload.get("dataset", "default")),
         "topology_name": topology_name,
         "topology": topology,
         "engine": engine,
-        "seed": _int_field(payload, "seed", default=0) or 0,
+        "seed": _int_field(payload, "seed", default=0, minimum=0),
         "epochs": _int_field(payload, "epochs", default=16, minimum=2),
         "n_accesses": _int_field(payload, "n_accesses", default=60_000,
                                  minimum=1),
         "controller": controller,
         "force": bool(payload.get("force", False)),
     }
-
-
-def autotune_job_key(payload: Mapping[str, Any]) -> str:
-    """The profile-store digest a ``/v1/autotune`` payload resolves to."""
-    request = parse_autotune_request(payload)
-    return TunedProfileStore.profile_key(
-        request["workload"], request["dataset"], request["topology"],
-        request["engine"], request["seed"], request["epochs"],
-        request["n_accesses"], request["controller"],
-    )
 
 
 class PlacementService:
@@ -524,11 +552,6 @@ class PlacementService:
         cache_dir = self.config.resolved_cache_dir()
         return {
             "status": "ok",
-            # Role-aware: load balancers (and the cluster-smoke CI job)
-            # gate on who is answering — the front router, one worker
-            # shard, or a classic single daemon.
-            "role": self.config.role,
-            "shard_index": self.config.shard_index,
             "pid": os.getpid(),
             "uptime_s": round(
                 time.monotonic() - self._started_monotonic, 3),
@@ -569,7 +592,7 @@ class PlacementService:
                     "'bandwidth_gbps' array"
                 )
             try:
-                sbit = Sbit(tuple(float(b) for b in bandwidths))
+                sbit = Sbit(tuple(_finite_float(b) for b in bandwidths))
             except (TypeError, ValueError, ReproError) as exc:
                 raise BadRequestError(f"bad bandwidth vector: {exc}")
             return _SbitOnlyTables(sbit=sbit), "custom"
@@ -586,11 +609,14 @@ class PlacementService:
             raise BadRequestError("'sizes' and 'hotness' must be arrays")
         try:
             sizes = [int(s) for s in sizes]
-            hotness = [float(h) for h in hotness]
-        except (TypeError, ValueError):
+            hotness = [_finite_float(h) for h in hotness]
+        except (TypeError, ValueError, OverflowError):
             raise BadRequestError(
-                "'sizes' must be integers and 'hotness' numbers"
+                "'sizes' must be integers and 'hotness' finite numbers"
             )
+        if any(size >= 2 ** 63 for size in sizes):
+            # larger sizes overflow the float density ranking
+            raise BadRequestError("'sizes' must be below 2**63 bytes")
         bo_capacity = _int_field(payload, "bo_capacity_bytes", minimum=0)
         if bo_capacity is None:
             raise BadRequestError(
@@ -913,9 +939,10 @@ class PlacementService:
                       n_accesses: Optional[int] = None,
                       seed: int = 0) -> dict:
         try:
-            get_workload(workload_name)
+            workload = get_workload(workload_name)
         except WorkloadError as exc:
             raise BadRequestError(str(exc))
+        _check_dataset(workload, dataset)
         key = (workload_name, dataset, n_accesses, seed)
         cached = self._profiles.get(key)
         if cached is not None:

@@ -5,8 +5,7 @@ min-fraction floor), the low-discrepancy page stripe, the two ISSUE
 acceptance bars — convergence to within 2% of the closed-form
 ``bandwidth_fractions()`` split on a stationary workload and beating
 the static ratio on ``phase_shift`` — plus the persistence layer, the
-``/v1/autotune`` endpoint, the cluster router's warm-lane
-classification, and the ``repro autotune`` CLI verb.
+``/v1/autotune`` endpoint and the ``repro autotune`` CLI verb.
 """
 
 import json
@@ -287,33 +286,6 @@ class TestServeAutotune:
         with pytest.raises(ServeError) as err:
             client.autotune("xsbench", controller={"warp": 9})
         assert err.value.status == 400
-
-
-class TestClusterClassification:
-    def make_request(self, payload):
-        from repro.serve.http import _HttpRequest
-
-        return _HttpRequest("POST", "/v1/autotune", {},
-                            json.dumps(payload).encode())
-
-    def test_autotune_routes_to_warm_lane(self):
-        from repro.serve.cluster import LANE_WARM, RouterApp
-
-        router = RouterApp(ServeConfig(shards=2, port=0))
-        request = self.make_request(
-            {"workload": "xsbench", "topology": "chiplet-2"})
-        endpoint, _ = router._route(request)
-        assert endpoint == "autotune"
-        lane, key = router._classify("autotune", request)
-        assert lane == LANE_WARM
-        assert key.startswith("autotune:")
-        # identical payloads share a key (single-flight on one shard);
-        # different configs must not collide.
-        _, again = router._classify("autotune", request)
-        assert again == key
-        _, other = router._classify("autotune", self.make_request(
-            {"workload": "xsbench", "topology": "chiplet-4"}))
-        assert other != key
 
 
 class TestCliAutotune:
