@@ -1,7 +1,10 @@
-"""Build and load the native windowed-service kernel (``_windowed.c``).
+"""Build and load the native kernels: one library, several kernels.
 
-The C file is compiled on first use — the first detailed or banked
-replay, never at import — into a content-addressed shared library under
+Two C files make up the library: ``_windowed.c``, the event engines'
+windowed-service kernel (:mod:`repro.gpu.service`), and ``_lru.c``, the
+L1/L2 hierarchy filter (:mod:`repro.gpu.cache`).  They are compiled
+together on first use — the first filter or detailed/banked replay,
+never at import — into a content-addressed shared library under
 ``$XDG_CACHE_HOME/repro/native/`` (default ``~/.cache/repro/native/``),
 keyed by the source bytes, the compile flags and the machine, and then
 loaded through :mod:`ctypes`.  Later processes find the library on disk
@@ -18,8 +21,9 @@ would change the last bits the kernel must share with the numpy path.
 
 Without a compiler, with an unwritable cache directory, or when the
 library will not load, :func:`kernel` logs one line and returns
-``None`` for the rest of the process; :mod:`repro.gpu.service` then
-runs its numpy kernel.
+``None`` for every kernel for the rest of the process; the callers then
+run their numpy kernels.  A ctypes call releases the GIL, so a native
+kernel does not stall other Python threads.
 """
 
 from __future__ import annotations
@@ -45,21 +49,20 @@ CC = "cc"
 #: compile flags; part of the library's cache key.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-SOURCE = Path(__file__).with_name("_windowed.c")
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("_windowed.c", "_lru.c"))
 
-#: must match ``repro_windowed_abi()`` in the C source.
-_ABI = 1
+#: must match ``repro_native_abi()`` in the C sources.
+_ABI = 2
 
 #: library trailer: magic, then the SHA-256 of everything before it.
 _MAGIC = b"repro-native-v1\0"
 _TRAILER_SIZE = len(_MAGIC) + 32
 
-NativeKernel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                         int, int], float]
-
 _lock = threading.Lock()
 _resolved = False
-_kernel: Optional[NativeKernel] = None
+#: the bound kernels by name; empty when the library is unavailable.
+_kernels: dict[str, Callable] = {}
 
 
 def cache_dir() -> Path:
@@ -69,14 +72,15 @@ def cache_dir() -> Path:
 
 
 def library_path() -> Path:
-    """The content-addressed library file for this source, flags and
+    """The content-addressed library file for these sources, flags and
     machine."""
     digest = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
-                 platform.system().encode(), platform.machine().encode()):
+    for part in (*(source.read_bytes() for source in SOURCES),
+                 " ".join(CFLAGS).encode(), platform.system().encode(),
+                 platform.machine().encode()):
         digest.update(part)
         digest.update(b"\0")
-    return cache_dir() / f"_windowed-{digest.hexdigest()[:16]}.so"
+    return cache_dir() / f"kernels-{digest.hexdigest()[:16]}.so"
 
 
 def _intact(path: Path) -> bool:
@@ -93,7 +97,8 @@ def _compile(target: Path) -> None:
                                suffix=".so")
     os.close(fd)
     try:
-        done = subprocess.run([CC, *CFLAGS, "-o", tmp, str(SOURCE)],
+        done = subprocess.run([CC, *CFLAGS, "-o", tmp,
+                               *map(str, SOURCES)],
                               capture_output=True, text=True, timeout=120)
         if done.returncode != 0:
             raise OSError(f"{CC} exited {done.returncode}: "
@@ -113,7 +118,7 @@ def _open(path: Path) -> ctypes.CDLL:
         raise OSError(f"{path.name}: damaged or truncated")
     lib = ctypes.CDLL(str(path))
     try:
-        abi_fn = lib.repro_windowed_abi
+        abi_fn = lib.repro_native_abi
     except AttributeError as exc:
         raise OSError(f"{path.name}: {exc}") from None
     abi_fn.argtypes = []
@@ -124,7 +129,7 @@ def _open(path: Path) -> ctypes.CDLL:
     return lib
 
 
-def _bind(lib: ctypes.CDLL) -> NativeKernel:
+def _bind_windowed(lib: ctypes.CDLL) -> Callable:
     fn = lib.repro_simulate_windowed
     fn.restype = ctypes.c_double
     fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3 + [
@@ -146,7 +151,49 @@ def _bind(lib: ctypes.CDLL) -> NativeKernel:
     return simulate
 
 
-def _load() -> NativeKernel:
+def _bind_lru(lib: ctypes.CDLL) -> Callable:
+    fn = lib.repro_lru_filter
+    fn.restype = ctypes.c_int64
+    level = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
+    fn.argtypes = ([ctypes.c_void_p, ctypes.c_int64] + level + level
+                   + [ctypes.c_void_p] * 4)
+
+    def filter_hierarchy(lines, l1_tags, l1_fill, l1_sets,
+                         l2_tags, l2_fill, l2_sets):
+        """Filter ``lines`` through both levels, updating the
+        C-contiguous int64 ``(n_sets_total, assoc)`` tag and fill arrays
+        in place; returns ``(misses, l1_hits, l2_accesses, l2_hits)``."""
+        lines = np.ascontiguousarray(lines, dtype=np.int64)
+        n_sms = l1_fill.size // l1_sets
+        n_channels = l2_fill.size // l2_sets
+        misses = np.empty(lines.size, dtype=np.int64)
+        l1_hits = np.zeros(n_sms, dtype=np.int64)
+        l2_accesses = np.zeros(n_channels, dtype=np.int64)
+        l2_hits = np.zeros(n_channels, dtype=np.int64)
+        n_misses = fn(lines.ctypes.data, lines.size,
+                      n_sms, l1_sets, l1_tags.shape[1],
+                      l1_tags.ctypes.data, l1_fill.ctypes.data,
+                      n_channels, l2_sets, l2_tags.shape[1],
+                      l2_tags.ctypes.data, l2_fill.ctypes.data,
+                      misses.ctypes.data, l1_hits.ctypes.data,
+                      l2_accesses.ctypes.data, l2_hits.ctypes.data)
+        return misses[:n_misses], l1_hits, l2_accesses, l2_hits
+
+    return filter_hierarchy
+
+
+#: kernel name -> binder of its entry point in the loaded library.
+_BINDERS = {"windowed": _bind_windowed, "lru": _bind_lru}
+
+
+def _bind(lib: ctypes.CDLL) -> dict[str, Callable]:
+    try:
+        return {name: bind(lib) for name, bind in _BINDERS.items()}
+    except AttributeError as exc:  # a kernel's entry point is missing
+        raise OSError(str(exc)) from None
+
+
+def _load() -> dict[str, Callable]:
     path = library_path()
     if path.exists():
         try:
@@ -157,20 +204,21 @@ def _load() -> NativeKernel:
     return _bind(_open(path))
 
 
-def kernel() -> Optional[NativeKernel]:
-    """The native kernel, built/loaded on first call; ``None`` when it
+def kernel(name: str) -> Optional[Callable]:
+    """The native kernel ``name`` (``"windowed"`` or ``"lru"``), with
+    the library built/loaded on first call; ``None`` when the library
     is unavailable (the caller falls back to numpy)."""
-    global _resolved, _kernel
+    global _resolved, _kernels
     if not _resolved:
         with _lock:
             if not _resolved:
                 try:
-                    _kernel = _load()
+                    _kernels = _load()
                 except (OSError, RuntimeError,
                         subprocess.SubprocessError) as exc:
                     log_event("gpu.kernel.fallback", level="warning",
-                              message="repro: native windowed kernel "
+                              message="repro: native kernels "
                                       f"unavailable ({exc}); using numpy")
-                    _kernel = None
+                    _kernels = {}
                 _resolved = True
-    return _kernel
+    return _kernels[name] if _kernels else None

@@ -8,13 +8,16 @@ The model follows Table 1: a 16 kB L1 per SM (accesses striped across
 SMs round-robin, as warps are) and a memory-side 128 kB L2 slice per
 DRAM channel, indexed by line address.  Replacement is LRU.
 
-``filter_stream_indices`` routes whole streams through the vectorized
-LRU kernel (:mod:`repro.gpu.lru`) instead of the per-access
-OrderedDict walk; the miss-index stream is bit-identical to the
-sequential replay (the original loop survives as
+``filter_stream_indices`` routes whole streams through a kernel
+instead of the per-access OrderedDict walk: the compiled one-pass
+filter (``_lru.c``, loaded by :mod:`repro.gpu._native`) where the
+native library is available, else the vectorized LRU kernel
+(:mod:`repro.gpu.lru`), which is also the native kernel's oracle.
+Both miss-index streams are bit-identical to the sequential replay
+(the original loop survives as
 :class:`repro.gpu._reference.ReferenceCacheHierarchy`, pinned by the
 golden tests).  Scalar ``access`` calls still run the OrderedDict
-path, so the two interoperate: dict state seeds the kernel as its
+path, so the paths interoperate: dict state seeds a kernel as its
 warm-start, and the kernel's final state is written back lazily —
 materialized only when a scalar access, flush, or state inspection
 actually needs it.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -96,6 +100,24 @@ def _set_index(lines: np.ndarray, n_sets: int) -> np.ndarray:
     if n_sets & (n_sets - 1) == 0:
         return lines & lines.dtype.type(n_sets - 1)
     return lines % lines.dtype.type(n_sets)
+
+
+def _native_filter():
+    from repro.gpu import _native  # deferred: loads on first filter
+
+    return _native.kernel("lru")
+
+
+class _TagState(NamedTuple):
+    """One level's residents in the native filter's own form."""
+
+    tags: np.ndarray  # (n_units * n_sets, assoc) int64, LRU to MRU
+    fill: np.ndarray  # (n_units * n_sets,) int64 resident count
+
+
+#: deferred kernel state of one level: the numpy kernel's set-sorted
+#: access chain or the native kernel's tag arrays.
+_Pending = Union[tuple[np.ndarray, np.ndarray], _TagState, None]
 
 
 @dataclass
@@ -194,11 +216,11 @@ class CacheHierarchy:
                           config.l2_assoc)
             for _ in range(n_channels)
         ]
-        # Deferred kernel state: the set-sorted access chains of the
-        # last vectorized filter, not yet written back into the
-        # OrderedDicts.  ``None`` means the dicts are authoritative.
-        self._pending_l1: tuple[np.ndarray, np.ndarray] | None = None
-        self._pending_l2: tuple[np.ndarray, np.ndarray] | None = None
+        # Deferred kernel state of each level, not yet written back
+        # into the OrderedDicts.  ``None`` means the dicts are
+        # authoritative.
+        self._pending_l1: _Pending = None
+        self._pending_l2: _Pending = None
 
     def access(self, line_addr: int, sm: int) -> bool:
         """One access from SM ``sm``; True if served on chip."""
@@ -219,12 +241,11 @@ class CacheHierarchy:
             self._rebuild(self._l2s, self._pending_l2)
             self._pending_l2 = None
 
-    @staticmethod
-    def _rebuild(caches: list[SetAssocCache],
-                 chain: tuple[np.ndarray, np.ndarray]) -> None:
+    @classmethod
+    def _rebuild(cls, caches: list[SetAssocCache],
+                 pending: _Pending) -> None:
         n_sets = caches[0].n_sets
-        groups, lines = lru_final_state(chain[0], chain[1],
-                                        caches[0].assoc)
+        groups, lines = cls._warm_state(caches, pending)
         for cache in caches:
             for cache_set in cache._sets:
                 cache_set.clear()
@@ -232,10 +253,15 @@ class CacheHierarchy:
         for group, line in zip(groups.tolist(), lines.tolist()):
             caches[group // n_sets]._sets[group % n_sets][line] = None
 
-    def _warm_state(self, caches: list[SetAssocCache],
-                    pending: tuple[np.ndarray, np.ndarray] | None,
-                    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Current contents of ``caches`` in kernel warm-start form."""
+    @staticmethod
+    def _warm_state(caches: list[SetAssocCache], pending: _Pending,
+                    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Current contents of ``caches`` as ``(set ids, lines)``, LRU
+        to MRU within each set (the numpy kernel's warm-start form)."""
+        if isinstance(pending, _TagState):
+            groups, ranks = np.nonzero(
+                np.arange(caches[0].assoc) < pending.fill[:, None])
+            return groups, pending.tags[groups, ranks]
         if pending is not None:
             return lru_final_state(pending[0], pending[1],
                                    caches[0].assoc)
@@ -252,6 +278,25 @@ class CacheHierarchy:
             return None, None
         return (np.asarray(groups, dtype=np.int64),
                 np.asarray(lines, dtype=np.int64))
+
+    @classmethod
+    def _tag_state(cls, caches: list[SetAssocCache],
+                   pending: _Pending) -> _TagState:
+        """Current contents of ``caches`` in the native warm-start form
+        (the pending tag arrays themselves, when there are some)."""
+        if isinstance(pending, _TagState):
+            return pending
+        n_groups = len(caches) * caches[0].n_sets
+        tags = np.zeros((n_groups, caches[0].assoc), dtype=np.int64)
+        fill = np.zeros(n_groups, dtype=np.int64)
+        groups, lines = cls._warm_state(caches, pending)
+        if groups is not None and groups.size:
+            order = np.argsort(groups, kind="stable")
+            groups = groups[order]
+            fill = np.bincount(groups, minlength=n_groups)
+            ranks = np.arange(groups.size) - (np.cumsum(fill) - fill)[groups]
+            tags[groups, ranks] = lines[order]
+        return _TagState(tags, fill.astype(np.int64, copy=False))
 
     @staticmethod
     def _add_stats(caches: list[SetAssocCache], accesses: np.ndarray,
@@ -280,6 +325,20 @@ class CacheHierarchy:
         n_sms = len(self._l1s)
         l1_sets = self._l1s[0].n_sets
         l2_sets = self._l2s[0].n_sets
+        l1_accesses = np.full(n_sms, n // n_sms, dtype=np.int64)
+        l1_accesses[:n % n_sms] += 1
+
+        native = _native_filter()
+        if native is not None:
+            l1 = self._tag_state(self._l1s, self._pending_l1)
+            l2 = self._tag_state(self._l2s, self._pending_l2)
+            misses, l1_hits, l2_accesses, l2_hits = native(
+                line_addrs, l1.tags, l1.fill, l1_sets,
+                l2.tags, l2.fill, l2_sets)
+            self._pending_l1, self._pending_l2 = l1, l2
+            self._add_stats(self._l1s, l1_accesses, l1_hits)
+            self._add_stats(self._l2s, l2_accesses, l2_hits)
+            return misses
 
         line_top = int(line_addrs.max())
         dtype = np.int32 if line_top < 2 ** 31 else np.int64
@@ -303,9 +362,6 @@ class CacheHierarchy:
                                      n_groups=n_sms * l1_sets,
                                      line_top=line_top)
         self._pending_l1 = chain1
-
-        l1_accesses = np.full(n_sms, n // n_sms, dtype=np.int64)
-        l1_accesses[:n % n_sms] += 1
         self._add_stats(self._l1s, l1_accesses,
                         np.bincount(sms[l1_hits], minlength=n_sms))
 

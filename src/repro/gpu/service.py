@@ -125,13 +125,14 @@ def _simulate_sequential(ready_base: np.ndarray, occupancy: np.ndarray,
 def _native_kernel():
     from repro.gpu import _native  # deferred: loads on first replay
 
-    return _native.kernel()
+    return _native.kernel("windowed")
 
 
 def kernel_path() -> str:
-    """``"native"`` when :func:`simulate_windowed` runs the compiled
-    kernel in this process, else ``"numpy"`` (builds or loads the
-    library on first call)."""
+    """``"native"`` when this process runs the compiled kernels — this
+    module's :func:`simulate_windowed` and the cache hierarchy's filter
+    (:mod:`repro.gpu.cache`), which share one library — else
+    ``"numpy"`` (builds or loads the library on first call)."""
     return "numpy" if _native_kernel() is None else "native"
 
 

@@ -43,11 +43,11 @@ though they interleave on one event-loop thread.
 
 from __future__ import annotations
 
-import asyncio
 import atexit
 import contextvars
 import json
 import os
+import sys
 import threading
 import time
 import uuid
@@ -101,8 +101,11 @@ def _tid() -> int:
     lane = _lane_var.get()
     if lane is not None:
         return lane
+    # No task can be running unless something imported asyncio, so the
+    # module is looked up rather than imported (it costs ~40 ms).
+    asyncio = sys.modules.get("asyncio")
     try:
-        task = asyncio.current_task()
+        task = asyncio.current_task() if asyncio is not None else None
     except RuntimeError:
         task = None
     if task is not None:

@@ -9,12 +9,13 @@ produces (raw SM streams, post-cache traces, BW-AWARE zone maps):
   OrderedDict replay (and asserts the miss-index streams are
   bit-identical while at it);
 * ``detailed`` / ``banked`` — the engines' ``run`` vs the seed heap
-  loops (asserting ``total_time_ns`` agrees to 1e-9 relative); the
-  report's ``kernel`` field records whether the engines ran the native
-  windowed-service kernel or its numpy fallback;
+  loops (asserting ``total_time_ns`` agrees to 1e-9 relative);
 * ``cold_run`` — wall time of ``run_experiment("bfs",
   policy="BW-AWARE", engine="detailed")`` in a fresh interpreter, the
   end-to-end number a user feels.
+
+The report's ``kernel`` field records whether the filter and the
+engines ran the native kernels or their numpy fallbacks.
 
 Every timing is a best-of-``repeats`` minimum: on a busy machine the
 minimum is the estimate least polluted by scheduling noise.  Reports
@@ -94,8 +95,8 @@ class BenchReport:
     numpy: str
     cases: list[BenchCase] = field(default_factory=list)
     summary: dict[str, float] = field(default_factory=dict)
-    #: windowed-service kernel the engine benches ran: "native" or
-    #: "numpy" (empty in reports that predate the native kernel).
+    #: kernels the filter and engine benches ran: "native" or
+    #: "numpy" (empty in reports that predate the native kernels).
     kernel: str = ""
 
     def to_json(self) -> str:

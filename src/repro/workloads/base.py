@@ -297,15 +297,20 @@ class TraceWorkload(abc.ABC):
                 rng.random(int(counts[i])) >= spec.read_fraction
                 for i, spec in enumerate(specs)
             ]
-            order = rng.permutation(
-                np.repeat(np.arange(len(specs)), counts)
-            )
+            # The narrowest key type keeps the stable sort below on
+            # NumPy's radix path; the permutation's draws do not depend
+            # on it.
+            order = rng.permutation(np.repeat(
+                np.arange(len(specs),
+                          dtype=np.min_scalar_type(len(specs) - 1)),
+                counts))
+            # Structure i takes the slots where order == i, in order:
+            # one stable sort lists every structure's slots back to back.
+            slots = np.argsort(order, kind="stable")
             phase_stream = np.empty(int(counts.sum()), dtype=np.int64)
             phase_flags = np.empty(int(counts.sum()), dtype=bool)
-            for i in range(len(specs)):
-                mask = order == i
-                phase_stream[mask] = streams[i]
-                phase_flags[mask] = flags[i]
+            phase_stream[slots] = np.concatenate(streams)
+            phase_flags[slots] = np.concatenate(flags)
             pieces.append(phase_stream)
             flag_pieces.append(phase_flags)
         return np.concatenate(pieces), np.concatenate(flag_pieces)

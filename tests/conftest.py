@@ -27,6 +27,18 @@ TEST_ACCESSES = 30_000
 
 
 @pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """An unloaded native-kernel state with its own empty library
+    cache; returns the directory the library is built into."""
+    from repro.gpu import _native
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(_native, "_resolved", False)
+    monkeypatch.setattr(_native, "_kernels", {})
+    return tmp_path / "xdg" / "repro" / "native"
+
+
+@pytest.fixture
 def baseline():
     """The Table 1 topology with default capacities."""
     return simulated_baseline()

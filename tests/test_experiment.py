@@ -1,5 +1,9 @@
 """The experiment runner: placement + simulation end to end."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import TEST_ACCESSES
@@ -133,3 +137,20 @@ class TestComparePolicies:
             trace_accesses=TEST_ACCESSES,
         )
         assert results["ORACLE"].throughput > results["BW-AWARE"].throughput
+
+
+class TestImportSurface:
+    def test_experiment_import_leaves_heavy_packages_unloaded(self):
+        """``import repro.core.experiment`` is the cold path of every
+        run; asyncio, serve, ingest and runner load on their own verbs
+        only.  Structural, so it does not flake with host speed."""
+        script = ("import sys, repro.core.experiment\n"
+                  "print(' '.join(sorted(m for m in sys.modules if m in "
+                  "('asyncio', 'repro.serve', 'repro.ingest', "
+                  "'repro.runner'))))")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert done.stdout.split() == []

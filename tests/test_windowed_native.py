@@ -46,20 +46,11 @@ N_RAW = 30_000
 
 @pytest.fixture(scope="module")
 def native():
-    kernel = _native.kernel()
+    kernel = _native.kernel("windowed")
     if kernel is None and shutil.which(_native.CC) is None:
         pytest.skip(f"no C compiler ({_native.CC}) on this host")
     assert kernel is not None, "a compiler exists but the build failed"
     return kernel
-
-
-@pytest.fixture
-def fresh_loader(tmp_path, monkeypatch):
-    """An unloaded kernel state with its own empty library cache."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    monkeypatch.setattr(_native, "_resolved", False)
-    monkeypatch.setattr(_native, "_kernel", None)
-    return tmp_path / "xdg" / "repro" / "native"
 
 
 @st.composite
@@ -192,13 +183,13 @@ class TestBuild:
         inputs = _engine_inputs("bfs")
         engine = DetailedEngine(table1_config())
         monkeypatch.setattr(_native, "CC", "repro-no-such-cc")
-        assert _native.kernel() is None
+        assert _native.kernel("windowed") is None
         assert service.kernel_path() == "numpy"
         fallback = engine.run(*inputs)
         # One log line for the process, not one per call.
         assert capsys.readouterr().err.count("using numpy") == 1
         assert not list(fresh_loader.glob("*.so"))
-        monkeypatch.setattr(_native, "_kernel", native)
+        monkeypatch.setattr(_native, "_kernels", {"windowed": native})
         monkeypatch.setattr(_native, "_resolved", True)
         assert _result_fields(engine.run(*inputs)) == _result_fields(
             fallback)
