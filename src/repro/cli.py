@@ -31,9 +31,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.cachedir import describe_default
-from repro.core.errors import ConfigError, ReproError, ServeError
+from repro.core.errors import (ConfigError, ReproError, RequestLimitError,
+                               ServeError)
 from repro.obs import trace as obs_trace
 from repro.core.experiment import compare_policies, run_experiment
+from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.core.metrics import normalize
 from repro.core.units import format_bytes
 from repro.gpu.trace_io import save_trace
@@ -545,6 +547,16 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _accesses(raw: str) -> int:
+    """``--accesses``: an integer within the shared request cap."""
+    try:
+        return DEFAULT_REQUEST_LIMITS.check_accesses(int(raw), "accesses")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    except RequestLimitError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _csv_values(raw: str, cast, flag: str) -> list:
     try:
         return [cast(part) for part in raw.split(",") if part.strip()]
@@ -585,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(TOPOLOGIES))
         p.add_argument("--capacity", "-c", type=float, default=None,
                        help="BO capacity as a fraction of the footprint")
-        p.add_argument("--accesses", "-n", type=int, default=None,
+        p.add_argument("--accesses", "-n", type=_accesses, default=None,
                        help="raw trace length")
         p.add_argument("--seed", type=int, default=0)
 
@@ -651,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("throughput", "detailed", "banked"))
     p_tune.add_argument("--epochs", type=int, default=16,
                         help="controller epochs (>= 2)")
-    p_tune.add_argument("--accesses", "-n", type=int, default=60_000,
+    p_tune.add_argument("--accesses", "-n", type=_accesses, default=60_000,
                         help="raw trace length")
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--cache-dir", default=None,
@@ -681,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="profile a workload (Section 5.1)")
     p_prof.add_argument("--workload", "-w", required=True)
     p_prof.add_argument("--dataset", "-d", default="default")
-    p_prof.add_argument("--accesses", "-n", type=int, default=None)
+    p_prof.add_argument("--accesses", "-n", type=_accesses, default=None)
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.set_defaults(fn=cmd_profile)
 
@@ -703,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=int, default=None,
                          help="best-of-N timing repeats "
                               "(default: 3, or 1 with --quick)")
-    p_bench.add_argument("--accesses", "-n", type=int, default=None,
+    p_bench.add_argument("--accesses", "-n", type=_accesses, default=None,
                          help="raw trace length "
                               "(default: 240000, or 60000 with --quick)")
     p_bench.add_argument("--seed", type=int, default=0)
@@ -725,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="synthesize and save a trace (.npz)")
     p_trace.add_argument("--workload", "-w", required=True)
     p_trace.add_argument("--dataset", "-d", default="default")
-    p_trace.add_argument("--accesses", "-n", type=int, default=None)
+    p_trace.add_argument("--accesses", "-n", type=_accesses, default=None)
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--out", "-o", required=True)
     p_trace.set_defaults(fn=cmd_trace)
@@ -873,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_sim.add_argument("--topology", "-t", default=None,
                        choices=sorted(TOPOLOGIES))
     r_sim.add_argument("--capacity", "-c", type=float, default=None)
-    r_sim.add_argument("--accesses", "-n", type=int, default=None)
+    r_sim.add_argument("--accesses", "-n", type=_accesses, default=None)
     r_sim.add_argument("--seed", type=int, default=0)
     r_sim.add_argument("--engine", default="throughput",
                        choices=("throughput", "detailed", "banked"))
@@ -885,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="GET /v1/profile/<workload>")
     r_prof.add_argument("--workload", "-w", required=True)
     r_prof.add_argument("--dataset", "-d", default="default")
-    r_prof.add_argument("--accesses", "-n", type=int, default=None)
+    r_prof.add_argument("--accesses", "-n", type=_accesses, default=None)
     r_prof.add_argument("--seed", type=int, default=0)
     req_common(r_prof)
 
@@ -906,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="distinct simulate specs (seeds) cycled "
                              "by the simulate workers")
     p_load.add_argument("--workload", "-w", default="bfs")
-    p_load.add_argument("--accesses", "-n", type=int, default=20_000,
+    p_load.add_argument("--accesses", "-n", type=_accesses, default=20_000,
                         help="trace accesses per simulate spec")
     p_load.add_argument("--seed-base", type=int, default=1000)
     p_load.add_argument("--timeout", type=float, default=60.0,

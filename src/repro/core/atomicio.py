@@ -1,11 +1,13 @@
 """Atomic file publication.
 
-Every durable artifact in the repo — cache records, run manifests —
-goes through :func:`atomic_write_text`: serialize to a uniquely named
-temp file in the destination directory, flush + fsync, then
-``os.replace`` onto the final path.  A reader can therefore never see
-a half-written file, regardless of SIGKILL timing or concurrent
-writers sharing the directory (pool workers, parallel CI shards).
+Every durable whole-file artifact in the repo — run manifests, tuned
+profiles, trace-registry metadata — goes through
+:func:`atomic_write_text`: serialize to a uniquely named temp file in
+the destination directory, flush + fsync, then ``os.replace`` onto the
+final path.  A reader can therefore never see a half-written file,
+regardless of SIGKILL timing or concurrent writers sharing the
+directory (pool workers, parallel CI shards).  Result-cache records
+are appended to segments instead (:mod:`repro.runner.cache`).
 """
 
 from __future__ import annotations

@@ -16,6 +16,21 @@ class ConfigError(ReproError):
     """A configuration object was constructed with inconsistent values."""
 
 
+class RequestLimitError(ConfigError):
+    """A request asked for more work than
+    :class:`repro.core.limits.RequestLimits` allows.
+
+    Raised before anything is allocated; ``field`` names what was
+    asked for, ``value`` how much, ``limit`` the cap.
+    """
+
+    def __init__(self, field: str, value: int, limit: int) -> None:
+        super().__init__(f"{field} = {value} exceeds the cap of {limit}")
+        self.field = field
+        self.value = value
+        self.limit = limit
+
+
 class OutOfMemoryError(ReproError):
     """No physical frame could satisfy an allocation request.
 

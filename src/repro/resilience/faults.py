@@ -25,14 +25,16 @@ Sites
 ``cache.read``
     One :meth:`~repro.runner.cache.ResultCache.get` for an **existing**
     record; the key is the cache key.  Modes: ``corrupt`` (overwrite
-    the record body with garbage), ``truncate`` (cut the record in
-    half) — both before the read, so the integrity/quarantine path
-    runs against a genuinely damaged file.
+    the start of the frame's body with garbage), ``truncate`` (zero
+    the frame's second half) — both in place in the segment, before
+    the read, so the integrity/quarantine path runs against a
+    genuinely damaged frame.
 ``cache.write``
-    One :meth:`~repro.runner.cache.ResultCache.put`.  Mode
-    ``truncate`` writes half the record *non-atomically* to the final
-    path (simulating a legacy/external writer killed mid-write);
-    ``error`` raises before writing.
+    One record of a :meth:`~repro.runner.cache.ResultCache.put` or
+    ``put_many``.  Mode ``truncate`` appends half the frame and
+    abandons the segment — what a writer killed mid-append leaves —
+    and later records go to another segment; ``error`` raises after
+    the records before it are stored.
 ``serve.simulate``
     One simulate job in :class:`~repro.serve.service.PlacementService`.
     Modes: ``error`` (job fails — feeds the circuit breaker), ``hang``

@@ -7,8 +7,9 @@ both:
 
 * :class:`RunSpec` / :func:`make_spec` — canonical, hashable, portable
   descriptions of one experiment;
-* :class:`ResultCache` — content-addressed JSON records keyed by spec
-  hash + code-version salt, with hit/miss/invalidation accounting;
+* :class:`ResultCache` — content-addressed records keyed by spec
+  hash + code-version salt, appended to a few segment files, with
+  hit/miss/invalidation accounting;
 * :class:`SweepRunner` — cache lookup, in-batch dedup, and
   process-pool fan-out with deterministic chunking (bit-identical to
   serial execution);

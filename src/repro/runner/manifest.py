@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.atomicio import atomic_write_json
+from repro.core.atomicio import atomic_write_text
+from repro.runner.cache import strict_json_dumps
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,15 @@ class RunManifest:
     def write(self, runs_dir: Union[str, Path]) -> Path:
         """Persist to ``<runs_dir>/<run_id>/manifest.json``.
 
-        Atomic (temp file + fsync + ``os.replace``): a SIGKILL
-        mid-write can never leave a truncated manifest behind.
+        Compact, strict JSON (a value JSON cannot hold exactly raises
+        instead of being stringified), written atomically (temp file +
+        fsync + ``os.replace``): a SIGKILL mid-write can never leave a
+        truncated manifest behind.
         """
         path = (Path(runs_dir).expanduser() / self.run_id
                 / "manifest.json")
-        atomic_write_json(path, self.as_dict(), indent=2)
+        atomic_write_text(path, strict_json_dumps(
+            self.as_dict(), separators=(",", ":")))
         self.path = path
         return path
 

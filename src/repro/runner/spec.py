@@ -47,6 +47,7 @@ from repro.core.errors import (
     RunnerError,
     UncacheableSpecError,
 )
+from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.memory.topology import SystemTopology
 from repro.policies.base import PlacementPolicy
 from repro.policies.bwaware import BwAwarePolicy, CounterBwAwarePolicy
@@ -242,10 +243,13 @@ def make_spec(workload: Union[str, TraceWorkload],
     Raises :class:`UncacheableSpecError` when ``policy`` is an object
     the runner cannot serialize, and :class:`WorkloadError` (with the
     unified unknown-workload message) when a workload *name* does not
-    resolve.  String names pass through the registry so ingested
-    traces canonicalize to their checksum-carrying form
-    (``trace:<name>#<sha12>``) — the digest salts the cache key.
+    resolve, and :class:`RequestLimitError` when ``trace_accesses``
+    exceeds :data:`~repro.core.limits.DEFAULT_REQUEST_LIMITS`.  String
+    names pass through the registry so ingested traces canonicalize to
+    their checksum-carrying form (``trace:<name>#<sha12>``) — the
+    digest salts the cache key.
     """
+    DEFAULT_REQUEST_LIMITS.check_accesses(trace_accesses)
     if isinstance(workload, TraceWorkload):
         name = workload.name
     else:

@@ -721,7 +721,10 @@ class SweepRunner:
             for index, (encoded, spent) in zip(block, pairs):
                 results[index] = decode_result(encoded)
                 durations[index] = spent
-                self._checkpoint(specs, keys, index, results)
+        if self.cache is not None:  # one append, one fsync per chunk
+            self.cache.put_many(
+                (keys[index], specs[index].canonical(), results[index])
+                for index in block[:len(pairs)])
 
     def _backoff_sleep(self, attempt: int,
                        recovery: RecoveryStats) -> None:

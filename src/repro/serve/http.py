@@ -45,7 +45,8 @@ import time
 from typing import Any, Mapping, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.core.errors import ServeError
+from repro.core.errors import RequestLimitError, ServeError
+from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.obs import trace as obs_trace
 from repro.obs.log import log_event
 from repro.serve.config import ServeConfig
@@ -527,10 +528,13 @@ class ServeApp:
         accesses: Optional[int] = None
         if "accesses" in query:
             try:
-                accesses = max(1, int(query["accesses"]))
+                accesses = DEFAULT_REQUEST_LIMITS.check_accesses(
+                    max(1, int(query["accesses"])), "n_accesses")
             except ValueError:
                 raise ServeError("'accesses' must be an integer",
                                  status=400)
+            except RequestLimitError as exc:
+                raise ServeError(str(exc), status=400)
         try:
             seed = int(query.get("seed", "0"))
         except ValueError:

@@ -51,10 +51,12 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.core.errors import (
     IngestError,
     ReproError,
+    RequestLimitError,
     ServeError,
     SweepError,
     WorkloadError,
 )
+from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.ingest import IngestLimits, TraceRegistry, set_default_root
 from repro.ingest.registry import TRACES_DIRNAME
 from repro.resilience.breaker import BREAKER_STATE_VALUES, CircuitBreaker
@@ -286,6 +288,12 @@ def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
         })
     except (TypeError, ValueError, ReproError) as exc:
         raise BadRequestError(f"bad controller parameters: {exc}")
+    try:
+        n_accesses = DEFAULT_REQUEST_LIMITS.check_accesses(
+            _int_field(payload, "n_accesses", default=60_000, minimum=1),
+            "n_accesses")
+    except RequestLimitError as exc:
+        raise BadRequestError(str(exc))
     return {
         "workload": workload,
         "dataset": _check_dataset(resolved,
@@ -295,8 +303,7 @@ def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
         "engine": engine,
         "seed": _int_field(payload, "seed", default=0, minimum=0),
         "epochs": _int_field(payload, "epochs", default=16, minimum=2),
-        "n_accesses": _int_field(payload, "n_accesses", default=60_000,
-                                 minimum=1),
+        "n_accesses": n_accesses,
         "controller": controller,
         "force": bool(payload.get("force", False)),
     }

@@ -85,3 +85,36 @@ def make_context(topology, seed: int = 7) -> PlacementContext:
 settings.register_profile("ci", max_examples=300, deadline=None)
 settings.register_profile("dev", max_examples=40, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture
+def damage_frame():
+    """Damage the frame of ``key`` in a result cache's segment, in place.
+
+    ``edit(frame)`` rewrites the frame's bytes (a ``bytearray``) at the
+    same length; ``reseal=True`` then recomputes the frame's CRC, so
+    only the SHA-256 of the result part can catch the change.
+    ``cut=True`` instead truncates the segment halfway through the
+    frame, as a writer killed mid-append leaves it.  Returns the frame
+    as it was.
+    """
+    import zlib
+
+    def damage(cache, key, edit=None, cut=False, reseal=False) -> bytes:
+        path, offset, length = cache.locate(key)
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            before = handle.read(length)
+            if cut:
+                handle.truncate(offset + length // 2)
+                return before
+            frame = bytearray(before)
+            edit(frame)
+            assert len(frame) == length
+            if reseal:
+                frame[4:8] = zlib.crc32(frame[8:]).to_bytes(4, "little")
+            handle.seek(offset)
+            handle.write(frame)
+        return before
+
+    return damage

@@ -74,6 +74,20 @@ class TestCompare:
         assert "LOCAL" in out and "INTERLEAVE" in out
         assert "1.000x" in out  # baseline normalized to itself
 
+    @pytest.mark.parametrize("verb", ["compare", "run", "profile"])
+    def test_oversized_trace_rejected_before_any_work(self, capsys,
+                                                      tmp_path, verb):
+        """Every ``--accesses`` flag applies the shared request cap, with
+        the same message make_spec and the serve parsers give."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "-w", "bfs", "-n", str(10 ** 12),
+                  *(["--cache-dir", str(tmp_path)]
+                    if verb == "compare" else [])])
+        assert excinfo.value.code == 2
+        assert (f"accesses = {10 ** 12} exceeds the cap of {2 ** 25}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())  # no sweep ran
+
 
 class TestFigure:
     def test_known_figure(self, capsys):

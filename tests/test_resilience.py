@@ -279,24 +279,33 @@ class TestCacheIntegrity:
         fetched = cache.get(key)
         assert fetched is not None
         assert encode_result(fetched) == encode_result(result)
-        record = json.loads(cache.path_for(key).read_text())
-        assert record["sha256"] == result_digest(record["result"])
+        path, offset, length = cache.locate(key)
+        frame = path.read_bytes()[offset:offset + length]
+        n_result = int.from_bytes(frame[72:76], "little")
+        stored = json.loads(frame[112:112 + n_result])
+        assert frame[80:112].hex() == result_digest(stored)
 
-    def test_hand_tampered_record_quarantined(self, tmp_path):
-        cache, _, key, _ = self.warm_one(tmp_path)
-        path = cache.path_for(key)
-        record = json.loads(path.read_text())
-        record["result"]["sim"]["total_time_ns"] += 1  # silent flip
-        path.write_text(json.dumps(record))
+    def test_hand_tampered_record_quarantined(self, tmp_path,
+                                              damage_frame):
+        cache, _, key, result = self.warm_one(tmp_path)
+        total = json.dumps(result.sim.total_time_ns).encode()
+
+        def silent_flip(frame):
+            # one digit of total_time_ns, CRC resealed: only the
+            # SHA-256 of the result part can tell
+            at = frame.index(b'"total_time_ns":' + total) + 16
+            frame[at] = ord("1") if frame[at] != ord("1") else ord("2")
+
+        damage_frame(cache, key, silent_flip, reseal=True)
         assert cache.get(key) is None  # never served wrong data
         assert cache.stats.quarantined == 1
-        assert not path.exists()
+        assert ResultCache(cache.root).locate(key) is None
         assert len(list(cache.quarantine_dir.iterdir())) == 1
 
-    def test_quarantine_excluded_from_len_and_clear(self, tmp_path):
+    def test_quarantine_excluded_from_len_and_clear(self, tmp_path,
+                                                    damage_frame):
         cache, _, key, _ = self.warm_one(tmp_path)
-        path = cache.path_for(key)
-        path.write_text(path.read_text()[: path.stat().st_size // 2])
+        damage_frame(cache, key, cut=True)
         assert cache.get(key) is None
         assert len(cache) == 0
         assert cache.clear() == 0

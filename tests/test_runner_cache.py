@@ -8,6 +8,7 @@ wrong numbers.
 
 import dataclasses
 import json
+import struct
 
 import pytest
 
@@ -28,6 +29,9 @@ from repro.runner import (
 )
 
 ACCESSES = 8_000
+
+#: bytes before a cache frame's result part (see repro.runner.cache).
+FRAME_HEADER = 112
 
 
 def small_result():
@@ -69,6 +73,26 @@ class TestCanonicalPolicy:
     def test_arbitrary_policy_object_uncacheable(self):
         with pytest.raises(UncacheableSpecError):
             canonical_policy(LocalPolicy())
+
+
+class TestRequestLimits:
+    def test_make_spec_rejects_oversized_traces(self):
+        from repro.core.errors import RequestLimitError
+        from repro.core.limits import DEFAULT_REQUEST_LIMITS
+
+        cap = DEFAULT_REQUEST_LIMITS.max_accesses
+        assert make_spec("bfs", "LOCAL", trace_accesses=cap)
+        with pytest.raises(RequestLimitError) as excinfo:
+            make_spec("bfs", "LOCAL", trace_accesses=10 ** 12)
+        assert (excinfo.value.field, excinfo.value.limit) == (
+            "trace_accesses", cap)
+
+    def test_cap_sits_well_above_every_shipped_config(self):
+        from repro.core.limits import DEFAULT_REQUEST_LIMITS
+        from repro.experiments.ext_online_placement import (
+            SCENARIO_ACCESSES)
+
+        assert DEFAULT_REQUEST_LIMITS.max_accesses >= 8 * SCENARIO_ACCESSES
 
 
 class TestCacheKeyInvalidation:
@@ -268,48 +292,54 @@ class TestResultCache:
         assert cache.stats.misses == 1
         assert len(cache) == 1
 
-    def test_corrupted_record_is_a_miss_not_a_crash(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = make_spec("bfs", "LOCAL", trace_accesses=ACCESSES)
-        key = spec.cache_key("s")
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("this is not json {")
-        assert cache.get(key) is None
-        assert cache.stats.invalid == 1
-        assert not path.exists(), "corrupt record should be evicted"
-
-    def test_truncated_record_is_a_miss(self, tmp_path):
+    def put_one(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = make_spec("bfs", "LOCAL", trace_accesses=ACCESSES)
         key = spec.cache_key("s")
         cache.put(key, spec.canonical(), small_result())
-        path = cache.path_for(key)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+        return cache, key
+
+    def test_corrupted_record_is_a_miss_not_a_crash(self, tmp_path,
+                                                    damage_frame):
+        cache, key = self.put_one(tmp_path)
+
+        def not_json(frame):
+            filler = b"this is not json {"
+            size = len(frame) - FRAME_HEADER
+            frame[FRAME_HEADER:] = (filler * size)[:size]
+
+        damage_frame(cache, key, not_json)
+        assert cache.get(key) is None
+        assert cache.stats.invalid == 1
+        assert ResultCache(tmp_path).locate(key) is None, (
+            "corrupt record should be evicted")
+
+    def test_truncated_record_is_a_miss(self, tmp_path, damage_frame):
+        cache, key = self.put_one(tmp_path)
+        damage_frame(cache, key, cut=True)
         assert cache.get(key) is None
         assert cache.stats.invalid == 1
 
-    def test_wrong_format_version_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = make_spec("bfs", "LOCAL", trace_accesses=ACCESSES)
-        key = spec.cache_key("s")
-        cache.put(key, spec.canonical(), small_result())
-        path = cache.path_for(key)
-        record = json.loads(path.read_text())
-        record["version"] = -1
-        path.write_text(json.dumps(record))
+    def test_wrong_format_version_is_a_miss(self, tmp_path, damage_frame):
+        cache, key = self.put_one(tmp_path)
+
+        def older_version(frame):
+            frame[3] = 2
+
+        damage_frame(cache, key, older_version)
         assert cache.get(key) is None
         assert cache.stats.invalid == 1
 
-    def test_missing_result_payload_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = make_spec("bfs", "LOCAL", trace_accesses=ACCESSES)
-        key = spec.cache_key("s")
-        cache.put(key, spec.canonical(), small_result())
-        path = cache.path_for(key)
-        record = json.loads(path.read_text())
-        del record["result"]
-        path.write_text(json.dumps(record))
+    def test_missing_result_payload_is_a_miss(self, tmp_path,
+                                              damage_frame):
+        cache, key = self.put_one(tmp_path)
+
+        def drop_result(frame):
+            # the result part's bytes now count as spec bytes
+            n_result, n_spec = struct.unpack_from("<II", frame, 72)
+            struct.pack_into("<II", frame, 72, 0, n_result + n_spec)
+
+        damage_frame(cache, key, drop_result, reseal=True)
         assert cache.get(key) is None
 
     def test_clear(self, tmp_path):

@@ -169,6 +169,21 @@ def test_simulate_policy_options_checked_before_any_job(policy):
         parse_simulate_spec({"workload": "bfs", "policy": policy})
 
 
+#: past :data:`repro.core.limits.DEFAULT_REQUEST_LIMITS`: a trace this
+#: long would exhaust memory before any result.
+OVERSIZED = 10 ** 12
+
+
+def test_oversized_trace_requests_rejected():
+    cap_error = f"= {OVERSIZED} exceeds the cap of {2 ** 25}"
+    with pytest.raises(BadRequestError, match=cap_error):
+        parse_simulate_spec({"workload": "bfs",
+                             "trace_accesses": OVERSIZED})
+    with pytest.raises(BadRequestError, match=cap_error):
+        parse_autotune_request({"workload": "xsbench",
+                                "n_accesses": OVERSIZED})
+
+
 def test_simulate_negative_seed_rejected():
     with pytest.raises(BadRequestError, match="seed"):
         parse_simulate_spec({"workload": "bfs", "seed": -1})
@@ -276,6 +291,11 @@ def test_nan_capacity_simulates_never_open_the_breaker(server):
     ("POST", "/v1/autotune", '{"workload":"xsbench","epochs":1e400}'),
     ("POST", "/v1/autotune", '{"workload":"xsbench","n_accesses":1e400}'),
     ("POST", "/v1/autotune", '{"workload":"xsbench","dataset":"nope"}'),
+    ("POST", "/v1/simulate",
+     '{"workload":"bfs","trace_accesses":1000000000000}'),
+    ("POST", "/v1/autotune",
+     '{"workload":"xsbench","n_accesses":1000000000000}'),
+    ("GET", "/v1/profile/bfs?accesses=1000000000000", None),
     ("GET", "/v1/profile/bfs?dataset=nope", None),
     ("POST", "/v1/placement",
      '{"sizes":[1e400],"hotness":[1],"bo_capacity_bytes":0}'),
