@@ -1,0 +1,125 @@
+"""Frozen replay digests: epoch-by-epoch replays give what they always did.
+
+The dynamic studies replay a trace one epoch at a time while the zone
+map changes between epochs: ONLINE migration (every engine, with and
+without oracle hotness or an overhead cap), the ext_migration cost
+sweep, the ratio autotuner on flat and chiplet topologies, and the
+static epoch-summed baseline it races against.  Each case pins the
+sha256 of its canonical JSON, so a refactor of the replay loop that
+claims bit-identical results is checked against values recorded
+before it.
+
+Regenerate (prints the keys that moved, then rewrites the file)::
+
+    PYTHONPATH=src python tests/test_replay_digests.py --regenerate
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "replay_digests.json"
+
+#: raw-trace length of every ONLINE and autotune case.
+ACCESSES = 20_000
+
+ONLINE_POLICIES = ("ONLINE", "ONLINE@oracle=1", "ONLINE@overhead=none")
+ENGINES = ("throughput", "detailed", "banked")
+ONLINE_WORKLOADS = ("phase_shift", "bfs")
+TUNE_TOPOLOGIES = ("baseline", "chiplet-2", "chiplet-4")
+TUNE_ENGINES = ("throughput", "detailed")
+
+
+def _digest(payload) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _online_digests() -> dict[str, str]:
+    from repro.core.experiment import run_experiment
+    from repro.runner.cache import encode_result, result_digest
+
+    return {
+        f"online|{workload}|{policy}|{engine}": result_digest(encode_result(
+            run_experiment(workload, policy=policy, engine=engine,
+                           trace_accesses=ACCESSES)))
+        for workload in ONLINE_WORKLOADS
+        for policy in ONLINE_POLICIES
+        for engine in ENGINES
+    }
+
+
+def _figure_payload(figure) -> dict:
+    return json.loads(figure.to_json())
+
+
+def _experiment_digests() -> dict[str, str]:
+    from repro.experiments import ext_chiplet, ext_migration
+
+    return {
+        "ext_migration|bfs": _digest(
+            _figure_payload(ext_migration.run_workload("bfs"))),
+        "ext_chiplet|quick": _digest(
+            _figure_payload(ext_chiplet.run_chiplet(quick=True))),
+    }
+
+
+def _autotune_digests() -> dict[str, str]:
+    from repro.gpu.config import table1_config
+    from repro.gpu.simulator import make_engine
+    from repro.memory.topology import topology_by_name
+    from repro.tuning import autotune, static_epoch_time_ns
+    from repro.workloads import get_workload
+
+    digests = {}
+    for name in TUNE_TOPOLOGIES:
+        topology = topology_by_name(name)
+        for engine in TUNE_ENGINES:
+            report = autotune("phase_shift", topology, engine=engine,
+                              n_accesses=ACCESSES)
+            digests[f"autotune|phase_shift|{name}|{engine}"] = _digest(
+                report.to_dict())
+        workload = get_workload("phase_shift")
+        trace = workload.dram_trace("default", n_accesses=ACCESSES,
+                                    n_epochs=16)
+        static_ns = static_epoch_time_ns(
+            trace, topology, make_engine("throughput", table1_config()),
+            workload.characteristics("default"),
+            topology.bandwidth_fractions())
+        digests[f"static_sbit|phase_shift|{name}"] = _digest(static_ns)
+    return digests
+
+
+def compute_digests() -> dict[str, str]:
+    return {**_online_digests(), **_experiment_digests(),
+            **_autotune_digests()}
+
+
+def test_replays_match_frozen_digests():
+    frozen = json.loads(GOLDEN.read_text())
+    current = compute_digests()
+    assert set(current) == set(frozen)
+    moved = sorted(key for key in frozen if current[key] != frozen[key])
+    assert not moved, f"{len(moved)} replays moved: {moved}"
+
+
+def main(argv: list[str]) -> int:
+    if argv != ["--regenerate"]:
+        print(__doc__)
+        return 2
+    current = compute_digests()
+    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    moved = sorted(key for key in current if frozen.get(key) != current[key])
+    for key in moved:
+        print(f"moved: {key}")
+    print(f"{len(moved)} of {len(current)} keys moved")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
