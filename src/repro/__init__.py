@@ -95,9 +95,6 @@ _API = {
     "profile_program": "repro.kernelsim.instrument",
     # traces
     "DramTrace": "repro.gpu.trace",
-    "save_trace": "repro.gpu.trace_io",
-    "load_trace": "repro.gpu.trace_io",
-    "ExternalTraceWorkload": "repro.workloads.external",
     # energy
     "energy_report": "repro.analysis.energy",
     # libNUMA shim

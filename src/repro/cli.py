@@ -38,7 +38,6 @@ from repro.core.experiment import compare_policies, run_experiment
 from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.core.metrics import normalize
 from repro.core.units import format_bytes
-from repro.gpu.trace_io import save_trace
 from repro.memory.topology import (
     NAMED_TOPOLOGIES,
     SystemTopology,
@@ -357,11 +356,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.ingest.npz import save_npz
+
     workload = get_workload(args.workload)
     kwargs = {} if args.accesses is None else {"n_accesses": args.accesses}
     trace = workload.dram_trace(args.dataset, seed=args.seed, **kwargs)
-    path = save_trace(trace, args.out,
-                      structures=workload.page_ranges(args.dataset))
+    path = save_npz(trace, args.out)
     print(f"wrote {trace.n_accesses} accesses "
           f"({trace.footprint_pages} pages) to {path}")
     return 0
@@ -547,14 +547,20 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _accesses(raw: str) -> int:
-    """``--accesses``: an integer within the shared request cap."""
-    try:
-        return DEFAULT_REQUEST_LIMITS.check_accesses(int(raw), "accesses")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
-    except RequestLimitError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _capped(check, field: str):
+    """An argparse type: an integer within one shared request cap."""
+    def parse(raw: str) -> int:
+        try:
+            return check(int(raw), field)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+        except RequestLimitError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
+
+
+_accesses = _capped(DEFAULT_REQUEST_LIMITS.check_accesses, "accesses")
+_epochs = _capped(DEFAULT_REQUEST_LIMITS.check_epochs, "epochs")
 
 
 def _csv_values(raw: str, cast, flag: str) -> list:
@@ -661,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(TOPOLOGIES))
     p_tune.add_argument("--engine", default="throughput",
                         choices=("throughput", "detailed", "banked"))
-    p_tune.add_argument("--epochs", type=int, default=16,
+    p_tune.add_argument("--epochs", type=_epochs, default=16,
                         help="controller epochs (>= 2)")
     p_tune.add_argument("--accesses", "-n", type=_accesses, default=60_000,
                         help="raw trace length")
@@ -733,8 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_option(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 
-    p_trace = sub.add_parser("trace",
-                             help="synthesize and save a trace (.npz)")
+    p_trace = sub.add_parser(
+        "trace", help="synthesize and save a trace (.npz, readable by "
+                      "`repro ingest`)")
     p_trace.add_argument("--workload", "-w", required=True)
     p_trace.add_argument("--dataset", "-d", default="default")
     p_trace.add_argument("--accesses", "-n", type=_accesses, default=None)
@@ -744,25 +751,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ing = sub.add_parser(
         "ingest",
-        help="validate and register external DRAMSim2 trace files "
-             "(k6/mase); rejects are quarantined, exit 1 if any",
+        help="validate and register external trace files (DRAMSim2 "
+             "k6/mase, or npz from `repro trace`); rejects are "
+             "quarantined, exit 1 if any",
     )
     p_ing.add_argument("files", nargs="+", metavar="FILE",
                        help="trace file(s): '<address> <command> "
-                            "<cycle>' lines")
+                            "<cycle>' lines, or a .npz archive")
     p_ing.add_argument("--name", default=None,
                        help="registry name (single file only; default: "
                             "sanitized file stem)")
-    p_ing.add_argument("--format", choices=("k6", "mase"), default=None,
-                       help="trace dialect (default: inferred from the "
-                            "k6*/mase* filename prefix)")
+    p_ing.add_argument("--format", choices=("k6", "mase", "npz"),
+                       default=None,
+                       help="trace format (default: inferred from the "
+                            "k6*/mase* filename prefix or .npz suffix)")
     p_ing.add_argument("--cache-dir", default=None,
                        help="cache root holding the trace registry "
                             f"(default: {describe_default()})")
     p_ing.add_argument("--max-bytes", type=int, default=None,
                        help="reject inputs larger than this many bytes")
     p_ing.add_argument("--max-lines", type=int, default=None,
-                       help="reject inputs with more lines than this")
+                       help="reject inputs with more lines (npz: "
+                            "accesses) than this")
     p_ing.add_argument("--max-pages", type=int, default=None,
                        help="reject traces touching more distinct "
                             "pages than this")

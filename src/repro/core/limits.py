@@ -6,7 +6,9 @@ any result.  :class:`RequestLimits` bounds it in one place, in the
 style of :class:`repro.ingest.parser.IngestLimits`: the runner's
 :func:`~repro.runner.spec.make_spec`, the serve parsers and the CLI's
 ``--accesses`` flags all check against :data:`DEFAULT_REQUEST_LIMITS`
-and reject with the same typed :class:`RequestLimitError`.
+and reject with the same typed :class:`RequestLimitError`.  Epoch
+counts (``ONLINE@epochs=``, ``/v1/autotune``, ``repro autotune
+--epochs``) are checked against :data:`MAX_EPOCHS` the same way.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import ConfigError, RequestLimitError
+
+#: epochs per replay: 64x the largest shipped value (16).  Each epoch
+#: is one Python-level engine call.
+MAX_EPOCHS = 1024
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,12 @@ class RequestLimits:
         """``value``, unless it exceeds :attr:`max_accesses`."""
         if value is not None and value > self.max_accesses:
             raise RequestLimitError(field, value, self.max_accesses)
+        return value
+
+    def check_epochs(self, value: int, field: str = "epochs") -> int:
+        """``value``, unless it exceeds :data:`MAX_EPOCHS`."""
+        if value > MAX_EPOCHS:
+            raise RequestLimitError(field, value, MAX_EPOCHS)
         return value
 
 

@@ -9,7 +9,7 @@ event-driven engines without touching call sites.
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Union
+from typing import Callable, Literal, Optional, Union
 
 import numpy as np
 
@@ -23,6 +23,14 @@ from repro.memory.topology import SystemTopology
 
 EngineName = Literal["throughput", "detailed", "banked"]
 
+#: ``on_boundary(pages, result, elapsed_ns, last)`` -> next zone map.
+BoundaryFn = Callable[[np.ndarray, Optional[SimResult], float, bool],
+                      Optional[np.ndarray]]
+
+#: SimResult fields :func:`replay_epochs` adds up, one epoch at a time.
+_SUMMED = ("total_time_ns", "dram_accesses", "time_bandwidth_ns",
+           "time_latency_ns", "time_compute_ns", "mshr_merges")
+
 
 def make_engine(name: EngineName, config: GpuConfig
                 ) -> Union[ThroughputEngine, DetailedEngine, BankedEngine]:
@@ -34,6 +42,57 @@ def make_engine(name: EngineName, config: GpuConfig
     if name == "banked":
         return BankedEngine(config)
     raise SimulationError(f"unknown engine {name!r}")
+
+
+def replay_epochs(trace: DramTrace, zone_map: np.ndarray, engine,
+                  topology: SystemTopology,
+                  chars: WorkloadCharacteristics,
+                  on_boundary: BoundaryFn) -> SimResult:
+    """Replay ``trace`` one epoch at a time under a changing zone map.
+
+    Each epoch runs on ``engine`` as a one-epoch sub-trace (raw accesses
+    pro-rated) against the current zone map.  After every epoch, empty
+    or not, ``on_boundary(pages, result, elapsed_ns, last)`` gets the
+    epoch's pages, its result (``None`` if the epoch had no accesses),
+    the execution time so far and whether it was the last epoch.  It
+    returns the next epoch's zone map, or ``None`` to keep the current
+    one (which it may have changed in place).  Returns the per-epoch
+    results summed in epoch order.
+    """
+    raw_per_epoch = max(1, trace.n_raw_accesses // trace.n_epochs)
+    results: list[SimResult] = []
+    elapsed_ns = 0.0
+    slices = trace.epoch_slices()
+    for epoch, epoch_slice in enumerate(slices):
+        pages = trace.page_indices[epoch_slice]
+        result = None
+        if pages.size:
+            sub_trace = DramTrace(
+                page_indices=pages,
+                footprint_pages=trace.footprint_pages,
+                n_raw_accesses=max(raw_per_epoch, pages.size),
+                n_epochs=1,
+                bytes_per_access=trace.bytes_per_access,
+                is_write=(trace.is_write[epoch_slice]
+                          if trace.is_write is not None else None),
+            )
+            result = engine.run(sub_trace, zone_map, topology, chars)
+            results.append(result)
+            elapsed_ns += result.total_time_ns
+        next_map = on_boundary(pages, result, elapsed_ns,
+                               epoch == len(slices) - 1)
+        if next_map is not None:
+            zone_map = next_map
+    if not results:
+        raise SimulationError("epoch replay ran no DRAM accesses")
+    totals = dict.fromkeys(_SUMMED, 0)
+    bytes_by_zone = np.zeros(len(topology), dtype=np.float64)
+    for result in results:
+        bytes_by_zone += result.bytes_by_zone
+        for name in _SUMMED:
+            totals[name] += getattr(result, name)
+    return SimResult(engine=engine.name, bytes_by_zone=bytes_by_zone,
+                     **totals)
 
 
 class GpuSystemSimulator:

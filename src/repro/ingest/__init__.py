@@ -1,4 +1,4 @@
-"""Hardened ingestion of external DRAMSim2 traces.
+"""Hardened ingestion of external traces.
 
 Layers, bottom up:
 
@@ -6,6 +6,8 @@ Layers, bottom up:
   of untrusted ``k6``/``mase`` trace bytes with line-precise
   :class:`~repro.core.errors.IngestError` rejection and hard resource
   caps;
+* :mod:`~repro.ingest.npz` — the binary ``npz`` format ``repro trace``
+  writes, read through the same entry points and caps;
 * :mod:`~repro.ingest.registry` — sha256-checksummed admission under
   the cache root, with quarantine of rejected inputs and
   corruption-detected loads;
@@ -20,6 +22,7 @@ from repro.core.errors import IngestError
 
 from .mix import (IngestedMixWorkload, MixMemberStatus, MixOutcome,
                   parse_mix_spec, resolve_mix, run_mix)
+from .npz import save_npz
 from .parser import (DEFAULT_LIMITS, FORMATS, IngestLimits, ParsedTrace,
                      detect_format, parse_bytes, parse_file,
                      parse_stream)
@@ -55,5 +58,6 @@ __all__ = [
     "resolve_workload",
     "run_mix",
     "sanitize_name",
+    "save_npz",
     "set_default_root",
 ]

@@ -28,16 +28,12 @@ import numpy as np
 
 from repro.core.errors import IngestError, WorkloadError
 from repro.core.units import PAGE_SIZE
-from repro.gpu.trace import DramTrace
 from repro.obs.log import log_event
-from repro.workloads.base import (DEFAULT_RAW_ACCESSES,
-                                  DataStructureSpec, TraceWorkload,
-                                  lookup_trace, store_trace,
-                                  trace_cache_key)
+from repro.workloads.base import DataStructureSpec, TraceWorkload
 
 from .registry import TraceRegistry, default_registry
-from .workload import (IngestedTraceWorkload, _RESOLVER_CACHE,
-                       _resolve_record)
+from .workload import (IngestedTraceWorkload, ReplayedTraceWorkload,
+                       _RESOLVER_CACHE, _resolve_record)
 
 MIN_MIX_MEMBERS = 2
 MAX_MIX_MEMBERS = 4
@@ -64,12 +60,10 @@ def parse_mix_spec(name: str) -> list[str]:
     return members
 
 
-class IngestedMixWorkload(TraceWorkload):
+class IngestedMixWorkload(ReplayedTraceWorkload):
     """2–4 registered traces interleaved by cycle, one footprint."""
 
-    suite = "ingest"
-    description = "multi-program mix of ingested DRAMSim2 traces"
-    dataset_scales = {"default": 1.0}
+    description = "multi-program mix of ingested traces"
     #: multiprogrammed streams overlap more memory requests than one
     #: program; keep the base parallelism (each member is itself a
     #: full post-cache stream).
@@ -95,34 +89,14 @@ class IngestedMixWorkload(TraceWorkload):
             for member in self.members
         )
 
-    def raw_access_stream(self, dataset: str = "default",
-                          n_accesses: int = DEFAULT_RAW_ACCESSES,
-                          seed: int = 0):
-        raise WorkloadError(
-            f"{self.name}: trace mixes are post-cache streams; no raw "
-            "SM-issued stream exists")
-
-    def dram_trace(self, dataset: str = "default",
-                   n_accesses: int = DEFAULT_RAW_ACCESSES,
-                   seed: int = 0, filtered: bool = True,
-                   config=None, n_epochs: int = 16) -> DramTrace:
-        """Cycle-ordered interleave of the members (memoized).
+    def _stream(self) -> tuple:
+        """Cycle-ordered interleave of the members.
 
         Each member's pages are offset into its own footprint slice;
         the merged order is a *stable* sort on issue cycle, so
         within-member order is preserved exactly and equal-cycle ties
         break deterministically by member position.
         """
-        self._check_dataset(dataset)
-        key = trace_cache_key(self.name, dataset, n_accesses, seed,
-                              filtered=filtered,
-                              config_repr=(repr(config)
-                                           if config is not None
-                                           else None),
-                              n_epochs=n_epochs)
-        cached = lookup_trace(key)
-        if cached is not None:
-            return cached
         pages_parts: list[np.ndarray] = []
         flags_parts: list[np.ndarray] = []
         cycle_parts: list[np.ndarray] = []
@@ -133,17 +107,9 @@ class IngestedMixWorkload(TraceWorkload):
             flags_parts.append(flags)
             cycle_parts.append(cycles)
             offset += member.record.footprint_pages
-        all_cycles = np.concatenate(cycle_parts)
-        order = np.argsort(all_cycles, kind="stable")
-        trace = DramTrace(
-            page_indices=np.concatenate(pages_parts)[order],
-            footprint_pages=offset,
-            n_raw_accesses=int(order.size),
-            n_epochs=n_epochs,
-            is_write=np.concatenate(flags_parts)[order],
-        )
-        store_trace(key, trace)
-        return trace
+        order = np.argsort(np.concatenate(cycle_parts), kind="stable")
+        return (np.concatenate(pages_parts)[order],
+                np.concatenate(flags_parts)[order], offset)
 
 
 def resolve_mix(name: str, registry: Optional[TraceRegistry] = None

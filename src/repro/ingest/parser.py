@@ -23,6 +23,9 @@ cycles are retained so the mix harness can interleave several programs
 by time.  The whole byte stream is SHA-256-hashed during the same
 pass; the registry salts that digest into every cache key derived from
 the trace.
+
+The binary ``npz`` format ``repro trace`` writes goes through the same
+entry points and caps (:mod:`repro.ingest.npz`).
 """
 
 from __future__ import annotations
@@ -119,28 +122,35 @@ class ParsedTrace:
         return int(self.page_indices.size)
 
 
+NPZ_FORMAT = "npz"
+ALL_FORMATS = (*FORMATS, NPZ_FORMAT)
+
+
 def detect_format(filename: str,
                   explicit: Optional[str] = None) -> str:
-    """Resolve the trace format: explicit choice or filename prefix.
+    """Resolve the trace format: explicit choice, ``.npz`` suffix or
+    filename prefix.
 
     DRAMSim2's convention is that the base filename starts with the
     format name (``k6_foo.trc``, ``mase_bar.trc``); anything else needs
     the format named explicitly.
     """
     if explicit is not None:
-        if explicit not in FORMATS:
+        if explicit not in ALL_FORMATS:
             raise IngestError(
                 f"unknown trace format {explicit!r}; "
-                f"supported: {sorted(FORMATS)}", file=filename)
+                f"supported: {sorted(ALL_FORMATS)}", file=filename)
         return explicit
     base = filename.rsplit("/", 1)[-1].lower()
+    if base.endswith(".npz"):
+        return NPZ_FORMAT
     for fmt in FORMATS:
         if base.startswith(fmt):
             return fmt
     raise IngestError(
         "cannot detect trace format from filename (expected a "
-        f"'k6...' or 'mase...' prefix); pass the format explicitly",
-        file=filename)
+        "'k6...' or 'mase...' prefix or a '.npz' suffix); pass the "
+        "format explicitly", file=filename)
 
 
 def _parse_address(token: str, name: str, line: int,
@@ -284,10 +294,14 @@ def parse_stream(stream: BinaryIO, fmt: str, name: str = "<stream>",
     Raises :class:`IngestError` — and nothing else — for any invalid,
     truncated, oversized, or deadline-busting input.
     """
+    if fmt == NPZ_FORMAT:
+        from .npz import parse_npz
+
+        return parse_npz(stream, name, limits)
     if fmt not in FORMATS:
         raise IngestError(
             f"unknown trace format {fmt!r}; supported: "
-            f"{sorted(FORMATS)}", file=name)
+            f"{sorted(ALL_FORMATS)}", file=name)
     builder = _TraceBuilder(name, fmt, limits)
     hasher = hashlib.sha256()
     deadline = time.monotonic() + limits.deadline_s

@@ -42,12 +42,59 @@ def clear_resolver_cache() -> None:
     _RESOLVER_CACHE.clear()
 
 
-class IngestedTraceWorkload(TraceWorkload):
-    """One registered external trace, replayed verbatim."""
+class ReplayedTraceWorkload(TraceWorkload):
+    """A post-cache stream replayed verbatim; subclasses supply it."""
 
     suite = "ingest"
-    description = "externally ingested DRAMSim2 trace"
     dataset_scales = {"default": 1.0}
+
+    def _stream(self) -> tuple:
+        """``(page_indices, is_write, footprint_pages)``."""
+        raise NotImplementedError
+
+    def raw_access_stream(self, dataset: str = "default",
+                          n_accesses: int = DEFAULT_RAW_ACCESSES,
+                          seed: int = 0):
+        raise WorkloadError(
+            f"{self.name}: ingested traces are post-cache streams; "
+            "no raw SM-issued stream exists")
+
+    def dram_trace(self, dataset: str = "default",
+                   n_accesses: int = DEFAULT_RAW_ACCESSES,
+                   seed: int = 0, filtered: bool = True,
+                   config=None, n_epochs: int = 16) -> DramTrace:
+        """The stream, verbatim (memoized like synthesis).
+
+        ``n_accesses``/``seed``/``filtered`` do not alter the replayed
+        stream — the trace *is* the post-cache stream — but stay in the
+        memo key so the shm planner and cache agree with synthetic
+        workloads' keying.
+        """
+        self._check_dataset(dataset)
+        key = trace_cache_key(self.name, dataset, n_accesses, seed,
+                              filtered=filtered,
+                              config_repr=(repr(config)
+                                           if config is not None
+                                           else None),
+                              n_epochs=n_epochs)
+        trace = lookup_trace(key)
+        if trace is None:
+            pages, flags, footprint_pages = self._stream()
+            trace = DramTrace(
+                page_indices=pages,
+                footprint_pages=footprint_pages,
+                n_raw_accesses=int(pages.size),
+                n_epochs=n_epochs,
+                is_write=flags,
+            )
+            store_trace(key, trace)
+        return trace
+
+
+class IngestedTraceWorkload(ReplayedTraceWorkload):
+    """One registered external trace, replayed verbatim."""
+
+    description = "externally ingested trace"
 
     def __init__(self, record: TraceRecord,
                  registry: TraceRegistry) -> None:
@@ -55,8 +102,6 @@ class IngestedTraceWorkload(TraceWorkload):
         self.registry = registry
         self.name = record.canonical
         self._arrays: Optional[tuple] = None
-
-    # -- loading -------------------------------------------------------
 
     def _load(self) -> tuple:
         """(page_indices, is_write, cycles), checksum-verified once."""
@@ -72,7 +117,9 @@ class IngestedTraceWorkload(TraceWorkload):
             self._arrays = (pages, flags, cycles)
         return self._arrays
 
-    # -- TraceWorkload surface -----------------------------------------
+    def _stream(self) -> tuple:
+        pages, flags, _cycles = self._load()
+        return pages, flags, self.record.footprint_pages
 
     def define_structures(self, dataset: str = "default"
                           ) -> tuple[DataStructureSpec, ...]:
@@ -85,45 +132,6 @@ class IngestedTraceWorkload(TraceWorkload):
             pattern="uniform",
             read_fraction=1.0 - write_fraction,
         ),)
-
-    def raw_access_stream(self, dataset: str = "default",
-                          n_accesses: int = DEFAULT_RAW_ACCESSES,
-                          seed: int = 0):
-        raise WorkloadError(
-            f"{self.name}: ingested traces are post-cache streams; "
-            "no raw SM-issued stream exists")
-
-    def dram_trace(self, dataset: str = "default",
-                   n_accesses: int = DEFAULT_RAW_ACCESSES,
-                   seed: int = 0, filtered: bool = True,
-                   config=None, n_epochs: int = 16) -> DramTrace:
-        """The registered trace, verbatim (memoized like synthesis).
-
-        ``n_accesses``/``seed``/``filtered`` do not alter the replayed
-        stream — the trace *is* the post-cache stream — but stay in the
-        memo key so the shm planner and cache agree with synthetic
-        workloads' keying.
-        """
-        self._check_dataset(dataset)
-        key = trace_cache_key(self.name, dataset, n_accesses, seed,
-                              filtered=filtered,
-                              config_repr=(repr(config)
-                                           if config is not None
-                                           else None),
-                              n_epochs=n_epochs)
-        cached = lookup_trace(key)
-        if cached is not None:
-            return cached
-        pages, flags, _cycles = self._load()
-        trace = DramTrace(
-            page_indices=pages,
-            footprint_pages=self.record.footprint_pages,
-            n_raw_accesses=int(pages.size),
-            n_epochs=n_epochs,
-            is_write=flags,
-        )
-        store_trace(key, trace)
-        return trace
 
 
 def _split_fragment(spec: str) -> tuple[str, Optional[str]]:

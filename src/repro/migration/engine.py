@@ -30,6 +30,8 @@ few extras beyond the original ext_migration study:
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro.core.errors import SimulationError
 from repro.gpu.config import GpuConfig, table1_config
-from repro.gpu.simulator import EngineName, make_engine
+from repro.gpu.simulator import EngineName, make_engine, replay_epochs
 from repro.gpu.trace import DramTrace, SimResult, WorkloadCharacteristics
 from repro.memory.topology import SystemTopology
 from repro.migration.cost import MigrationCostModel, paper_migration
@@ -94,8 +96,10 @@ class MigrationSimulator:
         per_page = self.cost_model.total_time_ns(1)
         if per_page <= 0:
             return None  # free migration: the cap cannot bind
-        allowed = max_overhead * execution_ns - migration_ns
-        return max(0, int(allowed / per_page))
+        affordable = (max_overhead * execution_ns - migration_ns) / per_page
+        if not math.isfinite(affordable):
+            return None  # an infinite cap (inf * 0 is nan) cannot bind
+        return max(0, int(affordable))
 
     def run(self, trace: DramTrace, initial_zone_map: np.ndarray,
             chars: WorkloadCharacteristics,
@@ -130,20 +134,11 @@ class MigrationSimulator:
                 np.repeat(np.arange(trace.footprint_pages),
                           np.maximum(scores, 0).astype(np.int64))
             )
-        raw_per_epoch = max(1, trace.n_raw_accesses // trace.n_epochs)
-        execution_ns = 0.0
         migration_ns = 0.0
         moved = 0
         moves_per_epoch: list[int] = []
-        n_zones = len(self.topology)
-        bytes_by_zone = np.zeros(n_zones, dtype=np.float64)
-        time_bandwidth = 0.0
-        time_latency = 0.0
-        time_compute = 0.0
-        dram_accesses = 0
-        mshr_merges = 0
 
-        def apply_boundary() -> None:
+        def apply_boundary(execution_ns: float) -> None:
             nonlocal migration_ns, moved
             budget = self._boundary_budget(max_overhead, execution_ns,
                                            migration_ns)
@@ -160,59 +155,29 @@ class MigrationSimulator:
                 migration_ns += self.cost_model.total_time_ns(plan.n_pages)
                 moved += plan.n_pages
 
+        def on_boundary(pages, result, execution_ns, last) -> None:
+            if result is not None and oracle_scores is None:
+                tracker.observe_epoch(pages)
+            if not last:  # after the last epoch migrating would be waste
+                apply_boundary(execution_ns)
+
         if plan_before_start:
             if oracle_scores is None:
                 raise SimulationError(
                     "plan_before_start requires oracle_scores (there is "
                     "nothing to plan from before the first epoch)"
                 )
-            apply_boundary()
+            apply_boundary(0.0)
 
-        slices = trace.epoch_slices()
-        for epoch, epoch_slice in enumerate(slices):
-            pages = trace.page_indices[epoch_slice]
-            if pages.size:
-                sub_trace = DramTrace(
-                    page_indices=pages,
-                    footprint_pages=trace.footprint_pages,
-                    n_raw_accesses=max(raw_per_epoch, pages.size),
-                    n_epochs=1,
-                    bytes_per_access=trace.bytes_per_access,
-                    is_write=(trace.is_write[epoch_slice]
-                              if trace.is_write is not None else None),
-                )
-                result = self._engine.run(sub_trace, zone_map,
-                                          self.topology, chars)
-                execution_ns += result.total_time_ns
-                bytes_by_zone += result.bytes_by_zone
-                time_bandwidth += result.time_bandwidth_ns
-                time_latency += result.time_latency_ns
-                time_compute += result.time_compute_ns
-                dram_accesses += result.dram_accesses
-                mshr_merges += result.mshr_merges
-                if oracle_scores is None:
-                    tracker.observe_epoch(pages)
-
-            if epoch == len(slices) - 1:
-                break  # nothing left to run; migrating would be waste
-            apply_boundary()
-
-        total = execution_ns + migration_ns
-        if total <= 0:
-            raise SimulationError("migrated run produced zero time")
-        sim = SimResult(
-            engine=f"{self.engine_name}+migration",
-            total_time_ns=total,
-            dram_accesses=dram_accesses,
-            bytes_by_zone=bytes_by_zone,
-            time_bandwidth_ns=time_bandwidth,
-            time_latency_ns=time_latency,
-            time_compute_ns=time_compute,
-            mshr_merges=mshr_merges,
-        )
+        execution = replay_epochs(trace, zone_map, self._engine,
+                                  self.topology, chars, on_boundary)
+        total = execution.total_time_ns + migration_ns
+        sim = dataclasses.replace(
+            execution, engine=f"{self.engine_name}+migration",
+            total_time_ns=total)
         return MigrationResult(
             total_time_ns=total,
-            execution_time_ns=execution_ns,
+            execution_time_ns=execution.total_time_ns,
             migration_time_ns=migration_ns,
             pages_migrated=moved,
             epochs=trace.n_epochs,

@@ -48,6 +48,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.core.errors import PolicyError
+from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.migration.policy import validate_watermarks
 from repro.policies.base import (
     PlacementContext,
@@ -103,6 +104,7 @@ class OnlinePolicy(PlacementPolicy):
             )
         if int(epochs) < 1:
             raise PolicyError("epochs must be >= 1")
+        DEFAULT_REQUEST_LIMITS.check_epochs(int(epochs))
         if budget_pages_per_epoch is not None \
                 and int(budget_pages_per_epoch) < 0:
             raise PolicyError("budget_pages_per_epoch must be >= 0 or None")

@@ -274,11 +274,11 @@ class ServeClient:
                      data: Optional[bytes] = None,
                      path: Optional[str] = None,
                      fmt: Optional[str] = None) -> dict:
-        """``POST /v1/traces`` — upload one DRAMSim2 trace.
+        """``POST /v1/traces`` — upload one trace.
 
         Pass raw ``data`` bytes or a local file ``path``; ``fmt`` is
-        ``"k6"`` or ``"mase"`` (inferred from the registry name's
-        prefix when omitted).  On success the response carries the
+        ``"k6"``, ``"mase"`` or ``"npz"`` (inferred from the registry
+        name's prefix when omitted).  On success the response carries the
         checksum-carrying workload name (``trace:<name>#<sha12>``) to
         use with :meth:`simulate`.  Rejections raise
         :class:`ServeError` with status 422 and the structured

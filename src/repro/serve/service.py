@@ -292,6 +292,8 @@ def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
         n_accesses = DEFAULT_REQUEST_LIMITS.check_accesses(
             _int_field(payload, "n_accesses", default=60_000, minimum=1),
             "n_accesses")
+        epochs = DEFAULT_REQUEST_LIMITS.check_epochs(
+            _int_field(payload, "epochs", default=16, minimum=2))
     except RequestLimitError as exc:
         raise BadRequestError(str(exc))
     return {
@@ -302,7 +304,7 @@ def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
         "topology": topology,
         "engine": engine,
         "seed": _int_field(payload, "seed", default=0, minimum=0),
-        "epochs": _int_field(payload, "epochs", default=16, minimum=2),
+        "epochs": epochs,
         "n_accesses": n_accesses,
         "controller": controller,
         "force": bool(payload.get("force", False)),
@@ -853,7 +855,7 @@ class PlacementService:
         if not name:
             raise BadRequestError(
                 "query parameter 'name' is required "
-                "(POST /v1/traces?name=<name>&format=k6|mase)")
+                "(POST /v1/traces?name=<name>&format=k6|mase|npz)")
         from repro.ingest import detect_format
         try:
             resolved_fmt = detect_format(name, fmt or None)

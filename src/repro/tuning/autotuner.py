@@ -37,8 +37,9 @@ import numpy as np
 from repro.core.atomicio import atomic_write_json
 from repro.core.cachedir import cache_root
 from repro.core.errors import ConfigError
+from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.gpu.config import GpuConfig, table1_config
-from repro.gpu.simulator import EngineName, make_engine
+from repro.gpu.simulator import EngineName, make_engine, replay_epochs
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
 from repro.memory.topology import SystemTopology, simulated_baseline
 from repro.policies.base import validate_fractions
@@ -68,52 +69,13 @@ def place_fractions(fractions, footprint_pages: int) -> np.ndarray:
     return np.minimum(zone_map, len(fracs) - 1).astype(np.int16)
 
 
-def _epoch_run(trace: DramTrace, topology: SystemTopology, engine,
-               chars: WorkloadCharacteristics,
-               fractions: tuple[float, ...],
-               controller: Optional[RatioController]
-               ) -> tuple[float, tuple[float, ...], list[tuple[float, ...]]]:
-    """Replay ``trace`` epoch by epoch; returns (time, final, history).
-
-    With a controller the fractions move at every epoch boundary; with
-    ``None`` the same static vector is applied throughout (the
-    baseline both the report and the experiment compare against).
-    """
-    usable_bw = np.asarray(topology.gpu_usable_bandwidths())
-    raw_per_epoch = max(1, trace.n_raw_accesses // trace.n_epochs)
-    total_ns = 0.0
-    history = [tuple(fractions)]
-    zone_map = place_fractions(fractions, trace.footprint_pages)
-    for epoch_slice in trace.epoch_slices():
-        pages = trace.page_indices[epoch_slice]
-        if not pages.size:
-            continue
-        sub_trace = DramTrace(
-            page_indices=pages,
-            footprint_pages=trace.footprint_pages,
-            n_raw_accesses=max(raw_per_epoch, pages.size),
-            n_epochs=1,
-            bytes_per_access=trace.bytes_per_access,
-            is_write=(trace.is_write[epoch_slice]
-                      if trace.is_write is not None else None),
-        )
-        result = engine.run(sub_trace, zone_map, topology, chars)
-        total_ns += result.total_time_ns
-        if controller is not None:
-            busy = tuple(np.asarray(result.bytes_by_zone) / usable_bw)
-            fractions = controller.update(fractions, busy)
-            history.append(tuple(fractions))
-            zone_map = place_fractions(fractions, trace.footprint_pages)
-    return total_ns, tuple(fractions), history
-
-
 def static_epoch_time_ns(trace: DramTrace, topology: SystemTopology,
                          engine, chars: WorkloadCharacteristics,
                          fractions) -> float:
     """Epoch-summed runtime of one fixed fraction vector."""
-    total_ns, _, _ = _epoch_run(trace, topology, engine, chars,
-                                validate_fractions(fractions), None)
-    return total_ns
+    zone_map = place_fractions(fractions, trace.footprint_pages)
+    return replay_epochs(trace, zone_map, engine, topology, chars,
+                         lambda *_: None).total_time_ns
 
 
 @dataclass(frozen=True)
@@ -186,6 +148,7 @@ def autotune(workload: Union[str, TraceWorkload],
     """
     if epochs < 2:
         raise ConfigError("autotune needs at least 2 epochs to adapt")
+    DEFAULT_REQUEST_LIMITS.check_epochs(epochs)
     model = (workload if isinstance(workload, TraceWorkload)
              else get_workload(workload))
     system = topology if topology is not None else simulated_baseline()
@@ -205,10 +168,22 @@ def autotune(workload: Union[str, TraceWorkload],
                              n_epochs=epochs)
     chars = model.characteristics(dataset)
 
-    tuned_ns, tuned_final, history = _epoch_run(
-        trace, system, engine_obj, chars, static_fractions, controller)
-    static_ns, _, _ = _epoch_run(
-        trace, system, engine_obj, chars, static_fractions, None)
+    usable_bw = np.asarray(system.gpu_usable_bandwidths())
+    history = [tuple(static_fractions)]
+
+    def retune(pages, result, elapsed_ns, last):
+        """Move the fractions after every epoch that ran."""
+        if result is None:
+            return None  # an empty epoch has no counters to learn from
+        busy = tuple(np.asarray(result.bytes_by_zone) / usable_bw)
+        history.append(controller.update(history[-1], busy))
+        return place_fractions(history[-1], trace.footprint_pages)
+
+    tuned_ns = replay_epochs(
+        trace, place_fractions(static_fractions, trace.footprint_pages),
+        engine_obj, system, chars, retune).total_time_ns
+    static_ns = static_epoch_time_ns(trace, system, engine_obj, chars,
+                                     static_fractions)
 
     return AutotuneReport(
         workload=model.name,
@@ -219,7 +194,7 @@ def autotune(workload: Union[str, TraceWorkload],
         epochs=epochs,
         n_accesses=n_accesses,
         static_fractions=static_fractions,
-        tuned_fractions=tuned_final,
+        tuned_fractions=history[-1],
         closed_form_fractions=system.bandwidth_fractions(),
         static_time_ns=static_ns,
         tuned_time_ns=tuned_ns,

@@ -89,6 +89,18 @@ class TestCompare:
         assert not list(tmp_path.iterdir())  # no sweep ran
 
 
+class TestAutotune:
+    def test_oversized_epochs_rejected(self, capsys):
+        """``--epochs`` applies the shared epoch cap, with the same
+        message ONLINE@epochs= and /v1/autotune give."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["autotune", "-w", "bfs", "--epochs", str(10 ** 12),
+                  "--no-save"])
+        assert excinfo.value.code == 2
+        assert (f"epochs = {10 ** 12} exceeds the cap of 1024"
+                in capsys.readouterr().err)
+
+
 class TestFigure:
     def test_known_figure(self, capsys):
         code, out = run_cli(capsys, "figure", "fig01_topologies")
@@ -110,7 +122,18 @@ class TestProfile:
 
 
 class TestTrace:
+    @pytest.fixture(autouse=True)
+    def _registry_root_reset(self):
+        """``repro ingest --cache-dir`` sets the process-wide registry
+        root; do not leak it into later tests."""
+        from repro.ingest import set_default_root
+
+        yield
+        set_default_root(None)
+
     def test_trace_export(self, capsys, tmp_path):
+        """``repro trace`` -> ``repro ingest`` -> ``repro run -w
+        trace:bfs``: the exported file is an ingestible trace."""
         out_path = tmp_path / "bfs.npz"
         code, out = run_cli(
             capsys, "trace", "-w", "bfs", "-n", "20000",
@@ -119,7 +142,12 @@ class TestTrace:
         assert code == 0
         assert out_path.exists()
 
-        from repro.workloads.external import ExternalTraceWorkload
+        code, out = run_cli(capsys, "ingest", str(out_path),
+                            "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert "admitted trace:bfs#" in out and "[npz]" in out
 
-        workload = ExternalTraceWorkload.from_file(out_path)
-        assert "d_graph_visited" in workload.page_ranges()
+        code, out = run_cli(capsys, "run", "-w", "trace:bfs",
+                            "-p", "BW-AWARE")
+        assert code == 0
+        assert out.startswith("trace:bfs#")

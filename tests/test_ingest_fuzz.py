@@ -9,6 +9,9 @@ rejected input.
 
 from __future__ import annotations
 
+import io
+
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -136,3 +139,81 @@ def test_valid_trace_roundtrip_bit_identical(tmp_path_factory, sample):
         assert trace.footprint_pages == parsed.footprint_pages
     finally:
         set_default_root(None)
+
+
+# ---------------------------------------------------------------------
+# npz: damaged archives -> typed rejection, quarantine, no registry entry
+# ---------------------------------------------------------------------
+
+
+def _npz_bytes(pages, flags, compressed) -> bytes:
+    buffer = io.BytesIO()
+    arrays = {"page_indices": np.asarray(pages, dtype=np.int64)}
+    if flags is not None:
+        arrays["is_write"] = np.asarray(flags, dtype=bool)
+    (np.savez_compressed if compressed else np.savez)(buffer, **arrays)
+    return buffer.getvalue()
+
+
+@st.composite
+def npz_trace(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    pages = draw(st.lists(st.integers(min_value=0, max_value=2 ** 40),
+                          min_size=n, max_size=n))
+    flags = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n,
+                                               max_size=n)))
+    return pages, flags, _npz_bytes(pages, flags, draw(st.booleans()))
+
+
+@st.composite
+def damaged_npz(draw):
+    """A valid archive with bytes overwritten, or cut short."""
+    _, _, data = draw(npz_trace())
+    data = bytearray(data)
+    if draw(st.booleans()):
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    for _ in range(draw(st.integers(1, 8))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(
+            st.integers(0, 255))
+    return bytes(data)
+
+
+@SETTINGS
+@given(data=st.one_of(st.binary(max_size=1024), damaged_npz()))
+def test_damaged_npz_never_escapes_the_contract(tmp_path_factory, data):
+    registry = TraceRegistry(
+        tmp_path_factory.mktemp("fuzznpz") / "traces")
+    try:
+        record = registry.admit(data, name="fuzzed", fmt="npz",
+                                limits=FUZZ_LIMITS)
+    except IngestError as err:
+        assert err.to_dict()["reason"]
+        assert registry.record("fuzzed") is None
+        assert registry.names() == []
+        assert registry.quarantined_count() == 1
+        return
+    # a byte flip inside a stored (uncompressed) array can still leave
+    # a valid trace; it must then respect every cap
+    assert 1 <= record.n_accesses <= FUZZ_LIMITS.max_lines
+    assert 1 <= record.footprint_pages <= FUZZ_LIMITS.max_pages
+
+
+@SETTINGS
+@given(npz_trace())
+def test_valid_npz_roundtrip(tmp_path_factory, sample):
+    pages, flags, data = sample
+    registry = TraceRegistry(
+        tmp_path_factory.mktemp("fuzznpzrt") / "traces")
+    try:
+        record = registry.admit(data, name="sample", fmt="npz",
+                                limits=FUZZ_LIMITS)
+    except IngestError as err:
+        assert len(set(pages)) > FUZZ_LIMITS.max_pages
+        assert "distinct-page cap" in err.reason
+        return
+    seen: dict[int, int] = {}
+    dense = [seen.setdefault(p, len(seen)) for p in pages]
+    trace = resolve_workload("trace:sample", registry).dram_trace()
+    assert trace.page_indices.tolist() == dense
+    assert trace.is_write.tolist() == (flags or [False] * len(pages))
+    assert record.footprint_pages == len(seen)

@@ -341,3 +341,34 @@ class TestConstructorValidation:
         assert policy.dynamic is True
         assert policy.name == "ONLINE"
         assert policy.initial_policy().name == "BW-AWARE"
+
+
+class TestUnbindableOverheadCap:
+    """A cap no execution time can reach behaves as no cap: ``inf``
+    and ``1e308`` used to overflow ``int()`` inside the job (``inf * 0``
+    is NaN at the oracle's pre-start boundary)."""
+
+    @staticmethod
+    def _run(policy: str):
+        from repro.core.experiment import run_experiment
+        from repro.runner.cache import encode_result
+
+        payload = encode_result(run_experiment(
+            "phase_shift", policy=policy, trace_accesses=20_000))
+        payload.pop("policy")
+        return payload
+
+    @pytest.mark.parametrize("cap", ["inf", "1e308"])
+    def test_same_result_as_no_cap(self, cap):
+        assert self._run(f"ONLINE@overhead={cap}") == \
+            self._run("ONLINE@overhead=none")
+
+    def test_oracle_infinite_cap_same_as_no_cap(self):
+        assert self._run("ONLINE@oracle=1,overhead=inf") == \
+            self._run("ONLINE@oracle=1,overhead=none")
+
+    def test_oracle_huge_finite_cap_runs(self):
+        """Before any epoch ran, a finite cap allows no pages (0 x cap);
+        after that, 1e308 cannot bind."""
+        assert self._run("ONLINE@oracle=1,overhead=1e308")["sim"][
+            "total_time_ns"] > 0

@@ -13,7 +13,7 @@ from repro.gpu.config import table1_config
 from repro.gpu.engine import DetailedEngine
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
-from repro.gpu.trace_io import load_trace, save_trace
+from repro.ingest import parse_file, save_npz
 from repro.memory.dram import DDR4, GDDR5, DramTechnology
 from repro.memory.topology import simulated_baseline
 from repro.workloads import get_workload
@@ -137,12 +137,13 @@ class TestWorkloadFlags:
 
     def test_trace_io_round_trips_flags(self, tmp_path):
         trace = _trace(0.4)
-        path = save_trace(trace, tmp_path / "t.npz")
-        loaded, _ = load_trace(path)
-        assert np.array_equal(loaded.is_write, trace.is_write)
+        parsed = parse_file(save_npz(trace, tmp_path / "t.npz"))
+        assert np.array_equal(parsed.is_write, trace.is_write)
 
     def test_trace_io_without_flags(self, tmp_path):
+        """A trace of unknown direction ingests as all reads, which is
+        how the engines price ``is_write=None``."""
         bare = DramTrace(page_indices=np.zeros(4, dtype=np.int64),
                          footprint_pages=1, n_raw_accesses=4)
-        loaded, _ = load_trace(save_trace(bare, tmp_path / "b.npz"))
-        assert loaded.is_write is None
+        parsed = parse_file(save_npz(bare, tmp_path / "b.npz"))
+        assert not parsed.is_write.any()

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.limits import MAX_EPOCHS
 from repro.serve import BackgroundServer, ServeClient, ServeConfig
 from repro.serve.service import (
     BadRequestError,
@@ -184,6 +185,26 @@ def test_oversized_trace_requests_rejected():
                                 "n_accesses": OVERSIZED})
 
 
+def test_oversized_epoch_counts_rejected():
+    """ONLINE@epochs= and /v1/autotune apply the shared epoch cap with
+    the message ``repro autotune --epochs`` gives."""
+    cap_error = f"epochs = {OVERSIZED} exceeds the cap of {MAX_EPOCHS}"
+    with pytest.raises(BadRequestError, match=cap_error):
+        parse_simulate_spec({"workload": "bfs",
+                             "policy": f"ONLINE@epochs={OVERSIZED}"})
+    with pytest.raises(BadRequestError, match=cap_error):
+        parse_autotune_request({"workload": "xsbench",
+                                "epochs": OVERSIZED})
+    with pytest.raises(BadRequestError, match="cap of"):
+        parse_autotune_request({"workload": "xsbench",
+                                "epochs": MAX_EPOCHS + 1})
+    assert parse_autotune_request({"workload": "xsbench",
+                                   "epochs": MAX_EPOCHS})["epochs"] \
+        == MAX_EPOCHS
+    parse_simulate_spec({"workload": "bfs",
+                         "policy": f"ONLINE@epochs={MAX_EPOCHS}"})
+
+
 def test_simulate_negative_seed_rejected():
     with pytest.raises(BadRequestError, match="seed"):
         parse_simulate_spec({"workload": "bfs", "seed": -1})
@@ -295,6 +316,10 @@ def test_nan_capacity_simulates_never_open_the_breaker(server):
      '{"workload":"bfs","trace_accesses":1000000000000}'),
     ("POST", "/v1/autotune",
      '{"workload":"xsbench","n_accesses":1000000000000}'),
+    ("POST", "/v1/autotune",
+     '{"workload":"xsbench","epochs":1000000000000}'),
+    ("POST", "/v1/simulate",
+     '{"workload":"bfs","policy":"ONLINE@epochs=1000000000000"}'),
     ("GET", "/v1/profile/bfs?accesses=1000000000000", None),
     ("GET", "/v1/profile/bfs?dataset=nope", None),
     ("POST", "/v1/placement",
@@ -321,3 +346,26 @@ def test_bad_numbers_and_datasets_answer_400_before_any_job(
         "repro_serve_profile_cache_misses_total": 0,
     }
 
+
+
+@pytest.mark.parametrize("cap", ["inf", "1e308"])
+def test_unbindable_overhead_cap_simulates_like_no_cap(tmp_path, cap):
+    """``ONLINE@overhead=inf`` and ``=1e308`` pass the parser; the job
+    must then run as if uncapped, not answer 500 and count a breaker
+    failure."""
+    config = ServeConfig(port=0, cache_dir=tmp_path)
+    with BackgroundServer(config) as background:
+        client = ServeClient(background.base_url)
+        client.wait_until_ready()
+        uncapped = client.simulate("phase_shift",
+                                   policy="ONLINE@overhead=none",
+                                   trace_accesses=20_000)
+        capped = client.simulate("phase_shift",
+                                 policy=f"ONLINE@overhead={cap}",
+                                 trace_accesses=20_000)
+        metrics = client.metrics()
+    assert capped["result"]["time_ms"] == uncapped["result"]["time_ms"]
+    assert capped["result"]["zone_page_counts"] == \
+        uncapped["result"]["zone_page_counts"]
+    assert metrics.get("repro_serve_simulate_failures_total", 0) == 0
+    assert metrics.get("repro_serve_breaker_state", 0) == 0

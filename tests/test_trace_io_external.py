@@ -1,14 +1,19 @@
-"""Trace serialization and external-trace workloads."""
+"""Trace export and externally captured traces, through ``repro.ingest``.
+
+``repro trace`` writes an ``npz`` trace with :func:`save_npz`; the
+ingest registry admits it like any external trace (checksum, caps,
+quarantine, ``trace:<name>#<sha12>``) and every policy, profiler and
+experiment runs on the resulting workload unchanged.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.errors import SimulationError, WorkloadError
+from repro.core.errors import IngestError, WorkloadError
 from repro.core.experiment import run_experiment
 from repro.gpu.trace import DramTrace
-from repro.gpu.trace_io import FORMAT_VERSION, load_trace, save_trace
+from repro.ingest import TraceRegistry, parse_file, resolve_workload, save_npz
 from repro.workloads import get_workload
-from repro.workloads.external import ExternalTraceWorkload
 
 
 @pytest.fixture
@@ -22,108 +27,80 @@ def trace():
     )
 
 
+def first_touch(pages: np.ndarray) -> np.ndarray:
+    """Dense page ids in order of first appearance (the ingest remap)."""
+    seen: dict[int, int] = {}
+    return np.array([seen.setdefault(p, len(seen)) for p in pages.tolist()])
+
+
+def ingest(trace: DramTrace, tmp_path, name: str = "mine"):
+    registry = TraceRegistry(tmp_path / "traces")
+    record = registry.admit(save_npz(trace, tmp_path / f"{name}.npz"))
+    return resolve_workload(record.canonical, registry)
+
+
 class TestTraceIo:
     def test_round_trip(self, trace, tmp_path):
-        path = save_trace(trace, tmp_path / "t.npz")
-        loaded, structures = load_trace(path)
-        assert np.array_equal(loaded.page_indices, trace.page_indices)
-        assert loaded.footprint_pages == trace.footprint_pages
-        assert loaded.n_raw_accesses == trace.n_raw_accesses
-        assert loaded.n_epochs == trace.n_epochs
-        assert structures is None
-
-    def test_round_trip_with_structures(self, trace, tmp_path):
-        layout = {"a": range(0, 30), "b": range(30, 100)}
-        path = save_trace(trace, tmp_path / "t.npz", structures=layout)
-        _, structures = load_trace(path)
-        assert structures == layout
+        parsed = parse_file(save_npz(trace, tmp_path / "t.npz"))
+        assert np.array_equal(parsed.page_indices,
+                              first_touch(trace.page_indices))
+        assert parsed.footprint_pages == np.unique(trace.page_indices).size
+        assert np.array_equal(parsed.cycles, np.arange(trace.n_accesses))
 
     def test_suffix_added(self, trace, tmp_path):
-        path = save_trace(trace, tmp_path / "plain")
+        path = save_npz(trace, tmp_path / "plain")
         assert path.suffix == ".npz"
-        load_trace(path)
+        parse_file(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(SimulationError):
-            load_trace(tmp_path / "nope.npz")
+        with pytest.raises(IngestError):
+            parse_file(tmp_path / "nope.npz")
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.npz"
         np.savez(bad, something=np.arange(3))
-        with pytest.raises(SimulationError):
-            load_trace(bad)
-
-    def test_version_checked(self, trace, tmp_path, monkeypatch):
-        import repro.gpu.trace_io as trace_io
-
-        path = save_trace(trace, tmp_path / "t.npz")
-        monkeypatch.setattr(trace_io, "FORMAT_VERSION",
-                            FORMAT_VERSION + 1)
-        with pytest.raises(SimulationError):
-            trace_io.load_trace(path)
+        with pytest.raises(IngestError, match="unknown member"):
+            parse_file(bad)
 
     def test_real_workload_trace_round_trips(self, tmp_path):
-        workload = get_workload("bfs")
-        original = workload.dram_trace(n_accesses=20_000)
-        path = save_trace(original, tmp_path / "bfs.npz",
-                          structures=workload.page_ranges())
-        loaded, structures = load_trace(path)
-        assert np.array_equal(loaded.page_indices,
-                              original.page_indices)
-        assert set(structures) == set(workload.page_ranges())
+        original = get_workload("bfs").dram_trace(n_accesses=20_000)
+        parsed = parse_file(save_npz(original, tmp_path / "bfs.npz"))
+        assert np.array_equal(parsed.page_indices,
+                              first_touch(original.page_indices))
+        assert np.array_equal(parsed.is_write, original.is_write)
 
 
 class TestExternalTraceWorkload:
-    def test_default_single_heap_structure(self, trace):
-        workload = ExternalTraceWorkload("mine", trace)
+    def test_default_single_heap_structure(self, trace, tmp_path):
+        workload = ingest(trace, tmp_path)
         specs = workload.data_structures()
         assert len(specs) == 1
-        assert specs[0].name == "heap"
         assert workload.footprint_pages() == 100
 
-    def test_structured_layout(self, trace):
-        workload = ExternalTraceWorkload(
-            "mine", trace,
-            structures={"hot": range(0, 20), "cold": range(20, 100)},
-        )
-        assert set(workload.page_ranges()) == {"hot", "cold"}
+    def test_dram_trace_is_verbatim(self, trace, tmp_path):
+        replayed = ingest(trace, tmp_path).dram_trace()
+        assert np.array_equal(replayed.page_indices,
+                              first_touch(trace.page_indices))
+        assert replayed.footprint_pages == 100
 
-    def test_layout_must_tile_footprint(self, trace):
-        with pytest.raises(WorkloadError):
-            ExternalTraceWorkload(
-                "mine", trace, structures={"a": range(0, 50)}
-            )
-        with pytest.raises(WorkloadError):
-            ExternalTraceWorkload(
-                "mine", trace,
-                structures={"a": range(0, 50), "b": range(40, 100)},
-            )
-
-    def test_dram_trace_is_verbatim(self, trace):
-        workload = ExternalTraceWorkload("mine", trace)
-        assert workload.dram_trace() is trace
-
-    def test_raw_trace_unavailable(self, trace):
-        workload = ExternalTraceWorkload("mine", trace)
+    def test_raw_trace_unavailable(self, trace, tmp_path):
+        workload = ingest(trace, tmp_path)
         with pytest.raises(WorkloadError):
             workload.raw_line_trace()
 
     def test_from_file(self, trace, tmp_path):
-        path = save_trace(trace, tmp_path / "captured.npz",
-                          structures={"x": range(0, 100)})
-        workload = ExternalTraceWorkload.from_file(path)
-        assert workload.name == "captured"
-        assert set(workload.page_ranges()) == {"x"}
+        workload = ingest(trace, tmp_path, name="captured")
+        assert workload.name.startswith("trace:captured#")
 
-    def test_experiment_stack_runs_on_external_trace(self, trace):
-        workload = ExternalTraceWorkload("mine", trace,
-                                         parallelism=448.0)
+    def test_experiment_stack_runs_on_external_trace(self, trace,
+                                                     tmp_path):
+        workload = ingest(trace, tmp_path)
         local = run_experiment(workload, policy="LOCAL")
         bwaware = run_experiment(workload, policy="BW-AWARE")
         assert bwaware.throughput > local.throughput
 
-    def test_oracle_runs_on_external_trace(self, trace):
-        workload = ExternalTraceWorkload("mine", trace)
+    def test_oracle_runs_on_external_trace(self, trace, tmp_path):
+        workload = ingest(trace, tmp_path)
         result = run_experiment(workload, policy="ORACLE",
                                 bo_capacity_fraction=0.2)
         assert result.placement_fractions()[0] <= 0.21
