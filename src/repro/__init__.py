@@ -84,7 +84,6 @@ _API = {
     "RatioController": "repro.tuning",
     "autotune": "repro.tuning",
     "AutotuneReport": "repro.tuning",
-    "TunedProfileStore": "repro.tuning",
     # migration (Section 5.5 extension)
     "MigrationSimulator": "repro.migration.engine",
     "EpochMigrationPolicy": "repro.migration.policy",

@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.cachedir import describe_default
+from repro.core.cachedir import cache_root, describe_default
 from repro.core.errors import (ConfigError, ReproError, RequestLimitError,
                                ServeError)
 from repro.obs import trace as obs_trace
@@ -171,7 +171,9 @@ def _sweep_runner(args: argparse.Namespace):
 
 
 def cmd_autotune(args: argparse.Namespace) -> int:
-    from repro.tuning import RatioController, TunedProfileStore, autotune
+    from repro.runner import code_version_salt, content_key
+    from repro.tuning import (AutotuneReport, RatioController, autotune,
+                              autotune_spec)
 
     topology = _topology(args.topology)
     controller = RatioController()
@@ -201,12 +203,14 @@ def cmd_autotune(args: argparse.Namespace) -> int:
     print(f"speedup over static: {report.speedup:.3f}x   "
           f"gap to closed form: {report.closed_form_gap:.4f}")
     if not args.no_save:
-        store = TunedProfileStore(args.cache_dir)
-        key = store.profile_key(
-            report.workload, report.dataset, topology, report.engine,
-            report.seed, report.epochs, report.n_accesses, controller)
-        path = store.store(key, report)
-        print(f"profile saved: {path}")
+        spec = autotune_spec(
+            report.workload, topology, dataset=report.dataset,
+            engine=report.engine, seed=report.seed, epochs=report.epochs,
+            n_accesses=report.n_accesses, controller=controller)
+        key = content_key(spec, code_version_salt())
+        cache = ResultCache(cache_root(args.cache_dir))
+        cache.put(key, spec, report, AutotuneReport.to_dict)
+        print(f"profile saved: {key} in {cache.root}")
     return 0
 
 
@@ -673,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="raw trace length")
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--cache-dir", default=None,
-                        help="profile store root (default: "
+                        help="result-cache root (default: "
                              f"{describe_default()})")
     p_tune.add_argument("--no-save", action="store_true",
                         help="don't persist the tuned profile")

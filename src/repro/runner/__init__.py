@@ -41,6 +41,7 @@ from repro.runner.spec import (
     RunSpec,
     bw_ratio_policy,
     canonical_policy,
+    content_key,
     describe_topology,
     make_spec,
     parse_policy,
@@ -78,6 +79,7 @@ __all__ = [
     "code_version_salt",
     "configure",
     "configured",
+    "content_key",
     "decode_result",
     "default_cache_root",
     "default_chunk_timeout",

@@ -1,6 +1,7 @@
 """Content-addressed, log-structured result cache.
 
-Completed :class:`~repro.runner.spec.RunSpec` results are appended as
+Completed :class:`~repro.runner.spec.RunSpec` results — and the serve
+daemon's page-access profiles and tuned-ratio reports — are appended as
 frames to a few segment files, ``<root>/seg-NNNNNN.log``.  One frame:
 
 =======  ============================================================
@@ -8,7 +9,7 @@ bytes    field
 =======  ============================================================
 4        magic: ``\\xffRC`` plus the format-version byte
 4        CRC-32 of everything after this field
-64       the cache key (the spec's salted content hash, hex)
+64       the cache key (the salted content hash of the spec, hex)
 4 + 4    lengths of the result part and the spec part
 32       SHA-256 of the result part — the value :func:`result_digest`
          gives for the payload
@@ -16,9 +17,10 @@ result   the result payload's canonical JSON (sorted keys, compact)
 spec     the canonical spec's JSON, kept for forensics
 =======  ============================================================
 
-Records round-trip :class:`~repro.core.experiment.ExperimentResult`
-exactly — JSON floats preserve every bit of a double — so a cache hit
-is indistinguishable from re-running the simulation.
+The caller supplies a record's encode and decode steps; both default
+to :class:`~repro.core.experiment.ExperimentResult`'s.  Records
+round-trip exactly — JSON floats preserve every bit of a double — so a
+cache hit is indistinguishable from re-running the computation.
 
 Reads: a :class:`ResultCache` indexes key → frame by walking the frame
 headers of every segment once, and walks only the bytes appended since
@@ -38,10 +40,11 @@ to lock that segment truncates it before its first append.
 Robustness policy: the cache is advisory, and a corrupt entry must
 never surface as a wrong result.  A frame that fails its CRC or
 SHA-256, or carries another format version, or was torn off at the end
-of a segment, is **copied to** ``<root>/quarantine/`` (kept for
-forensics), marked dead in place (its version byte zeroed, so no later
-walk indexes it), counted in ``stats.invalid``/``stats.quarantined``,
-and treated as a miss so the result is recomputed.
+of a segment, or does not decode, is **copied to** ``<root>/quarantine/``
+(kept for forensics), marked dead in place (its version byte zeroed, so
+no later walk indexes it), counted in ``stats.invalid``/
+``stats.quarantined``, and treated as a miss so the result is
+recomputed.
 
 Fault injection: reads and writes consult the active
 :class:`~repro.resilience.faults.FaultPlan` at sites ``cache.read``
@@ -65,7 +68,7 @@ import weakref
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -104,6 +107,8 @@ _KEY_BYTES = 64
 _MAGIC_CRC = struct.Struct("<4sI")
 _FIELDS = struct.Struct(f"<{_KEY_BYTES}sII32s")
 _HEADER_SIZE = _MAGIC_CRC.size + _FIELDS.size
+
+T = TypeVar("T")
 
 
 def encode_result(result: ExperimentResult) -> dict:
@@ -205,13 +210,12 @@ def result_digest(payload: dict) -> str:
     return hashlib.sha256(canonical_result_bytes(payload)).hexdigest()
 
 
-def _frame(key: str, spec_canonical: dict,
-           result: ExperimentResult) -> bytes:
+def _frame(key: str, spec_canonical: dict, payload: dict) -> bytes:
     """One record as a segment frame (see the module docstring)."""
     raw_key = key.encode("ascii")
     if len(raw_key) > _KEY_BYTES:
         raise CacheEncodingError(f"cache key too long: {key!r}")
-    body = canonical_result_bytes(encode_result(result))
+    body = canonical_result_bytes(payload)
     spec = strict_json_dumps(spec_canonical, allow_non_finite=True,
                              separators=(",", ":")).encode("utf-8")
     rest = (_FIELDS.pack(raw_key, len(body), len(spec),
@@ -518,12 +522,15 @@ class ResultCache:
                   cause="torn frame at the end of the segment")
         return True
 
-    def get(self, key: str) -> Optional[ExperimentResult]:
-        """The cached result for ``key``, or ``None`` (counted a miss).
+    def get(self, key: str,
+            decode: Callable[[dict], T] = decode_result) -> Optional[T]:
+        """The cached record for ``key``, or ``None`` (counted a miss).
 
-        Damaged frames are quarantined so they are recomputed once, not
-        re-read on every lookup — and a corrupt record can never
-        surface as a wrong result.
+        ``decode`` rebuilds the value from the record's JSON payload.
+        Damaged frames, and frames ``decode`` rejects (``ValueError``,
+        ``KeyError``, ``TypeError``), are quarantined so they are
+        recomputed once, not re-read on every lookup — and a corrupt
+        record can never surface as a wrong result.
         """
         with self._lock, obs_trace.span("cache.get", cat="cache",
                                         key=key[:12]) as span:
@@ -546,8 +553,7 @@ class ResultCache:
                     self._damage(where, action)
             frame = where[0].read(where[1], where[2])
             try:
-                result = decode_result(
-                    json.loads(_verified_result(frame, key)))
+                result = decode(json.loads(_verified_result(frame, key)))
             except (ValueError, KeyError, TypeError) as exc:
                 self.stats.misses += 1
                 cause = f"{type(exc).__name__}: {exc}"
@@ -659,20 +665,21 @@ class ResultCache:
                 self.stats.stores += 1
                 self._release_writer(abandon=True)
 
-    def put(self, key: str, spec_canonical: dict,
-            result: ExperimentResult) -> None:
+    def put(self, key: str, spec_canonical: dict, result: Any,
+            encode: Callable[[Any], dict] = encode_result) -> None:
         """Durably persist ``result`` under ``key``."""
-        self.put_many([(key, spec_canonical, result)])
+        self.put_many([(key, spec_canonical, result)], encode)
 
-    def put_many(self, records: Iterable[
-            tuple[str, dict, ExperimentResult]]) -> None:
+    def put_many(self, records: Iterable[tuple[str, dict, Any]],
+                 encode: Callable[[Any], dict] = encode_result) -> None:
         """Durably persist ``(key, spec_canonical, result)`` records with
         one append and one fsync (the sweep runner's harvested chunk).
 
-        Every record is encoded before anything is written, so a record
-        that cannot be stored exactly fails the whole call cleanly.
+        ``encode`` turns a result into its JSON payload.  Every record
+        is encoded before anything is written, so a record that cannot
+        be stored exactly fails the whole call cleanly.
         """
-        frames = [(key, _frame(key, spec, result))
+        frames = [(key, _frame(key, spec, encode(result)))
                   for key, spec, result in records]
         with self._lock:
             plan = self._plan()

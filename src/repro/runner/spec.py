@@ -169,6 +169,19 @@ def describe_topology(topology: Optional[SystemTopology]) -> Optional[dict]:
     return json.loads(json.dumps(description, default=str))
 
 
+def content_key(canonical: dict, salt: str) -> str:
+    """Salted SHA-256 (64 hex) of a canonical description: the key of
+    every result-cache record.  Records other than experiments carry a
+    ``"kind"`` in ``canonical``, so their keys never meet a spec's."""
+    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"),
+                         default=str)
+    digest = hashlib.sha256()
+    digest.update(payload.encode())
+    digest.update(b"\0")
+    digest.update(salt.encode())
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Everything that determines one experiment's result.
@@ -207,15 +220,7 @@ class RunSpec:
 
     def cache_key(self, salt: str) -> str:
         """Content hash of the canonical spec plus a code-version salt."""
-        payload = json.dumps(
-            self.canonical(), sort_keys=True, separators=(",", ":"),
-            default=str,
-        )
-        digest = hashlib.sha256()
-        digest.update(payload.encode())
-        digest.update(b"\0")
-        digest.update(salt.encode())
-        return digest.hexdigest()
+        return content_key(self.canonical(), salt)
 
     def label(self) -> str:
         """Short human-readable tag for manifests and logs."""

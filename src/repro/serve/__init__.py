@@ -9,8 +9,8 @@ repro library in an asyncio HTTP daemon:
 * :class:`ServeApp` / :func:`run` — the daemon itself
   (``repro serve``);
 * :class:`PlacementService` — protocol-independent request semantics
-  (micro-batched placement, deduplicated + bounded + cached simulate,
-  cached profiles, Prometheus metrics);
+  (micro-batched placement; simulate, profile and autotune jobs
+  deduplicated, bounded and cached; Prometheus metrics);
 * :class:`ServeClient` — stdlib client library (``repro request``);
 * :class:`ServeConfig` — every knob in one dataclass;
 * :class:`BackgroundServer` — in-process harness for tests/embedding.

@@ -6,9 +6,10 @@ Two shapes of request coalescing, both pure asyncio:
   (``/v1/placement``) by collecting everything that arrives within a
   short window into one handler call;
 * :class:`SingleFlight` — deduplicate expensive identical requests
-  (``/v1/simulate``): the first caller starts the job, concurrent
-  identical callers await the *same* task, and the key is released when
-  the job completes (after which the on-disk cache serves repeats).
+  (simulate, profile, autotune jobs): the first caller starts the job,
+  concurrent identical callers await the *same* task, and the key is
+  released when the job completes (after which the on-disk cache
+  serves repeats).
 
 Neither primitive knows anything about HTTP or placement — they are
 testable in isolation (see ``tests/test_serve_units.py``).
@@ -153,9 +154,9 @@ class MicroBatcher:
 class SingleFlight:
     """Share one in-flight task among identical concurrent requests.
 
-    Keys identify work (here: a :class:`RunSpec` cache key).  The first
-    ``join_or_start`` for a key creates the task; later calls return
-    the same task with ``joined=True``.  The entry is dropped when the
+    Keys identify work (here: a job's result-cache content key).  The
+    first ``join_or_start`` for a key creates the task; later calls
+    return the same task with ``joined=True``.  The entry is dropped when the
     task finishes, so post-completion repeats start fresh (and are then
     satisfied by whatever persistent cache the task populated).
 

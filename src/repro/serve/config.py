@@ -38,11 +38,12 @@ class ServeConfig:
     """Everything the daemon needs to run.
 
     Queue semantics: ``max_pending_jobs`` bounds *distinct* in-flight
-    simulate jobs (deduplicated joiners ride along for free); beyond it
-    the daemon answers 429 with ``Retry-After``.  ``simulate_workers``
-    threads drain that queue, each running one
-    :class:`~repro.runner.sweep.SweepRunner` batch (which consults the
-    shared on-disk cache first).  ``/v1/placement`` never enters this
+    jobs — simulate, profile and autotune together (deduplicated
+    joiners ride along for free); beyond it the daemon answers 429 with
+    ``Retry-After``.  ``simulate_workers`` threads drain that queue; a
+    simulate job runs one :class:`~repro.runner.sweep.SweepRunner` batch,
+    and every kind consults the shared on-disk result cache first.
+    ``/v1/placement`` never enters this
     queue — it is answered from the closed-form ``GetAllocation`` path,
     micro-batched over a ``batch_window_ms`` collection window.
     """
@@ -58,16 +59,16 @@ class ServeConfig:
     #: worker processes per simulate job (SweepRunner ``jobs``).
     jobs: int = 1
 
-    #: distinct simulate jobs allowed in flight before 429.
+    #: distinct jobs of any kind allowed in flight before 429.
     max_pending_jobs: int = 8
-    #: threads draining the simulate queue.
+    #: threads draining the job queue.
     simulate_workers: int = 2
     #: wall-clock budget per request before the daemon answers 504.
     request_timeout_s: float = 120.0
     #: Retry-After hint attached to 429 responses.
     retry_after_s: float = 1.0
 
-    #: consecutive simulate failures before the circuit breaker opens
+    #: consecutive job failures before the circuit breaker opens
     #: (open → fast 503 + Retry-After instead of queueing doomed work).
     breaker_threshold: int = 5
     #: seconds the breaker stays open before admitting half-open probes.
@@ -98,9 +99,6 @@ class ServeConfig:
     #: inline (unbatched) computation instead of queueing further.
     max_placement_queue: int = 256
 
-    #: cached workload profiles kept in memory (LRU).
-    profile_cache_size: int = 32
-
     #: ceiling on request body size (bytes); 413 beyond it.
     max_body_bytes: int = 4 * 1024 * 1024
 
@@ -122,8 +120,6 @@ class ServeConfig:
             raise ConfigError("batch_window_ms must be >= 0")
         if self.max_batch_size < 1:
             raise ConfigError("max_batch_size must be >= 1")
-        if self.profile_cache_size < 1:
-            raise ConfigError("profile_cache_size must be >= 1")
         if self.breaker_threshold < 1:
             raise ConfigError("breaker_threshold must be >= 1")
         if self.breaker_reset_s <= 0:

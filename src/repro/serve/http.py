@@ -45,8 +45,7 @@ import time
 from typing import Any, Mapping, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.core.errors import RequestLimitError, ServeError
-from repro.core.limits import DEFAULT_REQUEST_LIMITS
+from repro.core.errors import ServeError
 from repro.obs import trace as obs_trace
 from repro.obs.log import log_event
 from repro.serve.config import ServeConfig
@@ -525,29 +524,12 @@ class ServeApp:
             raise ServeError(f"bad profile path {request.path!r}",
                              status=404)
         query = request.query
-        accesses: Optional[int] = None
-        if "accesses" in query:
-            try:
-                accesses = DEFAULT_REQUEST_LIMITS.check_accesses(
-                    max(1, int(query["accesses"])), "n_accesses")
-            except ValueError:
-                raise ServeError("'accesses' must be an integer",
-                                 status=400)
-            except RequestLimitError as exc:
-                raise ServeError(str(exc), status=400)
-        try:
-            seed = int(query.get("seed", "0"))
-        except ValueError:
-            seed = -1
-        if seed < 0:
-            raise ServeError("'seed' must be a non-negative integer",
-                             status=400)
-        result = await self.service.profile(
-            workload,
-            dataset=query.get("dataset", "default"),
-            n_accesses=accesses,
-            seed=seed,
-        )
+        result = await self.service.profile({
+            "workload": workload,
+            "dataset": query.get("dataset", "default"),
+            "n_accesses": query.get("accesses"),
+            "seed": query.get("seed"),
+        }, deadline=request.deadline)
         return _HttpResponse.json(result)
 
 

@@ -1,36 +1,35 @@
 """The placement service: request semantics behind the HTTP surface.
 
-:class:`PlacementService` owns the three request paths and all their
-shared state; the HTTP layer (:mod:`repro.serve.http`) only translates
-between wire format and these methods.
+:class:`PlacementService` owns every request path and all their shared
+state; the HTTP layer (:mod:`repro.serve.http`) only translates between
+wire format and these methods.
 
 * **placement** — the paper's ``GetAllocation`` (Fig. 9) as a service:
   closed-form, cheap, micro-batched across concurrent requests via
   :class:`~repro.serve.batching.MicroBatcher`.  When the batch queue
   saturates the service degrades to inline computation — placement is
   the path that must always answer.
-* **simulate** — a full workload x policy experiment through one shared
-  :class:`~repro.runner.sweep.SweepRunner` (process fan-out + the
-  on-disk result cache every other repro entry point shares).  Identical
-  concurrent requests are deduplicated with
-  :class:`~repro.serve.batching.SingleFlight`; *distinct* in-flight jobs
-  are bounded, and beyond the bound the service refuses with a
-  retryable :class:`ServiceSaturatedError` (HTTP 429).
-* **profile** — Section 5.1 profiling runs, cached in an in-memory LRU
-  keyed by (workload, dataset, accesses, seed).
+* **jobs** — *simulate* (a workload x policy experiment through one
+  shared :class:`~repro.runner.sweep.SweepRunner`), *profile* (a
+  Section 5.1 page-access profile) and *autotune* (the closed-loop
+  interleave ratio).  Each public method parses its payload, derives
+  the salted content key its result is cached under, and hands a job
+  body to one admission path: refused while draining (503), fast-failed
+  while the :class:`~repro.resilience.breaker.CircuitBreaker` is open
+  (503), bounded to ``max_pending_jobs`` *distinct* jobs (429),
+  deduplicated through one :class:`~repro.serve.batching.SingleFlight`,
+  then run on the executor.  Every result is a record of the runner's
+  checksummed :class:`~repro.runner.cache.ResultCache`, so it stays
+  warm across restarts and ``repro autotune`` reports are warm here.
 
-Resilience: the simulate path sits behind a
-:class:`~repro.resilience.breaker.CircuitBreaker` — repeated job
-failures open it, after which requests get a fast 503 + ``Retry-After``
-instead of queueing onto a failing backend; half-open probes close it
-again once jobs succeed.  Request deadlines propagate from the HTTP
-layer through :meth:`PlacementService.simulate` into
-:meth:`SweepRunner.run`, so a job never keeps computing past the point
-its caller stopped waiting.  :meth:`PlacementService.stop` drains
-in-flight jobs (bounded by ``drain_timeout_s``) before tearing down
-the executor — the graceful-shutdown path ``repro serve`` runs on
-SIGTERM/SIGINT.  Failures are injectable at site ``serve.simulate``
-via :class:`~repro.resilience.faults.FaultPlan`.
+Request deadlines propagate from the HTTP layer into every job (and
+through :meth:`SweepRunner.run` for simulate), so a job never keeps
+computing past the point its caller stopped waiting.
+:meth:`PlacementService.stop` drains in-flight jobs (bounded by
+``drain_timeout_s``) before tearing down the executor — the
+graceful-shutdown path ``repro serve`` runs on SIGTERM/SIGINT.
+Simulate failures are injectable at site ``serve.simulate`` via
+:class:`~repro.resilience.faults.FaultPlan`.
 
 Every path records Prometheus metrics in the service's registry; the
 integration tests and the CI smoke job assert against that text.
@@ -43,10 +42,9 @@ import contextvars
 import math
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.core.errors import (
     IngestError,
@@ -76,12 +74,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.policies.registry import policy_names
 from repro.profiling.cdf import AccessCdf
 from repro.profiling.profiler import PageAccessProfiler
-from repro.runner import ResultCache, SweepRunner, make_spec
+from repro.runner import ResultCache, SweepRunner, content_key, make_spec
 from repro.runner.spec import RunSpec, parse_policy
 from repro.runtime.hints import get_allocation
 from repro.serve.batching import BatchSaturatedError, MicroBatcher, SingleFlight
 from repro.serve.config import ServeConfig
-from repro.tuning import AutotuneReport, RatioController, TunedProfileStore
+from repro.tuning import AutotuneReport, RatioController, autotune_spec
 from repro.tuning.autotuner import autotune as run_autotune
 from repro.workloads import get_workload, workload_names
 
@@ -258,7 +256,7 @@ def parse_simulate_spec(payload: Mapping[str, Any]) -> RunSpec:
 
 def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
     """Validate a ``/v1/autotune`` payload into canonical parameters."""
-    workload, resolved = _workload_field(payload)
+    _, resolved = _workload_field(payload)
     topology_name = payload.get("topology", "baseline")
     if not isinstance(topology_name, str):
         raise BadRequestError(
@@ -297,7 +295,7 @@ def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
     except RequestLimitError as exc:
         raise BadRequestError(str(exc))
     return {
-        "workload": workload,
+        "workload": resolved.name,
         "dataset": _check_dataset(resolved,
                                   payload.get("dataset", "default")),
         "topology_name": topology_name,
@@ -309,6 +307,43 @@ def parse_autotune_request(payload: Mapping[str, Any]) -> dict:
         "controller": controller,
         "force": bool(payload.get("force", False)),
     }
+
+
+def parse_profile_request(payload: Mapping[str, Any]) -> dict:
+    """Validate a ``/v1/profile`` request into canonical parameters.
+
+    ``n_accesses`` below 1 is raised to 1; ``None`` means the
+    workload's default trace length.
+    """
+    _, resolved = _workload_field(payload)
+    n_accesses = _int_field(payload, "n_accesses")
+    try:
+        n_accesses = DEFAULT_REQUEST_LIMITS.check_accesses(
+            None if n_accesses is None else max(1, n_accesses),
+            "n_accesses")
+    except RequestLimitError as exc:
+        raise BadRequestError(str(exc))
+    return {
+        "workload": resolved.name,
+        "dataset": _check_dataset(resolved,
+                                  payload.get("dataset", "default")),
+        "n_accesses": n_accesses,
+        "seed": _int_field(payload, "seed", default=0, minimum=0),
+    }
+
+
+#: the fields of a ``/v1/profile`` payload, which a cached profile
+#: record must carry all of.
+_PROFILE_FIELDS = ("workload", "dataset", "seed", "n_accesses",
+                   "total_accesses", "footprint_pages",
+                   "never_accessed_pages", "skew", "traffic_top10",
+                   "structures")
+
+
+def _decode_profile(payload: dict) -> dict:
+    """A cached profile record's payload; ``KeyError`` (so the record
+    is quarantined) unless it carries every field."""
+    return {field: payload[field] for field in _PROFILE_FIELDS}
 
 
 class PlacementService:
@@ -356,14 +391,8 @@ class PlacementService:
             max_workers=self.config.simulate_workers,
             thread_name_prefix="repro-serve-sim",
         )
+        #: every in-flight job of every kind, by content key.
         self._flight = SingleFlight()
-        self._profile_flight = SingleFlight()
-        self._autotune_flight = SingleFlight()
-        # Tuned profiles share the result-cache root (CLI-tuned
-        # profiles are warm here and vice versa); no cache root means
-        # tuning still runs, just without persistence.
-        self.profile_store = (TunedProfileStore(cache_dir)
-                              if cache_dir is not None else None)
         self._batcher = MicroBatcher(
             self._placement_batch,
             window_s=self.config.batch_window_ms / 1000.0,
@@ -375,7 +404,6 @@ class PlacementService:
         # left /metrics stale between batches and blind to bursts.
         self._batcher.on_depth_change = (
             lambda depth: self.m_queue_depth.set(depth))
-        self._profiles: OrderedDict[tuple, dict] = OrderedDict()
         self._tables_cache: dict[str, FirmwareTables] = {}
 
         m = self.metrics
@@ -405,7 +433,8 @@ class PlacementService:
             "Simulate requests refused with 429 (queue saturated).")
         self.m_sim_inflight = m.gauge(
             "repro_serve_simulate_inflight",
-            "Distinct simulate jobs currently in flight.")
+            "Distinct jobs (simulate, profile, autotune) currently in "
+            "flight; max_pending_jobs bounds them together.")
         self.m_queue_depth = m.gauge(
             "repro_serve_queue_depth",
             "Queued placement requests awaiting a micro-batch.")
@@ -424,10 +453,10 @@ class PlacementService:
             "saturated; graceful degradation).")
         self.m_profile_hits = m.counter(
             "repro_serve_profile_cache_hits_total",
-            "Profile requests served from the in-memory LRU.")
+            "Profile jobs answered from the on-disk result cache.")
         self.m_profile_misses = m.counter(
             "repro_serve_profile_cache_misses_total",
-            "Profile requests that ran the profiler.")
+            "Profile jobs that ran the profiler.")
         self.m_timeouts = m.counter(
             "repro_serve_timeouts_total",
             "Requests that exceeded the per-request timeout.")
@@ -436,18 +465,19 @@ class PlacementService:
             "Simulate jobs that raised (excluding deadline rejects).")
         self.m_breaker_state = m.gauge(
             "repro_serve_breaker_state",
-            "Simulate circuit breaker state "
+            "Job circuit breaker state "
             "(0=closed, 1=open, 2=half_open).")
         self.m_breaker_transitions = m.counter(
             "repro_serve_breaker_transitions_total",
             "Circuit breaker state transitions by edge.")
         self.m_breaker_rejected = m.counter(
             "repro_serve_breaker_rejected_total",
-            "Simulate requests fast-failed 503 while the breaker "
+            "Jobs of any kind fast-failed 503 while the breaker "
             "was open.")
         self.m_deadline_rejected = m.counter(
             "repro_serve_deadline_rejected_total",
-            "Simulate work abandoned because its deadline passed.")
+            "Jobs of any kind abandoned because their deadline "
+            "passed.")
         self.m_runner_retries = m.counter(
             "repro_serve_runner_retries_total",
             "Chunk retries performed by the sweep runner.")
@@ -484,7 +514,7 @@ class PlacementService:
             "Accepted /v1/autotune requests.")
         self.m_autotune_profile_hits = m.counter(
             "repro_serve_autotune_profile_hits_total",
-            "Autotune requests answered from the tuned-profile store.")
+            "Autotune jobs answered from the on-disk result cache.")
         self.m_autotune_runs = m.counter(
             "repro_serve_autotune_runs_total",
             "Closed-loop tuning runs actually executed.")
@@ -493,7 +523,15 @@ class PlacementService:
             "1 while the daemon is draining for shutdown.")
         self.m_drained = m.counter(
             "repro_serve_drained_jobs_total",
-            "In-flight simulate jobs completed during graceful drain.")
+            "In-flight jobs of any kind completed during graceful "
+            "drain.")
+        #: per job kind: the (cache hit, cache miss) counters.
+        self._cache_counters = {
+            "simulate": (self.m_sim_cache_hits, self.m_sim_cache_misses),
+            "profile": (self.m_profile_hits, self.m_profile_misses),
+            "autotune": (self.m_autotune_profile_hits,
+                         self.m_autotune_runs),
+        }
 
     # ------------------------------------------------------------------
     # resilience plumbing
@@ -516,9 +554,6 @@ class PlacementService:
             self.m_runner_rebuilds.inc(recovery["pool_rebuilds"])
         if recovery.get("degraded_serial"):
             self.m_runner_degraded.inc(recovery["degraded_serial"])
-        if self.runner.cache is not None:
-            self.m_cache_quarantined.set(
-                self.runner.cache.stats.quarantined)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -530,15 +565,13 @@ class PlacementService:
     async def stop(self) -> None:
         """Graceful shutdown: refuse new work, drain in-flight jobs.
 
-        In-flight simulate/profile jobs get up to ``drain_timeout_s``
-        to finish (their waiters receive real responses and their
-        results reach the cache); only then are the batcher and the
-        executor torn down.
+        In-flight jobs get up to ``drain_timeout_s`` to finish (their
+        waiters receive real responses and their results reach the
+        cache); only then are the batcher and the executor torn down.
         """
         self._draining = True
         self.m_draining.set(1)
-        pending = (self._flight.tasks() + self._profile_flight.tasks()
-                   + self._autotune_flight.tasks())
+        pending = self._flight.tasks()
         if pending and self.config.drain_timeout_s > 0:
             done, _ = await asyncio.wait(
                 pending, timeout=self.config.drain_timeout_s)
@@ -682,6 +715,132 @@ class PlacementService:
         return dict(result, degraded=degraded)
 
     # ------------------------------------------------------------------
+    # jobs: simulate, profile, autotune
+    # ------------------------------------------------------------------
+
+    def _run_job(self, body: Callable[[Optional[float]], tuple],
+                 deadline: Optional[float]) -> tuple:
+        """Executor-thread body of every job: ``body(deadline)`` returns
+        ``(payload, cache_hit)``.
+
+        ``deadline`` (``time.monotonic()`` absolute) is checked here and
+        handed on; simulate propagates it into the runner, which stops
+        launching work once it passes.
+        """
+        if deadline is not None and time.monotonic() >= deadline:
+            raise DeadlineExceededError(
+                "request deadline passed before the job started")
+        return body(deadline)
+
+    async def _job(self, kind: str, key: str,
+                   body: Callable[[Optional[float]], tuple],
+                   deadline: Optional[float],
+                   **span_args: Any) -> tuple[Any, bool, bool]:
+        """The one admission path: drain check, circuit breaker,
+        ``max_pending_jobs`` bound, single-flight on ``key``, then
+        ``body`` on the executor.  Returns ``(payload, cache_hit,
+        deduplicated)``.
+
+        Deduplicated joiners are not refused by the breaker or the
+        bound (they add no load) and share the *first* waiter's
+        deadline.
+        """
+        simulate = kind == "simulate"
+        if self._draining:
+            raise ServiceUnavailableError(
+                "daemon is draining for shutdown",
+                retry_after=self.config.retry_after_s,
+            )
+        joined_existing = key in self._flight.keys()
+        if not joined_existing and not self.breaker.allow():
+            self.m_breaker_rejected.inc()
+            raise ServiceUnavailableError(
+                "job circuit breaker is open after repeated failures",
+                retry_after=max(self.breaker.retry_after(),
+                                self.config.retry_after_s),
+            )
+        if (not joined_existing
+                and len(self._flight) >= self.config.max_pending_jobs):
+            if simulate:
+                self.m_sim_rejected.inc()
+            raise ServiceSaturatedError(
+                f"job queue full "
+                f"({self.config.max_pending_jobs} jobs in flight)",
+                retry_after=self.config.retry_after_s,
+            )
+
+        loop = asyncio.get_running_loop()
+        hits, misses = self._cache_counters[kind]
+
+        async def job() -> tuple:
+            if simulate:
+                self.m_sim_jobs.inc()
+            try:
+                plan = self._fault() if simulate else None
+                action = (plan.decide("serve.simulate", key=key)
+                          if plan else None)
+                if action is not None:
+                    if action.mode == "hang":
+                        await asyncio.sleep(action.delay_s)
+                    else:
+                        raise InjectedFaultError(
+                            "injected fault at serve.simulate")
+                # run_in_executor does not copy the caller's context:
+                # carry it over so the worker thread keeps the request's
+                # trace id and span lane.
+                ctx = contextvars.copy_context()
+                outcome = await loop.run_in_executor(
+                    self._executor,
+                    lambda: ctx.run(self._run_job, body, deadline),
+                )
+            except DeadlineExceededError:
+                # Client-caused: the backend is fine, don't trip the
+                # breaker on it.
+                self.m_deadline_rejected.inc()
+                raise
+            except Exception:
+                if simulate:
+                    self.m_sim_failures.inc()
+                self.breaker.record_failure()
+                raise
+            self.breaker.record_success()
+            (hits if outcome[1] else misses).inc()
+            return outcome
+
+        task, joined = self._flight.join_or_start(key, job)
+        if joined and simulate:
+            self.m_sim_dedup.inc()
+        self.m_sim_inflight.set(len(self._flight))
+        with obs_trace.span(f"serve.{kind}", cat="serve",
+                            **span_args) as span:
+            span.annotate(deduplicated=joined)
+            try:
+                # shield: one waiter's cancellation/timeout must not
+                # kill a job other waiters share (and whose result
+                # feeds the cache).
+                payload, cache_hit = await asyncio.shield(task)
+            finally:
+                self.m_sim_inflight.set(len(self._flight))
+            span.annotate(cache_hit=cache_hit)
+        return payload, cache_hit, joined
+
+    def _cached(self, key: str, spec: dict, compute: Callable[[], Any],
+                encode: Callable[[Any], dict],
+                decode: Callable[[dict], Any],
+                force: bool = False) -> tuple[Any, bool]:
+        """``(value, cache_hit)``: the result-cache record for ``key``
+        unless ``force``, else ``compute()`` stored under ``key``."""
+        cache = self.runner.cache
+        if cache is not None and not force:
+            value = cache.get(key, decode)
+            if value is not None:
+                return value, True
+        value = compute()
+        if cache is not None:
+            cache.put(key, spec, value, encode)
+        return value, False
+
+    # ------------------------------------------------------------------
     # /v1/simulate
     # ------------------------------------------------------------------
 
@@ -689,16 +848,10 @@ class PlacementService:
         """Validate a simulate payload into a canonical RunSpec."""
         return parse_simulate_spec(payload)
 
-    def _run_spec_job(self, spec: RunSpec,
-                      deadline: Optional[float] = None) -> dict:
-        """Executor-thread body: one runner batch for one spec.
-
-        ``deadline`` (``time.monotonic()`` absolute) is propagated
-        into the runner, which stops launching work once it passes.
-        """
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceededError(
-                "request deadline passed before the simulation started")
+    def _simulate_body(self, spec: RunSpec,
+                       deadline: Optional[float]) -> tuple[dict, bool]:
+        """One runner batch for one spec (the runner reads and fills
+        the result cache itself)."""
         started = time.perf_counter()
         try:
             outcome = self.runner.run([spec], deadline=deadline)
@@ -708,7 +861,8 @@ class PlacementService:
             raise
         record = outcome.manifest.records[0]
         result = outcome.results[0]
-        return {
+        self._export_runner_recovery(outcome.manifest.recovery)
+        report = {
             "cache_hit": bool(record.cache_hit),
             "duration_s": time.perf_counter() - started,
             "recovery": dict(outcome.manifest.recovery),
@@ -726,100 +880,23 @@ class PlacementService:
                     list(result.placement_fractions()),
             },
         }
+        return report, report["cache_hit"]
 
     async def simulate(self, payload: Mapping[str, Any],
                        deadline: Optional[float] = None) -> dict:
-        """Deduplicated, bounded, breaker-guarded, cached simulate path.
+        """Run (or recall) one workload x policy experiment.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant (the
         HTTP layer derives it from the request timeout); it rides into
-        the runner so abandoned requests stop consuming workers.  When
-        deduplicated joiners share a job, the job runs under the
-        *first* waiter's deadline.
+        the runner so abandoned requests stop consuming workers.
         """
         spec = self.parse_simulate_spec(payload)
         key = spec.cache_key(self.runner.salt)
         self.m_sim_requests.inc()
-
-        if self._draining:
-            raise ServiceUnavailableError(
-                "daemon is draining for shutdown",
-                retry_after=self.config.retry_after_s,
-            )
-
-        joined_existing = key in self._flight.keys()
-        if not joined_existing and not self.breaker.allow():
-            self.m_breaker_rejected.inc()
-            raise ServiceUnavailableError(
-                "simulate circuit breaker is open after repeated "
-                "failures",
-                retry_after=max(self.breaker.retry_after(),
-                                self.config.retry_after_s),
-            )
-        if (not joined_existing
-                and len(self._flight) >= self.config.max_pending_jobs):
-            self.m_sim_rejected.inc()
-            raise ServiceSaturatedError(
-                f"simulate queue full "
-                f"({self.config.max_pending_jobs} jobs in flight)",
-                retry_after=self.config.retry_after_s,
-            )
-
-        loop = asyncio.get_running_loop()
-
-        async def job() -> dict:
-            self.m_sim_jobs.inc()
-            try:
-                plan = self._fault()
-                action = (plan.decide("serve.simulate", key=key)
-                          if plan else None)
-                if action is not None:
-                    if action.mode == "hang":
-                        await asyncio.sleep(action.delay_s)
-                    else:
-                        raise InjectedFaultError(
-                            "injected fault at serve.simulate")
-                # run_in_executor does not copy the caller's context:
-                # carry it over so the worker thread keeps the request's
-                # trace id and span lane.
-                ctx = contextvars.copy_context()
-                report = await loop.run_in_executor(
-                    self._executor,
-                    lambda: ctx.run(self._run_spec_job, spec, deadline),
-                )
-            except DeadlineExceededError:
-                # Client-caused: the backend is fine, don't trip the
-                # breaker on it.
-                self.m_deadline_rejected.inc()
-                raise
-            except Exception:
-                self.m_sim_failures.inc()
-                self.breaker.record_failure()
-                raise
-            self.breaker.record_success()
-            if report["cache_hit"]:
-                self.m_sim_cache_hits.inc()
-            else:
-                self.m_sim_cache_misses.inc()
-            self._export_runner_recovery(report.get("recovery", {}))
-            return report
-
-        task, joined = self._flight.join_or_start(key, job)
-        if joined:
-            self.m_sim_dedup.inc()
-        self.m_sim_inflight.set(len(self._flight))
-        with obs_trace.span("serve.simulate", cat="serve",
-                            workload=spec.workload,
-                            policy=spec.policy) as span:
-            span.annotate(deduplicated=joined)
-            try:
-                # shield: one waiter's cancellation/timeout must not
-                # kill a job other waiters share (and whose result
-                # feeds the cache).
-                report = await asyncio.shield(task)
-            finally:
-                self.m_sim_inflight.set(len(self._flight))
-            span.annotate(cache_hit=bool(report.get("cache_hit")))
+        report, _, joined = await self._job(
+            "simulate", key,
+            lambda deadline: self._simulate_body(spec, deadline),
+            deadline, workload=spec.workload, policy=spec.policy)
         return {
             "spec": spec.canonical(),
             "cache_key": key,
@@ -916,11 +993,12 @@ class PlacementService:
     # /v1/profile/<workload>
     # ------------------------------------------------------------------
 
-    def _profile_payload(self, workload_name: str, dataset: str,
+    @staticmethod
+    def _profile_payload(workload: str, dataset: str,
                          n_accesses: Optional[int], seed: int) -> dict:
-        workload = get_workload(workload_name)
         profile = PageAccessProfiler().profile(
-            workload, dataset, n_accesses=n_accesses, seed=seed,
+            get_workload(workload), dataset, n_accesses=n_accesses,
+            seed=seed,
         )
         cdf = AccessCdf.from_counts(profile.page_counts)
         return {
@@ -944,119 +1022,50 @@ class PlacementService:
             ],
         }
 
-    async def profile(self, workload_name: str, dataset: str = "default",
-                      n_accesses: Optional[int] = None,
-                      seed: int = 0) -> dict:
-        try:
-            workload = get_workload(workload_name)
-        except WorkloadError as exc:
-            raise BadRequestError(str(exc))
-        _check_dataset(workload, dataset)
-        key = (workload_name, dataset, n_accesses, seed)
-        cached = self._profiles.get(key)
-        if cached is not None:
-            self._profiles.move_to_end(key)
-            self.m_profile_hits.inc()
-            return dict(cached, cached=True)
-        self.m_profile_misses.inc()
-        loop = asyncio.get_running_loop()
-
-        async def job() -> dict:
-            ctx = contextvars.copy_context()
-            payload = await loop.run_in_executor(
-                self._executor,
-                lambda: ctx.run(self._profile_payload, workload_name,
-                                dataset, n_accesses, seed),
-            )
-            self._profiles[key] = payload
-            while len(self._profiles) > self.config.profile_cache_size:
-                self._profiles.popitem(last=False)
-            return payload
-
-        task, _ = self._profile_flight.join_or_start(
-            "/".join(map(str, key)), job
-        )
-        with obs_trace.span("serve.profile", cat="serve",
-                            workload=workload_name, dataset=dataset):
-            payload = await asyncio.shield(task)
-        return dict(payload, cached=False)
+    async def profile(self, payload: Mapping[str, Any],
+                      deadline: Optional[float] = None) -> dict:
+        """One workload's Section 5.1 page-access profile."""
+        request = parse_profile_request(payload)
+        spec = {"kind": "profile", **request}
+        key = content_key(spec, self.runner.salt)
+        profile, cached, _ = await self._job(
+            "profile", key,
+            lambda _: self._cached(
+                key, spec, lambda: self._profile_payload(**request),
+                dict, _decode_profile),
+            deadline, workload=request["workload"],
+            dataset=request["dataset"])
+        return dict(profile, cached=cached)
 
     # ------------------------------------------------------------------
     # /v1/autotune
     # ------------------------------------------------------------------
 
-    def _autotune_payload(self, request: Mapping[str, Any]) -> dict:
-        """Executor-thread body: one closed-loop tuning run."""
-        report = run_autotune(
-            request["workload"], request["topology"],
-            dataset=request["dataset"],
-            engine=request["engine"],
-            n_accesses=request["n_accesses"],
-            seed=request["seed"],
-            epochs=request["epochs"],
-            controller=request["controller"],
-        )
-        return report.to_dict()
-
     async def autotune(self, payload: Mapping[str, Any],
                        deadline: Optional[float] = None) -> dict:
         """Tune (or recall) a workload's interleave ratio.
 
-        Per-workload tuned profiles persist in the result cache; a
-        repeat request is a profile-store hit unless ``force`` asks
-        for a fresh run.  Identical concurrent requests share one
-        tuning run through the single-flight map.
+        A repeat request is answered from the result cache unless
+        ``force`` asks for a fresh run.
         """
-        request = parse_autotune_request(payload)
-        key = TunedProfileStore.profile_key(
-            request["workload"], request["dataset"],
-            request["topology"], request["engine"], request["seed"],
-            request["epochs"], request["n_accesses"],
-            request["controller"],
-        )
+        params = parse_autotune_request(payload)
+        force = params.pop("force")
+        topology_name = params.pop("topology_name")
+        spec = autotune_spec(**params)
+        key = content_key(spec, self.runner.salt)
         self.m_autotune_requests.inc()
-        if self._draining:
-            raise ServiceUnavailableError(
-                "daemon is draining for shutdown",
-                retry_after=self.config.retry_after_s,
-            )
-        if not request["force"] and self.profile_store is not None:
-            stored = self.profile_store.load(key)
-            if stored is not None:
-                self.m_autotune_profile_hits.inc()
-                return {
-                    "profile_key": key,
-                    "cached": True,
-                    "profile": stored.to_dict(),
-                }
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceededError(
-                "request deadline passed before tuning started")
-        loop = asyncio.get_running_loop()
-
-        async def job() -> dict:
-            self.m_autotune_runs.inc()
-            ctx = contextvars.copy_context()
-            profile = await loop.run_in_executor(
-                self._executor,
-                lambda: ctx.run(self._autotune_payload, request),
-            )
-            if self.profile_store is not None:
-                self.profile_store.store(
-                    key, AutotuneReport.from_dict(profile))
-            return profile
-
-        task, joined = self._autotune_flight.join_or_start(key, job)
-        with obs_trace.span("serve.autotune", cat="serve",
-                            workload=request["workload"],
-                            topology=request["topology_name"]) as span:
-            span.annotate(deduplicated=joined)
-            profile = await asyncio.shield(task)
+        report, cached, joined = await self._job(
+            "autotune", key,
+            # run_autotune is looked up at call time: benchmarks rebind it.
+            lambda _: self._cached(
+                key, spec, lambda: run_autotune(**params),
+                AutotuneReport.to_dict, AutotuneReport.from_dict, force),
+            deadline, workload=params["workload"], topology=topology_name)
         return {
             "profile_key": key,
-            "cached": False,
+            "cached": cached,
             "deduplicated": joined,
-            "profile": profile,
+            "profile": report.to_dict(),
         }
 
     # ------------------------------------------------------------------

@@ -12,8 +12,8 @@ the phases, which is where it beats any static ratio.
 
 from repro.tuning.autotuner import (
     AutotuneReport,
-    TunedProfileStore,
     autotune,
+    autotune_spec,
     place_fractions,
     static_epoch_time_ns,
 )
@@ -22,8 +22,8 @@ from repro.tuning.controller import RatioController
 __all__ = [
     "AutotuneReport",
     "RatioController",
-    "TunedProfileStore",
     "autotune",
+    "autotune_spec",
     "place_fractions",
     "static_epoch_time_ns",
 ]

@@ -17,25 +17,21 @@ because positions never move — re-partitioning for new fractions only
 migrates pages near the moved boundaries, which is what makes the
 epoch-to-epoch placement *persistent* rather than a reshuffle.
 
-Tuned profiles persist as JSON under ``<cache-root>/autotune``, keyed
-by the same kind of canonical digest the sweep runner uses (including
-the code-version salt and the ``topology=`` description, so a chiplet
-profile can never be replayed onto the wrong fabric).
+Tuned reports are records of the sweep runner's result cache, keyed by
+the salted hash of :func:`autotune_spec` — which carries the
+``topology`` description, so a chiplet profile can never be replayed
+onto the wrong fabric.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.atomicio import atomic_write_json
-from repro.core.cachedir import cache_root
 from repro.core.errors import ConfigError
 from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.gpu.config import GpuConfig, table1_config
@@ -43,7 +39,6 @@ from repro.gpu.simulator import EngineName, make_engine, replay_epochs
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
 from repro.memory.topology import SystemTopology, simulated_baseline
 from repro.policies.base import validate_fractions
-from repro.runner.salt import code_version_salt
 from repro.runner.spec import describe_topology
 from repro.tuning.controller import RatioController
 from repro.workloads.base import TraceWorkload
@@ -203,55 +198,25 @@ def autotune(workload: Union[str, TraceWorkload],
     )
 
 
-class TunedProfileStore:
-    """Per-workload tuned profiles persisted in the result cache.
+def autotune_spec(workload: str, topology: SystemTopology, *,
+                  dataset: str, engine: str, seed: int, epochs: int,
+                  n_accesses: int, controller: RatioController) -> dict:
+    """The canonical description of one tuning run.
 
-    Lives under ``<cache-root>/autotune`` next to the sweep runner's
-    result shards and resolves the root through the same
-    :func:`~repro.core.cachedir.cache_root` rule, so CLI-tuned profiles
-    are warm for the serve daemon and vice versa.
+    Its salted hash (:func:`repro.runner.spec.content_key`) keys the
+    run's :class:`AutotuneReport` in the result cache, so ``repro
+    autotune`` and ``/v1/autotune`` find each other's reports.
+    ``workload`` is the canonical name: an ingested trace's checksum
+    is part of it.
     """
-
-    def __init__(self, root: Union[str, Path, None] = None) -> None:
-        self.directory = cache_root(root) / "autotune"
-
-    @staticmethod
-    def profile_key(workload: str, dataset: str,
-                    topology: Optional[SystemTopology],
-                    engine: str, seed: int, epochs: int,
-                    n_accesses: int, controller: RatioController) -> str:
-        """Canonical digest naming one tuning configuration."""
-        payload = {
-            "workload": workload,
-            "dataset": dataset,
-            "topology": describe_topology(topology),
-            "engine": engine,
-            "seed": seed,
-            "epochs": epochs,
-            "n_accesses": n_accesses,
-            "controller": dataclasses.asdict(controller),
-            "salt": code_version_salt(),
-        }
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:32]
-
-    def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def load(self, key: str) -> Optional[AutotuneReport]:
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        try:
-            return AutotuneReport.from_dict(payload)
-        except (KeyError, TypeError):
-            return None  # stale schema: treat as a miss
-
-    def store(self, key: str, report: AutotuneReport) -> Path:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(path, report.to_dict())
-        return path
+    return {
+        "kind": "autotune",
+        "workload": workload,
+        "dataset": dataset,
+        "topology": describe_topology(topology),
+        "engine": engine,
+        "seed": seed,
+        "epochs": epochs,
+        "n_accesses": n_accesses,
+        "controller": dataclasses.asdict(controller),
+    }

@@ -8,6 +8,7 @@ the static ratio on ``phase_shift`` — plus the persistence layer, the
 ``/v1/autotune`` endpoint and the ``repro autotune`` CLI verb.
 """
 
+import asyncio
 import json
 
 import numpy as np
@@ -21,12 +22,17 @@ from repro.memory.topology import (
     three_pool_topology,
 )
 from repro.serve import BackgroundServer, ServeClient, ServeConfig
-from repro.serve.service import BadRequestError, parse_autotune_request
+from repro.serve.service import (
+    BadRequestError,
+    PlacementService,
+    parse_autotune_request,
+)
+from repro.runner import ResultCache, code_version_salt, content_key
 from repro.tuning import (
     AutotuneReport,
     RatioController,
-    TunedProfileStore,
     autotune,
+    autotune_spec,
     place_fractions,
 )
 
@@ -173,47 +179,48 @@ class TestAutotune:
 
 
 class TestTunedProfileStore:
-    def make_report(self):
-        return autotune("xsbench", n_accesses=ACCESSES, epochs=EPOCHS)
+    """Tuned reports are records of the one result cache."""
+
+    def spec(self, topology=None, controller=None, **overrides):
+        params = dict(dataset="default", engine="throughput", seed=0,
+                      epochs=EPOCHS, n_accesses=ACCESSES,
+                      controller=controller or RatioController())
+        params.update(overrides)
+        return autotune_spec("xsbench", topology or simulated_baseline(),
+                             **params)
 
     def test_store_load_round_trip(self, tmp_path):
-        store = TunedProfileStore(tmp_path)
-        report = self.make_report()
-        key = store.profile_key(
-            report.workload, report.dataset, simulated_baseline(),
-            report.engine, report.seed, report.epochs,
-            report.n_accesses, RatioController())
-        path = store.store(key, report)
-        assert path.exists()
-        loaded = store.load(key)
-        assert loaded is not None
-        assert loaded.tuned_fractions == report.tuned_fractions
+        report = autotune("xsbench", n_accesses=ACCESSES, epochs=EPOCHS)
+        spec = self.spec()
+        key = content_key(spec, code_version_salt())
+        ResultCache(tmp_path).put(key, spec, report, AutotuneReport.to_dict)
+        loaded = ResultCache(tmp_path).get(key, AutotuneReport.from_dict)
+        assert loaded == report
 
     def test_load_missing_is_none(self, tmp_path):
-        assert TunedProfileStore(tmp_path).load("0" * 32) is None
+        assert ResultCache(tmp_path).get(
+            "0" * 64, AutotuneReport.from_dict) is None
 
     def test_load_corrupt_is_none(self, tmp_path):
-        store = TunedProfileStore(tmp_path)
-        store.directory.mkdir(parents=True, exist_ok=True)
-        store.path_for("deadbeef").write_text("{not json")
-        assert store.load("deadbeef") is None
-        store.path_for("cafecafe").write_text('{"workload": "x"}')
-        assert store.load("cafecafe") is None
+        """A record of a stale schema is a miss, and is quarantined."""
+        spec = self.spec()
+        key = content_key(spec, code_version_salt())
+        cache = ResultCache(tmp_path)
+        cache.put(key, spec, {"workload": "xsbench"}, dict)
+        assert cache.get(key, AutotuneReport.from_dict) is None
+        assert cache.stats.quarantined == 1
+        assert cache.locate(key) is None
 
     def test_key_separates_topologies_and_configs(self):
-        base = dict(workload="xsbench", dataset="default",
-                    engine="throughput", seed=0, epochs=8,
-                    n_accesses=1000, controller=RatioController())
-        k1 = TunedProfileStore.profile_key(
-            topology=simulated_baseline(), **base)
-        k2 = TunedProfileStore.profile_key(
-            topology=chiplet_topology(2), **base)
-        k3 = TunedProfileStore.profile_key(
-            topology=simulated_baseline(), **{**base, "epochs": 9})
-        again = TunedProfileStore.profile_key(
-            topology=simulated_baseline(), **base)
-        assert k1 == again
-        assert len({k1, k2, k3}) == 3
+        salt = code_version_salt()
+        k1 = content_key(self.spec(), salt)
+        k2 = content_key(self.spec(chiplet_topology(2)), salt)
+        k3 = content_key(self.spec(epochs=EPOCHS + 1), salt)
+        k4 = content_key(self.spec(controller=RatioController(gain=0.3)),
+                         salt)
+        assert content_key(self.spec(), salt) == k1
+        assert len({k1, k2, k3, k4}) == 4
+        assert all(len(key) == 64 for key in (k1, k2, k3, k4))
 
 
 class TestParseAutotuneRequest:
@@ -288,6 +295,37 @@ class TestServeAutotune:
         assert err.value.status == 400
 
 
+class TestTunedRecordIntegrity:
+    def test_tampered_report_is_quarantined_and_recomputed(
+            self, tmp_path, damage_frame):
+        """A record whose tuned_time_ns was edited (CRC resealed, so
+        only the SHA-256 notices) is never served."""
+        payload = {"workload": "xsbench", "epochs": EPOCHS,
+                   "n_accesses": ACCESSES}
+
+        def edit(frame):
+            field = b'"tuned_time_ns":'
+            at = frame.index(field) + len(field)
+            frame[at] = ord("2" if frame[at] != ord("2") else "3")
+
+        async def scenario():
+            service = PlacementService(ServeConfig(cache_dir=tmp_path))
+            await service.start()
+            try:
+                first = await service.autotune(payload)
+                cache = service.runner.cache
+                damage_frame(cache, first["profile_key"], edit,
+                             reseal=True)
+                second = await service.autotune(payload)
+                assert second["cached"] is False
+                assert cache.stats.quarantined == 1
+                assert second["profile"] == first["profile"]
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+
 class TestCliAutotune:
     def test_autotune_verb(self, capsys, tmp_path):
         code = cli_main([
@@ -300,8 +338,26 @@ class TestCliAutotune:
         assert "tuned fractions" in out
         assert "speedup over static" in out
         assert "profile saved" in out
-        saved = list((tmp_path / "autotune").glob("*.json"))
-        assert len(saved) == 1
+        key = out.split("profile saved: ")[1].split()[0]
+        assert ResultCache(tmp_path).get(key, AutotuneReport.from_dict) \
+            is not None
+        assert not (tmp_path / "autotune").exists()
+
+    def test_cli_report_is_warm_for_the_daemon(self, capsys, tmp_path):
+        assert cli_main([
+            "autotune", "-w", "xsbench", "-t", "chiplet-2",
+            "--epochs", "4", "-n", "4000",
+            "--cache-dir", str(tmp_path),
+        ]) == 0
+        key = capsys.readouterr().out.split("profile saved: ")[1].split()[0]
+        config = ServeConfig(port=0, cache_dir=tmp_path)
+        with BackgroundServer(config) as background:
+            client = ServeClient(background.base_url)
+            client.wait_until_ready()
+            answer = client.autotune("xsbench", topology="chiplet-2",
+                                     epochs=4, n_accesses=4_000)
+        assert answer["cached"] is True
+        assert answer["profile_key"] == key
 
     def test_no_save_skips_persistence(self, capsys, tmp_path):
         code = cli_main([
@@ -312,7 +368,7 @@ class TestCliAutotune:
         out = capsys.readouterr().out
         assert code == 0
         assert "profile saved" not in out
-        assert not (tmp_path / "autotune").exists()
+        assert len(ResultCache(tmp_path)) == 0
 
     def test_unknown_workload_exits(self, capsys, tmp_path):
         with pytest.raises(SystemExit):

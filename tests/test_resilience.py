@@ -567,13 +567,13 @@ class TestServeDrain:
             service = PlacementService(serve_config())
             await service.start()
             gate = threading.Event()
-            original = service._run_spec_job
+            original = service._run_job
 
-            def gated(spec, deadline=None):
+            def gated(body, deadline=None):
                 assert gate.wait(timeout=30), "gate never released"
-                return original(spec, deadline)
+                return original(body, deadline)
 
-            service._run_spec_job = gated
+            service._run_job = gated
             job = asyncio.ensure_future(service.simulate(sim_payload()))
             while not len(service._flight):
                 await asyncio.sleep(0.01)
@@ -591,6 +591,21 @@ class TestServeDrain:
             metrics = service.metrics_text()
             assert "repro_serve_draining 1" in metrics
             assert "repro_serve_drained_jobs_total 1" in metrics
+
+        asyncio.run(scenario())
+
+    def test_drain_refuses_profile_and_autotune(self):
+        async def scenario():
+            service = PlacementService(serve_config())
+            await service.start()
+            await service.stop()
+            assert service.draining
+            for ask, workload in ((service.profile, "bfs"),
+                                  (service.autotune, "xsbench")):
+                with pytest.raises(ServiceUnavailableError) as excinfo:
+                    await ask({"workload": workload})
+                assert excinfo.value.status == 503
+                assert excinfo.value.retry_after == pytest.approx(0.01)
 
         asyncio.run(scenario())
 

@@ -56,16 +56,17 @@ def client(server):
 
 
 def gate_jobs(service):
-    """Block every simulate job body until the returned event is set."""
-    original = service._run_spec_job
+    """Block every job body (simulate, profile, autotune) until the
+    returned event is set."""
+    original = service._run_job
     gate = threading.Event()
 
-    def gated(spec, deadline=None):
+    def gated(body, deadline=None):
         assert gate.wait(timeout=30), "test gate never released"
-        return original(spec, deadline)
+        return original(body, deadline)
 
-    service._run_spec_job = gated
-    return gate, lambda: setattr(service, "_run_spec_job", original)
+    service._run_job = gated
+    return gate, lambda: setattr(service, "_run_job", original)
 
 
 class TestHealthAndRouting:
@@ -292,6 +293,42 @@ class TestBackpressure:
         metrics = ServeClient(small_server.base_url).metrics()
         assert metrics["repro_serve_simulate_rejected_total"] == 1
 
+    @pytest.mark.parametrize("kind", ["profile", "autotune"])
+    def test_profile_and_autotune_share_the_job_bound(self, small_server,
+                                                      kind):
+        """max_pending_jobs bounds every job kind: with one job in
+        flight, a second distinct profile or autotune answers 429 and
+        starts no job."""
+        client = ServeClient(small_server.base_url)
+        client.wait_until_ready()
+        service = small_server.service
+        ask = {
+            "profile": lambda seed: client.profile(
+                "bfs", accesses=ACCESSES, seed=seed),
+            "autotune": lambda seed: client.autotune(
+                "xsbench", epochs=4, n_accesses=4_000, seed=seed),
+        }[kind]
+        started = {"profile": "repro_serve_profile_cache_misses_total",
+                   "autotune": "repro_serve_autotune_runs_total"}[kind]
+        gate, restore = gate_jobs(service)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                occupant = pool.submit(ask, 1)
+                deadline = time.monotonic() + 30
+                while client.health()["inflight_jobs"] < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                with pytest.raises(ServeError) as excinfo:
+                    ask(2)
+                assert excinfo.value.status == 429
+                assert excinfo.value.retry_after == pytest.approx(0.05)
+                gate.set()
+                assert occupant.result(timeout=60)["cached"] is False
+        finally:
+            gate.set()
+            restore()
+        assert client.metrics()[started] == 1
+
     def test_client_retry_succeeds_after_saturation(self, small_server):
         client = ServeClient(small_server.base_url)
         client.wait_until_ready()
@@ -355,6 +392,17 @@ class TestProfileEndpoint:
         assert second["structures"] == first["structures"]
         metrics = client.metrics()
         assert metrics["repro_serve_profile_cache_hits_total"] >= 1
+
+    def test_profile_stays_warm_across_restarts(self, tmp_path):
+        config = ServeConfig(port=0, cache_dir=tmp_path)
+        answers = []
+        for _ in range(2):
+            with BackgroundServer(config) as background:
+                client = ServeClient(background.base_url)
+                client.wait_until_ready()
+                answers.append(client.profile("lbm", accesses=ACCESSES))
+        assert [a.pop("cached") for a in answers] == [False, True]
+        assert answers[0] == answers[1]
 
     def test_unknown_workload_400(self, client):
         with pytest.raises(ServeError) as excinfo:

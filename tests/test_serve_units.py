@@ -79,7 +79,6 @@ class TestServeConfig:
         {"request_timeout_s": 0},
         {"batch_window_ms": -1},
         {"max_batch_size": 0},
-        {"profile_cache_size": 0},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
