@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from repro.core.cachedir import cache_root, describe_default
 from repro.core.errors import (ConfigError, ReproError, RequestLimitError,
-                               ServeError)
+                               RunnerError, ServeError)
 from repro.obs import trace as obs_trace
 from repro.core.experiment import compare_policies, run_experiment
 from repro.core.limits import DEFAULT_REQUEST_LIMITS
@@ -47,7 +47,8 @@ from repro.memory.topology import (
 from repro.policies.registry import policy_names
 from repro.profiling.cdf import AccessCdf
 from repro.profiling.profiler import PageAccessProfiler
-from repro.runner import ResultCache, configured, make_spec
+from repro.runner import (ResultCache, check_chunk_timeout, configured,
+                          make_spec)
 from repro.workloads import get_workload, scenario_names, workload_names
 
 #: the CLI spelling of the shared topology registry.
@@ -316,49 +317,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0 if scorecard.all_within_band else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import BenchReport, check_regression, run_bench
-
-    report = run_bench(
-        quick=args.quick,
-        repeats=args.repeats,
-        n_accesses=args.accesses,
-        seed=args.seed,
-        skip_cold=args.skip_cold,
-        skip_runner=args.skip_runner,
-        progress=lambda message: print(f"  bench {message}",
-                                       file=sys.stderr),
-    )
-    for case in report.cases:
-        speedup = (f"{case.speedup:6.1f}x"
-                   if case.speedup is not None else "       ")
-        old = (f"{case.old_ms:9.1f} ms" if case.old_ms is not None
-               else "           ")
-        print(f"{case.bench:9s} {case.workload:10s} "
-              f"new {case.new_ms:9.1f} ms  old {old} {speedup}")
-    for key in sorted(report.summary):
-        print(f"{key}: {report.summary[key]:.3f}")
-    print(f"kernel: {report.kernel}")
-
-    out = args.out or f"BENCH_{report.rev}.json"
-    path = Path(out)
-    path.write_text(report.to_json())
-    print(f"wrote {path}")
-
-    if args.check_against:
-        baseline = BenchReport.from_json(
-            Path(args.check_against).read_text())
-        failures = check_regression(report, baseline,
-                                    max_ratio=args.max_regression)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check_against} "
-              f"(threshold {args.max_regression:.1f}x)")
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.ingest.npz import save_npz
 
@@ -567,6 +525,14 @@ _accesses = _capped(DEFAULT_REQUEST_LIMITS.check_accesses, "accesses")
 _epochs = _capped(DEFAULT_REQUEST_LIMITS.check_epochs, "epochs")
 
 
+def _chunk_timeout(raw: str) -> float:
+    """An argparse type: a chunk budget the sweep runner accepts."""
+    try:
+        return check_chunk_timeout(float(raw))
+    except (ValueError, RunnerError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _csv_values(raw: str, cast, flag: str) -> list:
     try:
         return [cast(part) for part in raw.split(",") if part.strip()]
@@ -631,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs-dir", default=None,
                        help="manifest directory "
                             "(default: <cache-dir>/runs)")
-        p.add_argument("--chunk-timeout", type=float, default=None,
+        p.add_argument("--chunk-timeout", type=_chunk_timeout,
                        help="wall-clock budget per worker chunk in "
                             "seconds; hung chunks are retried "
                             "(default: $REPRO_CHUNK_TIMEOUT or off)")
@@ -713,35 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.add_argument("--workloads", "-w", nargs="*", default=None)
     p_cal.set_defaults(fn=cmd_calibrate)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the vectorized hot paths against the reference "
-             "loops and write a BENCH_<rev>.json report",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI smoke mode: one workload, short "
-                              "trace, one repeat")
-    p_bench.add_argument("--repeats", type=int, default=None,
-                         help="best-of-N timing repeats "
-                              "(default: 3, or 1 with --quick)")
-    p_bench.add_argument("--accesses", "-n", type=_accesses, default=None,
-                         help="raw trace length "
-                              "(default: 240000, or 60000 with --quick)")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", "-o", default=None,
-                         help="report path (default: BENCH_<rev>.json)")
-    p_bench.add_argument("--skip-cold", action="store_true",
-                         help="skip the fresh-interpreter cold run")
-    p_bench.add_argument("--skip-runner", action="store_true",
-                         help="skip the runner-overhead sweep bench")
-    p_bench.add_argument("--check-against", default=None,
-                         help="baseline BENCH_*.json to compare against")
-    p_bench.add_argument("--max-regression", type=float, default=3.0,
-                         help="fail if any vectorized timing exceeds "
-                              "the baseline by more than this factor")
-    trace_option(p_bench)
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_trace = sub.add_parser(
         "trace", help="synthesize and save a trace (.npz, readable by "
@@ -836,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=10.0,
                          help="seconds graceful shutdown waits for "
                               "in-flight jobs")
-    p_serve.add_argument("--chunk-timeout", type=float, default=None,
+    p_serve.add_argument("--chunk-timeout", type=_chunk_timeout,
                          help="runner per-chunk wall-clock budget in "
                               "seconds (default: $REPRO_CHUNK_TIMEOUT "
                               "or off)")

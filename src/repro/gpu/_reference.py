@@ -2,16 +2,15 @@
 
 These are the original pure-Python simulation loops that
 :mod:`repro.gpu.cache`, :mod:`repro.gpu.engine` and
-:mod:`repro.gpu.banked` replaced with vectorized kernels.  They are kept
-as the behavioural oracle:
-
-* the golden equality suite (``tests/test_golden_vectorized.py``)
-  checks the vectorized cache filter is *bit-identical* to
-  :class:`ReferenceCacheHierarchy` and the vectorized engines reproduce
-  the reference :class:`~repro.gpu.trace.SimResult` fields to 1e-9
-  relative;
-* the perf harness (``repro bench``) times them next to the vectorized
-  kernels so every ``BENCH_*.json`` records the measured speedup.
+:mod:`repro.gpu.banked` replaced with vectorized kernels.  They are
+kept as the behavioural oracle: the golden equality suite
+(``tests/test_golden_vectorized.py``) checks the vectorized cache
+filter is *bit-identical* to :class:`ReferenceCacheHierarchy` and the
+vectorized engines reproduce the reference
+:class:`~repro.gpu.trace.SimResult` fields to 1e-9 relative, on local,
+interleaved, random and BW-AWARE placements.  They are not timed: the
+kernels' absolute cost per access is read from the per-layer ledger of
+``benchmarks/e2e`` (``--trace 1``).
 
 The only intentional divergence from the seed code is the
 ``time_bandwidth_ns`` accounting fix (see the engine modules): both the

@@ -35,9 +35,6 @@ class ArrayLayout:
     def first_line(self) -> int:
         return self.first_page * (PAGE_SIZE // LINE_SIZE)
 
-    def page_range(self) -> range:
-        return range(self.first_page, self.first_page + self.decl.n_pages)
-
 
 #: supported warp-issue schedules.
 SCHEDULES = ("round-robin", "warp-major")

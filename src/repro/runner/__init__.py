@@ -51,6 +51,7 @@ from repro.runner.sweep import (
     SweepOutcome,
     SweepRunner,
     active,
+    check_chunk_timeout,
     configure,
     configured,
     default_cache_root,
@@ -76,6 +77,7 @@ __all__ = [
     "active",
     "bw_ratio_policy",
     "canonical_policy",
+    "check_chunk_timeout",
     "code_version_salt",
     "configure",
     "configured",

@@ -63,6 +63,7 @@ is set).
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
@@ -132,11 +133,23 @@ def default_jobs() -> int:
     return 1
 
 
+def check_chunk_timeout(value: Optional[float]) -> Optional[float]:
+    """A chunk budget from any source (constructor, environment,
+    ``ServeConfig``, CLI): ``None`` for none, else a finite number of
+    seconds in ``(0, threading.TIMEOUT_MAX]``.  ``nan`` would time every
+    chunk out and ``inf`` overflows the wait, so both fail up front."""
+    if value is not None and not 0 < float(value) <= threading.TIMEOUT_MAX:
+        raise RunnerError(f"chunk timeout must be a number of seconds in "
+                          f"(0, {threading.TIMEOUT_MAX:.0f}], got {value!r}")
+    return None if value is None else float(value)
+
+
 def default_chunk_timeout() -> Optional[float]:
     """Chunk budget when none is configured (``REPRO_CHUNK_TIMEOUT``).
 
     ``None`` (no env var) disables the timeout — identical to the
-    historical behavior; any positive float enables it.
+    historical behavior; any value :func:`check_chunk_timeout` passes
+    enables it.
     """
     raw = os.environ.get(CHUNK_TIMEOUT_ENV, "").strip()
     if not raw:
@@ -146,9 +159,7 @@ def default_chunk_timeout() -> Optional[float]:
     except ValueError:
         raise RunnerError(
             f"{CHUNK_TIMEOUT_ENV} must be a number, got {raw!r}")
-    if value <= 0:
-        raise RunnerError(f"{CHUNK_TIMEOUT_ENV} must be positive")
-    return value
+    return check_chunk_timeout(value)
 
 
 def default_max_retries() -> int:
@@ -513,7 +524,7 @@ class SweepRunner:
         self.salt = code_version_salt() if salt is None else salt
         self.chunk_timeout_s = (default_chunk_timeout()
                                 if chunk_timeout_s is None
-                                else float(chunk_timeout_s))
+                                else check_chunk_timeout(chunk_timeout_s))
         self.max_retries = (default_max_retries() if max_retries is None
                             else max(0, int(max_retries)))
         self.backoff = backoff if backoff is not None else BackoffPolicy()

@@ -10,12 +10,13 @@ small enough to exercise from a laptop.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.cachedir import cache_root
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, RunnerError
+from repro.runner import check_chunk_timeout
 
 #: environment variable naming the daemon clients talk to by default.
 SERVE_URL_ENV = "REPRO_SERVE_URL"
@@ -128,9 +129,10 @@ class ServeConfig:
             raise ConfigError("breaker_probes must be >= 1")
         if self.drain_timeout_s < 0:
             raise ConfigError("drain_timeout_s must be >= 0")
-        if (self.chunk_timeout_s is not None
-                and self.chunk_timeout_s <= 0):
-            raise ConfigError("chunk_timeout_s must be positive")
+        try:
+            check_chunk_timeout(self.chunk_timeout_s)
+        except RunnerError as exc:
+            raise ConfigError(str(exc)) from None
         if self.header_read_timeout_s <= 0:
             raise ConfigError("header_read_timeout_s must be positive")
 
@@ -139,7 +141,3 @@ class ServeConfig:
         if not self.use_cache:
             return None
         return cache_root(self.cache_dir)
-
-    def with_overrides(self, **kwargs) -> "ServeConfig":
-        """A copy with the given fields replaced (test convenience)."""
-        return replace(self, **kwargs)

@@ -322,8 +322,7 @@ class TraceWorkload(abc.ABC):
 
         This is the pre-cache stream that
         :meth:`repro.gpu.cache.CacheHierarchy.filter_stream_indices`
-        consumes (and what ``repro bench`` feeds both filter
-        implementations when timing them against each other).
+        consumes.
         """
         return self.raw_access_stream(dataset, n_accesses, seed)[0]
 

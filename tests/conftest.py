@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.experiment import resolve_policy
 from repro.core.units import GIB, PAGE_SIZE
 from repro.memory.acpi import enumerate_tables
 from repro.memory.topology import simulated_baseline, symmetric_topology
@@ -78,6 +79,15 @@ def make_context(topology, seed: int = 7) -> PlacementContext:
         local_zone=topology.gpu_local_zone,
         rng=np.random.default_rng(seed),
     )
+
+
+def bwaware_zone_map(workload, dataset, topology, seed):
+    """The zone map ``run_experiment`` hands the engine for BW-AWARE."""
+    process = Process(topology, seed=seed)
+    policy, hints = resolve_policy("BW-AWARE", workload, dataset, None,
+                                   seed, topology, process)
+    workload.reserve_in(process, dataset, hints=hints)
+    return process.place_all(policy)
 
 
 # Hypothesis profiles for suites that leave ``max_examples`` to the

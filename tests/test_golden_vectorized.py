@@ -9,18 +9,19 @@ suite pins the vectorized implementations to them:
 * filter: *bit-identical* miss-index streams (and identical hit/miss
   statistics) across workloads and seeds;
 * engines: every :class:`SimResult` field within 1e-9 relative across
-  workloads and placement shapes, including the tiny-window regime
-  that takes the sequential fallback;
+  workloads and placement shapes (local, interleave, random and the
+  BW-AWARE map ``run_experiment`` builds), including the tiny-window
+  regime that takes the sequential fallback;
 * row-buffer hit rates: 1e-12 absolute.
 
 Traces here are shorter than ``DEFAULT_RAW_ACCESSES`` so the reference
-loops stay affordable; the full-size comparison runs in ``repro
-bench``, which asserts the same equalities while timing.
+loops stay affordable.
 """
 
 import numpy as np
 import pytest
 
+from conftest import bwaware_zone_map
 from repro.gpu._reference import (
     ReferenceCacheHierarchy,
     reference_banked_run,
@@ -111,8 +112,10 @@ class TestEngineGolden:
         chars = workload.characteristics("default")
         topology = simulated_baseline()
         config = table1_config()
-        for tag, zone_map in _zone_maps(trace.footprint_pages,
-                                        len(topology)).items():
+        zone_maps = _zone_maps(trace.footprint_pages, len(topology))
+        zone_maps["bw-aware"] = bwaware_zone_map(workload, "default",
+                                                 topology, 0)
+        for tag, zone_map in zone_maps.items():
             pairs = (
                 (DetailedEngine(config).run(trace, zone_map, topology,
                                             chars),

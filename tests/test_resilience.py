@@ -16,7 +16,8 @@ import time
 import pytest
 
 from repro.core.atomicio import atomic_write_json, atomic_write_text
-from repro.core.errors import ConfigError, ServeError, SweepError
+from repro.core.errors import (ConfigError, RunnerError, ServeError,
+                               SweepError)
 from repro.resilience import (
     BackoffPolicy,
     CircuitBreaker,
@@ -489,6 +490,50 @@ class TestRunnerRecovery:
         assert recovery["chunk_timeouts"] >= 1
         assert outcome.manifest.cache_stats["quarantined"] == 1
         assert "recovery:" in outcome.manifest.summary()
+
+
+class TestChunkTimeoutValidation:
+    """One check guards every way in to the chunk budget and rejects a
+    budget no wait can honour before any chunk runs: ``nan`` used to
+    declare every chunk hung, ``inf`` and ``1e308`` overflowed the
+    wait inside each chunk."""
+
+    @pytest.mark.parametrize("raw", ("0", "-1", "nan", "inf", "1e308"))
+    def test_rejected_alike_on_every_path(self, raw, monkeypatch,
+                                          capsys):
+        from repro.cli import main
+
+        with pytest.raises(RunnerError) as ctor:
+            SweepRunner(jobs=2, cache=False, chunk_timeout_s=float(raw))
+        message = str(ctor.value)
+        assert message.startswith("chunk timeout must be")
+
+        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", raw)
+        with pytest.raises(RunnerError) as env:
+            SweepRunner(jobs=2, cache=False)
+        assert str(env.value) == message
+        monkeypatch.delenv("REPRO_CHUNK_TIMEOUT")
+
+        with pytest.raises(ConfigError) as config:
+            ServeConfig(chunk_timeout_s=float(raw))
+        assert str(config.value) == message
+
+        for argv in (["compare", "-w", "bfs", "--chunk-timeout", raw],
+                     ["serve", "--chunk-timeout", raw]):
+            with pytest.raises(SystemExit) as cli:
+                main(argv)
+            assert cli.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_longest_budget_runs_parallel_chunks(self):
+        runner = SweepRunner(jobs=2, cache=False,
+                             chunk_timeout_s=threading.TIMEOUT_MAX)
+        try:
+            outcome = runner.run(specs_for(("bfs",)))
+        finally:
+            runner.close()
+        assert outcome.manifest.recovery["chunk_errors"] == 0
+        assert outcome.manifest.recovery["retries"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,13 @@ The load-bearing guarantees tested here:
   retain/release/publish interleavings (hypothesis property);
 * a multi-workload sweep returns byte-identical results over shm,
   over the legacy pickle transport, and serially;
+* over shm, sweep workers never synthesize a trace themselves;
 * every fallback (``REPRO_SHM=0``, platform without shared memory,
   a vanished segment) degrades to synthesis with identical results.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.runner import (
     CorePool,
     SharedTraceArena,
     SweepRunner,
+    bw_ratio_policy,
     configured,
     encode_result,
     make_spec,
@@ -41,6 +46,7 @@ from repro.runner.shm import (
 )
 from repro.workloads import get_workload
 from repro.workloads.base import (
+    TraceWorkload,
     clear_trace_cache,
     install_trace_provider,
     trace_cache_key,
@@ -381,6 +387,40 @@ class TestGoldenEquivalence:
 
         assert serial == over_shm == over_pickle
         assert list_repro_segments() <= before
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the counting patch")
+    def test_workers_never_synthesize_under_shm(self, monkeypatch):
+        """A 12-point BW-AWARE ratio sweep on one bfs trace: over shm
+        only the parent synthesizes; over pickle the workers do, which
+        shows the count can see them."""
+        parent = os.getpid()
+        worker_calls = multiprocessing.Value("i", 0)
+        synthesize = TraceWorkload.raw_access_stream
+
+        def counting(self, *args, **kwargs):
+            if os.getpid() != parent:
+                with worker_calls.get_lock():
+                    worker_calls.value += 1
+            return synthesize(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceWorkload, "raw_access_stream", counting)
+        specs = [make_spec("bfs", bw_ratio_policy(co),
+                           trace_accesses=ACCESSES)
+                 for co in range(5, 65, 5)]
+
+        def worker_syntheses(shm):
+            clear_trace_cache()
+            worker_calls.value = 0
+            runner = SweepRunner(jobs=2, cache=False, shm=shm)
+            try:
+                runner.run(specs)
+            finally:
+                runner.close()
+            return worker_calls.value
+
+        assert worker_syntheses(shm=True) == 0
+        assert worker_syntheses(shm=False) > 0
 
     def test_warm_pool_persists_across_runs(self):
         specs = grid_specs()

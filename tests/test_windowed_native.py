@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bwaware_zone_map
 from repro.core.errors import SimulationError
 from repro.core.experiment import run_experiment
 from repro.gpu import _native, service
@@ -36,7 +37,6 @@ from repro.gpu.banked import BankedEngine
 from repro.gpu.config import table1_config
 from repro.gpu.engine import DetailedEngine
 from repro.memory.topology import simulated_baseline, symmetric_topology
-from repro.perf.bench import _bwaware_zone_map
 from repro.workloads import get_workload
 
 WORKLOADS = ("bfs", "xsbench", "sgemm", "kmeans", "mummergpu")
@@ -106,7 +106,7 @@ def _engine_inputs(name):
     topology = simulated_baseline()
     trace = workload.dram_trace("default", n_accesses=N_RAW, seed=0)
     chars = workload.characteristics("default")
-    zone_map = _bwaware_zone_map(workload, "default", topology, 0)
+    zone_map = bwaware_zone_map(workload, "default", topology, 0)
     return trace, zone_map, topology, chars
 
 
