@@ -1,7 +1,7 @@
 """GPU substrate: config, caches, MSHRs, interconnect, engines."""
 
 from repro.gpu.banked import BankedEngine, BankState
-from repro.gpu.cache import CacheHierarchy, CacheStats, SetAssocCache
+from repro.gpu.cache import CacheHierarchy, CacheStats
 from repro.gpu.config import GpuConfig, table1_config
 from repro.gpu.engine import DetailedEngine
 from repro.gpu.interconnect import (
@@ -19,7 +19,6 @@ __all__ = [
     "BankState",
     "CacheHierarchy",
     "CacheStats",
-    "SetAssocCache",
     "GpuConfig",
     "table1_config",
     "DetailedEngine",

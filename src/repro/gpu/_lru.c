@@ -1,8 +1,7 @@
 /*
  * Native cache-hierarchy filter: the Table 1 L1-per-SM + memory-side
- * L2 hierarchy replayed one access at a time, as
- * repro.gpu._reference.ReferenceCacheHierarchy does, over a raw line
- * stream.
+ * L2 hierarchy replayed one access at a time over a raw line stream,
+ * as ReferenceCacheHierarchy in tests/reference_loops.py does.
  *
  * Access k runs on SM k % n_sms (the position restarts at 0 on every
  * call) and touches L1 set sm * l1_sets + line % l1_sets; on an L1
@@ -10,12 +9,12 @@
  * channel = line % n_channels.  Each set keeps its assoc tags ordered
  * LRU to MRU in tags[set * assoc ...] plus a fill count; a hit moves
  * the tag to the MRU end, a miss fills the set or evicts its LRU tag.
- * The tag and fill arrays are the caller's state: read as the warm
- * start, left holding the final residents.  Integer-only, so the miss
- * stream equals the numpy kernel's and the reference loop's exactly.
+ * The caller passes zeroed tag and fill arrays as scratch, so every
+ * call starts from empty caches.  Integer-only, so the miss stream
+ * equals the numpy kernel's and the reference loop's exactly.
  *
- * Inputs are validated by the Python caller: lines[k] >= 0, fill
- * counts within [0, assoc], positive geometry.
+ * Inputs are validated by the Python caller: lines[k] >= 0 (mod() of
+ * a negative line is a negative set index), positive geometry.
  */
 
 #include <stdint.h>

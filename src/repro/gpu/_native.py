@@ -32,7 +32,6 @@ import ctypes
 import hashlib
 import os
 import platform
-import subprocess
 import tempfile
 import threading
 from pathlib import Path
@@ -92,6 +91,8 @@ def _intact(path: Path) -> bool:
 
 
 def _compile(target: Path) -> None:
+    import subprocess  # deferred: only a build needs it
+
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-",
                                suffix=".so")
@@ -108,6 +109,8 @@ def _compile(target: Path) -> None:
             digest = hashlib.sha256(handle.read()).digest()
             handle.write(_MAGIC + digest)
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:  # e.g. the timeout
+        raise OSError(f"{CC}: {exc}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -158,26 +161,31 @@ def _bind_lru(lib: ctypes.CDLL) -> Callable:
     fn.argtypes = ([ctypes.c_void_p, ctypes.c_int64] + level + level
                    + [ctypes.c_void_p] * 4)
 
-    def filter_hierarchy(lines, l1_tags, l1_fill, l1_sets,
-                         l2_tags, l2_fill, l2_sets):
-        """Filter ``lines`` through both levels, updating the
-        C-contiguous int64 ``(n_sets_total, assoc)`` tag and fill arrays
-        in place; returns ``(misses, l1_hits, l2_accesses, l2_hits)``."""
+    def filter_hierarchy(lines, n_sms, l1_sets, l1_assoc,
+                         n_channels, l2_sets, l2_assoc):
+        """Filter ``lines`` through both levels from empty caches;
+        returns ``(misses, l1_hits, l2_accesses, l2_hits)``, the last
+        three summed over SMs and channels."""
         lines = np.ascontiguousarray(lines, dtype=np.int64)
-        n_sms = l1_fill.size // l1_sets
-        n_channels = l2_fill.size // l2_sets
+        # Zeroed tag and fill arrays: every set starts empty.
+        l1_tags = np.zeros((n_sms * l1_sets, l1_assoc), dtype=np.int64)
+        l1_fill = np.zeros(n_sms * l1_sets, dtype=np.int64)
+        l2_tags = np.zeros((n_channels * l2_sets, l2_assoc),
+                           dtype=np.int64)
+        l2_fill = np.zeros(n_channels * l2_sets, dtype=np.int64)
         misses = np.empty(lines.size, dtype=np.int64)
         l1_hits = np.zeros(n_sms, dtype=np.int64)
         l2_accesses = np.zeros(n_channels, dtype=np.int64)
         l2_hits = np.zeros(n_channels, dtype=np.int64)
         n_misses = fn(lines.ctypes.data, lines.size,
-                      n_sms, l1_sets, l1_tags.shape[1],
+                      n_sms, l1_sets, l1_assoc,
                       l1_tags.ctypes.data, l1_fill.ctypes.data,
-                      n_channels, l2_sets, l2_tags.shape[1],
+                      n_channels, l2_sets, l2_assoc,
                       l2_tags.ctypes.data, l2_fill.ctypes.data,
                       misses.ctypes.data, l1_hits.ctypes.data,
                       l2_accesses.ctypes.data, l2_hits.ctypes.data)
-        return misses[:n_misses], l1_hits, l2_accesses, l2_hits
+        return (misses[:n_misses], int(l1_hits.sum()),
+                int(l2_accesses.sum()), int(l2_hits.sum()))
 
     return filter_hierarchy
 
@@ -214,8 +222,7 @@ def kernel(name: str) -> Optional[Callable]:
             if not _resolved:
                 try:
                     _kernels = _load()
-                except (OSError, RuntimeError,
-                        subprocess.SubprocessError) as exc:
+                except (OSError, RuntimeError) as exc:
                     log_event("gpu.kernel.fallback", level="warning",
                               message="repro: native kernels "
                                       f"unavailable ({exc}); using numpy")

@@ -20,10 +20,10 @@ hits iff its previous access touched the same row), so
 :func:`_bank_row_hits` resolves every access with one grouping sort;
 ``run`` feeds the resulting occupancies through the batched window
 kernel in :mod:`repro.gpu.service` and ``row_hit_rates`` reduces the
-same per-access hit vector per zone.  The per-access loops survive as
-:func:`repro.gpu._reference.reference_banked_run` and
-:func:`repro.gpu._reference.reference_row_hit_rates` for the golden
-suite.  :class:`BankState` remains the scalar building block the
+same per-access hit vector per zone.  The per-access loops survive in
+the test suite as ``reference_banked_run`` and
+``reference_row_hit_rates`` (``tests/reference_loops.py``) for the
+golden suite.  :class:`BankState` remains the scalar building block the
 reference (and its tests) use.
 """
 

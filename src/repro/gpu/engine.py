@@ -18,9 +18,9 @@ stream request by request:
 The replay itself runs through the batched array kernel in
 :mod:`repro.gpu.service`: this module only precomputes the per-access
 zone / channel / occupancy / latency arrays and reduces the result.
-The original per-access heap loop survives as
-:func:`repro.gpu._reference.reference_detailed_run`, which the golden
-suite holds this engine to at 1e-9 relative.
+The original per-access heap loop survives in the test suite as
+``reference_detailed_run`` (``tests/reference_loops.py``), which the
+golden suite holds this engine to at 1e-9 relative.
 
 The engine exists to validate the analytic model: the ablation bench
 (`benchmarks/test_ablation_engines.py`) checks both engines rank

@@ -1,6 +1,6 @@
 """Vectorized set-associative LRU simulation (Mattson stack kernel).
 
-The cache hierarchy's per-access OrderedDict loop is replaced by an
+Without the native library, the cache hierarchy filters through this
 offline computation built on the classic LRU stack property: an access
 hits an ``A``-way LRU set iff fewer than ``A`` *distinct* lines were
 touched in that set since the previous access to the same line.  All
@@ -42,11 +42,7 @@ digit type holds) and sorted with the radix kernel NumPy reserves for
 narrow integers, LSD-style across two digits for (set, line) pairs.
 That is ~10x faster than a stable ``int64`` argsort at these sizes.
 
-Warm caches are handled by prepending each set's resident lines (LRU
-to MRU) as virtual accesses, which reconstructs the exact LRU state a
-sequential replay would start from; :func:`lru_final_state` recovers
-the residents left behind, so callers can round-trip cache state
-through the kernel.
+Every set starts empty: a stream is replayed from cold caches.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["lru_filter", "lru_final_state"]
+__all__ = ["lru_filter"]
 
 #: largest single-round probe chunk (window positions per access).
 _MAX_CHUNK = 4096
@@ -318,52 +314,37 @@ def _probe_windows(prev: np.ndarray, window: np.ndarray, assoc: int,
 
 
 def lru_filter(set_ids: np.ndarray, lines: np.ndarray, assoc: int,
-               warm_set_ids: Optional[np.ndarray] = None,
-               warm_lines: Optional[np.ndarray] = None,
                line_keyed: bool = False,
                probe_volume_cap: Optional[int] = None,
                n_groups: Optional[int] = None,
-               line_top: Optional[int] = None,
-               ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Replay a line stream through independent A-way LRU sets.
+               line_top: Optional[int] = None) -> np.ndarray:
+    """Replay a line stream through independent, initially empty A-way
+    LRU sets.
 
     ``set_ids``/``lines`` describe the stream in access order; each
     access touches LRU set ``set_ids[k]`` with line ``lines[k]``.
-    ``warm_set_ids``/``warm_lines`` optionally carry pre-existing
-    residents, ordered LRU to MRU within each set; they are replayed
-    as virtual warm-up accesses so the stream starts from exactly that
-    state.  ``line_keyed=True`` asserts the set id is a pure function
-    of the line address (address-sliced caches), which lets the reuse
+    ``line_keyed=True`` asserts the set id is a pure function of the
+    line address (address-sliced caches), which lets the reuse
     analysis key on lines alone.  ``n_groups``/``line_top`` are
     optional caller-known *upper* bounds on the key universe (any
     overestimate is valid — they only size radix digits), saving two
-    stream-wide reductions; they are ignored when warm residents are
-    present, whose keys the caller's bounds may not cover.
+    stream-wide reductions.
 
-    Returns ``(hits, chain)``: a boolean hit flag per (real) access in
-    input order, plus the set-sorted ``(set_ids, lines)`` stream — the
-    input :func:`lru_final_state` needs to reconstruct cache contents,
-    returned so callers can defer that cost until state is observed.
+    Returns a boolean hit flag per access, in input order.
     """
     set_ids = np.asarray(set_ids)
     lines = np.asarray(lines)
-    n_warm = 0
-    if warm_set_ids is not None and np.asarray(warm_set_ids).size:
-        n_warm = int(np.asarray(warm_set_ids).size)
-        set_ids = np.concatenate([warm_set_ids, set_ids])
-        lines = np.concatenate([warm_lines, lines])
     n = set_ids.size
     if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=bool), (empty, empty)
+        return np.empty(0, dtype=bool)
 
-    if n_warm or n_groups is None:
+    if n_groups is None:
         n_groups = int(set_ids.max()) + 1
-    if n_warm or line_top is None:
+    if line_top is None:
         line_top = int(lines.max())
 
     # Contiguous per-set segments; the stable sort keeps access order
-    # (and the warm prefix first) within each set.
+    # within each set.
     order = _stable_argsort_small(set_ids)
     seg_sets = set_ids[order]  # native dtype; consumers widen lazily
     line_dtype = np.int32 if line_top < 2 ** 31 else np.int64
@@ -401,54 +382,4 @@ def lru_filter(set_ids: np.ndarray, lines: np.ndarray, assoc: int,
 
     hits = np.empty(n, dtype=bool)
     hits[order] = seg_hits
-    return hits[n_warm:], (seg_sets, seg_lines)
-
-
-def lru_final_state(seg_sets: np.ndarray, seg_lines: np.ndarray,
-                    assoc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Resident lines after replaying a set-sorted stream.
-
-    Takes the ``chain`` returned by :func:`lru_filter` and yields
-    ``(set_ids, lines)`` of every final resident, ordered LRU to MRU
-    within each set: for each set, the last ``assoc`` distinct lines
-    by ascending last-touch position.
-    """
-    n = seg_sets.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    seg_sets = np.asarray(seg_sets, dtype=np.int64)
-    seg_lines = np.asarray(seg_lines, dtype=np.int64)
-    n_groups = int(seg_sets.max()) + 1
-    line_top = int(seg_lines.max())
-    digits = _group_line_digits(seg_sets, seg_lines, n_groups,
-                                line_top)
-    if digits is None:
-        key = seg_sets * (line_top + 1) + seg_lines
-        korder = np.argsort(key, kind="stable")
-        same = key[korder][1:] == key[korder][:-1]
-    else:
-        low, high = digits
-        korder = np.argsort(low, kind="stable")
-        if high is None:
-            low_s = low[korder]
-            same = low_s[1:] == low_s[:-1]
-        else:
-            korder = korder[np.argsort(high[korder], kind="stable")]
-            low_s = low[korder]
-            high_s = high[korder]
-            same = low_s[1:] == low_s[:-1]
-            np.logical_and(same, high_s[1:] == high_s[:-1], out=same)
-    is_last = np.ones(n, dtype=bool)
-    is_last[:-1] = ~same
-    last_idx = korder[is_last]  # one position per distinct (set, line)
-    last_idx = np.sort(last_idx)  # ascending position; sets contiguous
-    touch_sets = seg_sets[last_idx]
-    touch_lines = seg_lines[last_idx]
-    run_end = np.ones(touch_sets.size, dtype=bool)
-    run_end[:-1] = touch_sets[1:] != touch_sets[:-1]
-    ends = np.nonzero(run_end)[0]
-    run_id = np.concatenate(
-        [[0], np.cumsum(run_end[:-1])]).astype(np.int64)
-    keep = (ends[run_id] - np.arange(touch_sets.size)) < assoc
-    return touch_sets[keep], touch_lines[keep]
+    return hits

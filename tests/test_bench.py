@@ -3,7 +3,7 @@
 One small case per hot path — the cache filter on the raw line trace,
 and the detailed and banked engines on the DRAM trace under the
 BW-AWARE zone map ``run_experiment`` builds — each compared with its
-per-access loop in :mod:`repro.gpu._reference`.  The wider sweep over
+per-access loop in ``tests/reference_loops.py``.  The wider sweep over
 workloads and placement shapes is ``tests/test_golden_vectorized.py``.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import bwaware_zone_map
-from repro.gpu._reference import (
+from reference_loops import (
     ReferenceCacheHierarchy,
     reference_banked_run,
     reference_detailed_run,

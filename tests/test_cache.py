@@ -1,16 +1,22 @@
-"""Set-associative caches and the hierarchy filter."""
+"""Set-associative caches and the hierarchy filter.
+
+``TestSetAssocCache`` pins the per-set LRU semantics on the reference
+per-access cache (``tests/reference_loops.py``), the oracle both filter
+kernels are held to.
+"""
 
 import numpy as np
 import pytest
 
+from reference_loops import ReferenceSetAssocCache
 from repro.core.errors import ConfigError
-from repro.gpu.cache import CacheHierarchy, CacheStats, SetAssocCache
+from repro.gpu.cache import CacheHierarchy, CacheStats
 from repro.gpu.config import table1_config
 
 
 class TestSetAssocCache:
     def _cache(self, size=1024, line=128, assoc=2):
-        return SetAssocCache(size, line, assoc)
+        return ReferenceSetAssocCache(size, line, assoc)
 
     def test_geometry(self):
         cache = self._cache()
@@ -54,20 +60,6 @@ class TestSetAssocCache:
         assert cache.stats.misses == 2
         assert cache.stats.hit_rate == pytest.approx(1 / 3)
 
-    def test_flush_clears_lines_keeps_stats(self):
-        cache = self._cache()
-        cache.access(0)
-        cache.flush()
-        assert cache.resident_lines() == 0
-        assert cache.stats.accesses == 1
-        assert cache.access(0) is False
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ConfigError):
-            SetAssocCache(1000, 128, 3)
-        with pytest.raises(ConfigError):
-            SetAssocCache(0, 128, 2)
-
     def test_hit_rate_of_empty_cache(self):
         assert self._cache().stats.hit_rate == 0.0
 
@@ -86,13 +78,13 @@ class TestCacheHierarchy:
     def test_streaming_never_hits(self):
         hierarchy = self._hierarchy()
         stream = np.arange(50_000, dtype=np.int64)
-        misses = hierarchy.filter_stream(stream)
+        misses = stream[hierarchy.filter_stream_indices(stream)]
         assert misses.size == stream.size
 
     def test_hot_line_reuse_hits(self):
         hierarchy = self._hierarchy()
         stream = np.zeros(1000, dtype=np.int64)
-        misses = hierarchy.filter_stream(stream)
+        misses = stream[hierarchy.filter_stream_indices(stream)]
         # The line is resident after the first touch... but it bounces
         # between per-SM L1s, so at most one miss per L1 plus one L2
         # cold miss.
@@ -101,28 +93,26 @@ class TestCacheHierarchy:
     def test_miss_stream_preserves_order(self):
         hierarchy = self._hierarchy()
         stream = np.array([10, 20, 10, 30], dtype=np.int64)
-        misses = hierarchy.filter_stream(stream)
+        misses = stream[hierarchy.filter_stream_indices(stream)]
         assert misses.tolist() == sorted(misses.tolist(), key=lambda x: (
             [10, 20, 30].index(x)
         ))
 
     def test_l1_and_l2_stats_populated(self):
         hierarchy = self._hierarchy()
-        hierarchy.filter_stream(np.arange(100, dtype=np.int64))
+        stream = np.arange(100, dtype=np.int64)
+        misses = stream[hierarchy.filter_stream_indices(stream)]
         assert hierarchy.l1_stats().accesses == 100
         assert hierarchy.l2_stats().accesses > 0
+        assert hierarchy.l2_stats().misses == misses.size
 
     def test_l2_filters_l1_misses(self):
+        # Access 1 runs on SM 1: it misses that SM's L1, but the line
+        # is in the shared L2 since access 0 (SM 0) filled it.
+        stream = np.array([7, 7], dtype=np.int64)
         hierarchy = self._hierarchy()
-        # Same line from different SMs: misses L1 of SM1 but hits L2.
-        hierarchy.access(7, sm=0)
-        assert hierarchy.access(7, sm=1) is True
-
-    def test_flush(self):
-        hierarchy = self._hierarchy()
-        hierarchy.access(7, sm=0)
-        hierarchy.flush()
-        assert hierarchy.access(7, sm=0) is False
+        assert hierarchy.filter_stream_indices(stream).tolist() == [0]
+        assert hierarchy.l2_stats() == CacheStats(accesses=2, hits=1)
 
     def test_bad_channel_count(self):
         with pytest.raises(ConfigError):

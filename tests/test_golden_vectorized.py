@@ -3,8 +3,8 @@
 The cache filter, the detailed engine and the banked engine were
 rewritten from per-access Python loops into array kernels
 (:mod:`repro.gpu.lru`, :mod:`repro.gpu.service`).  The original loops
-survive in :mod:`repro.gpu._reference` as the behavioural oracle; this
-suite pins the vectorized implementations to them:
+survive in ``tests/reference_loops.py`` as the behavioural oracle;
+this suite pins the vectorized implementations to them:
 
 * filter: *bit-identical* miss-index streams (and identical hit/miss
   statistics) across workloads and seeds;
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import bwaware_zone_map
-from repro.gpu._reference import (
+from reference_loops import (
     ReferenceCacheHierarchy,
     reference_banked_run,
     reference_detailed_run,
@@ -82,26 +82,6 @@ class TestFilterGolden:
                                    (new.l2_stats(), old.l2_stats())):
             assert stat_new.accesses == stat_old.accesses
             assert stat_new.hits == stat_old.hits
-
-    def test_scalar_and_stream_interoperate(self):
-        """Dict state seeds the kernel; kernel state serves scalars."""
-        rng = np.random.default_rng(3)
-        stream = rng.integers(0, 4096, size=6000)
-        config = table1_config()
-        new = CacheHierarchy(config, BASELINE_CHANNELS)
-        old = ReferenceCacheHierarchy(config, BASELINE_CHANNELS)
-        for lo, hi in ((0, 100), (100, 4000), (4000, 4100),
-                       (4100, 6000)):
-            chunk = stream[lo:hi]
-            if (hi - lo) < 200:  # scalar path
-                got = [new.access(int(line), sm)
-                       for sm, line in enumerate(chunk)]
-                want = [old.access(int(line), sm)
-                        for sm, line in enumerate(chunk)]
-                assert got == want
-            else:  # vectorized path
-                assert np.array_equal(new.filter_stream_indices(chunk),
-                                      old.filter_stream_indices(chunk))
 
 
 class TestEngineGolden:

@@ -71,6 +71,10 @@ class TestValidation:
     def test_bad_l1_geometry_rejected(self):
         with pytest.raises(ConfigError):
             GpuConfig(l1_bytes_per_sm=100)
+        with pytest.raises(ConfigError):
+            GpuConfig(l1_bytes_per_sm=1000, l1_assoc=3)
+        with pytest.raises(ConfigError):
+            GpuConfig(l1_bytes_per_sm=0)
 
     def test_bad_channel_count_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,9 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_context
+from reference_loops import ReferenceSetAssocCache
 from repro.core.metrics import geomean
 from repro.core.units import PAGE_SIZE, bytes_to_pages, pages_to_bytes
-from repro.gpu.cache import SetAssocCache
 from repro.gpu.config import table1_config
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
@@ -112,7 +112,7 @@ class TestCacheProperties:
     def test_small_working_set_eventually_all_hits(self, addrs):
         # 64 lines fit entirely in a 64-line cache: after one cold miss
         # per distinct line, everything hits.
-        cache = SetAssocCache(64 * 128, 128, 64)  # fully associative set
+        cache = ReferenceSetAssocCache(64 * 128, 128, 64)  # fully associative
         misses = sum(0 if cache.access(a) else 1 for a in addrs)
         assert misses == len(set(addrs))
 
@@ -120,10 +120,10 @@ class TestCacheProperties:
                     min_size=1, max_size=400))
     @COMMON
     def test_resident_lines_bounded_by_capacity(self, addrs):
-        cache = SetAssocCache(1024, 128, 2)
+        cache = ReferenceSetAssocCache(1024, 128, 2)
         for addr in addrs:
             cache.access(addr)
-        assert cache.resident_lines() <= 8
+        assert sum(len(cache_set) for cache_set in cache._sets) <= 8
         assert cache.stats.accesses == len(addrs)
 
 
