@@ -7,7 +7,8 @@ RNG consumption moves a digest, so a refactor of the placement path
 that claims bit-identical results is checked against placements
 recorded before it.
 
-Regenerate (prints the keys that moved, then rewrites the file)::
+Regenerate (prints each moved key with its old and new digest, then
+rewrites the file)::
 
     PYTHONPATH=src python tests/test_placement_digests.py --regenerate
 """
@@ -15,12 +16,12 @@ Regenerate (prints the keys that moved, then rewrites the file)::
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from frozen_digests import assert_unmoved, regenerate_main
 from repro.core.experiment import constrained_topology, resolve_policy
 from repro.memory.topology import simulated_baseline
 from repro.policies.bwaware import BwAwarePolicy
@@ -78,27 +79,9 @@ def compute_digests() -> dict[str, str]:
 
 
 def test_placements_match_frozen_digests():
-    frozen = json.loads(GOLDEN.read_text())
-    current = compute_digests()
-    assert set(current) == set(frozen)
-    moved = sorted(key for key in frozen if current[key] != frozen[key])
-    assert not moved, f"{len(moved)} placements moved: {moved[:10]}"
-
-
-def main(argv: list[str]) -> int:
-    if argv != ["--regenerate"]:
-        print(__doc__)
-        return 2
-    current = compute_digests()
-    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    moved = sorted(key for key in current if frozen.get(key) != current[key])
-    for key in moved:
-        print(f"moved: {key}")
-    print(f"{len(moved)} of {len(current)} keys moved")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
-    return 0
+    assert_unmoved(GOLDEN, compute_digests(), "placements")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(regenerate_main(sys.argv[1:], GOLDEN, compute_digests,
+                             __doc__))

@@ -10,7 +10,8 @@ warm from the daemon's cache.  Each case pins the sha256 of its
 canonical JSON, so a refactor that claims bit-identical results is
 checked against values recorded before it.
 
-Regenerate (prints the keys that moved, then rewrites the file)::
+Regenerate (prints each moved key with its old and new digest, then
+rewrites the file)::
 
     PYTHONPATH=src python tests/test_replay_digests.py --regenerate
 """
@@ -21,6 +22,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+from frozen_digests import assert_unmoved, regenerate_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "replay_digests.json"
 
@@ -145,27 +148,9 @@ def compute_digests() -> dict[str, str]:
 
 
 def test_replays_match_frozen_digests():
-    frozen = json.loads(GOLDEN.read_text())
-    current = compute_digests()
-    assert set(current) == set(frozen)
-    moved = sorted(key for key in frozen if current[key] != frozen[key])
-    assert not moved, f"{len(moved)} replays moved: {moved}"
-
-
-def main(argv: list[str]) -> int:
-    if argv != ["--regenerate"]:
-        print(__doc__)
-        return 2
-    current = compute_digests()
-    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    moved = sorted(key for key in current if frozen.get(key) != current[key])
-    for key in moved:
-        print(f"moved: {key}")
-    print(f"{len(moved)} of {len(current)} keys moved")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
-    return 0
+    assert_unmoved(GOLDEN, compute_digests(), "replays")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(regenerate_main(sys.argv[1:], GOLDEN, compute_digests,
+                             __doc__))
