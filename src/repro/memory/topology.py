@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from repro.core.errors import ConfigError
@@ -128,6 +129,13 @@ class SystemTopology:
             raise ConfigError(f"topology {self.name} has no CO bandwidth")
         return bo / co
 
+    @cached_property
+    def write_cost_factors(self) -> tuple[float, ...]:
+        """Per-zone write occupancy factor of the zone's technology,
+        by zone_id (the engines' write weights)."""
+        return tuple(zone.technology.write_cost_factor
+                     for zone in self.zones)
+
     def replace_zone(self, zone: MemoryZone) -> "SystemTopology":
         """A topology with the same shape but ``zone`` swapped in by id.
 
@@ -157,14 +165,17 @@ class SystemTopology:
     # per-pair distances (N-pool generalization)
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def distances(self) -> DistanceMatrix:
         """The effective inter-zone distance matrix.
 
         Explicit when the topology carries one (chiplet systems);
         otherwise derived from the per-zone ``hop_cycles`` /
         ``link_bandwidth`` scalars — every observer pays the
-        destination zone's cost, exactly the legacy model.
+        destination zone's cost, exactly the legacy model.  Built once
+        per topology: the object is frozen, and every engine call asks
+        for it per zone.  It is not a field, so equality, hashing and
+        the cache key's description ignore it.
         """
         if self.distance is not None:
             return self.distance

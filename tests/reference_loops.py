@@ -2,8 +2,12 @@
 
 These are the original pure-Python simulation loops that
 :mod:`repro.gpu.cache`, :mod:`repro.gpu.engine` and
-:mod:`repro.gpu.banked` replaced with kernels.  They are kept here, in
-the test suite, as the behavioural oracle: the golden equality suite
+:mod:`repro.gpu.banked` replaced with kernels, plus the first
+vectorized form of :mod:`repro.gpu.throughput`
+(:func:`reference_throughput_run`), which
+``tests/test_throughput_oracle.py`` holds the engine to with ``==``
+on every field.  They are kept here, in the test suite, as the
+behavioural oracle: the golden equality suite
 (``tests/test_golden_vectorized.py``) and the kernel differential tests
 (``tests/test_lru_native.py``) check the native and numpy cache filters
 are *bit-identical* to :class:`ReferenceCacheHierarchy`, and the
@@ -120,6 +124,97 @@ class ReferenceCacheHierarchy:
         return total
 
 
+def _mask_write_weights(trace: DramTrace, write_factors: np.ndarray,
+                        access_zones: np.ndarray) -> np.ndarray:
+    """The seed ``DramTrace.write_weights``: boolean-mask indexing.
+
+    Kept here so no oracle shares the weight gather of the engines it
+    checks."""
+    if trace.is_write is None:
+        return np.ones(trace.n_accesses)
+    factors = np.asarray(write_factors, dtype=np.float64)
+    weights = np.ones(trace.n_accesses)
+    weights[trace.is_write] = factors[access_zones[trace.is_write]]
+    return weights
+
+
+def reference_throughput_run(config: GpuConfig, trace: DramTrace,
+                             zone_map: np.ndarray,
+                             topology: SystemTopology,
+                             chars: WorkloadCharacteristics) -> SimResult:
+    """The :class:`ThroughputEngine` epoch model as first vectorized:
+    one ``arange(n) * E // n`` epoch id and two ``bincount``s over the
+    whole stream."""
+    zone_map = validate_zone_map(zone_map, trace.footprint_pages,
+                                 len(topology))
+    n_zones = len(topology)
+    n_accesses = trace.n_accesses
+    if n_accesses == 0:
+        raise SimulationError("empty trace")
+
+    access_zones = zone_map[trace.page_indices].astype(np.int64)
+    epoch_ids = (
+        np.arange(n_accesses, dtype=np.int64) * trace.n_epochs
+        // n_accesses
+    )
+    counts = np.bincount(
+        epoch_ids * n_zones + access_zones,
+        minlength=trace.n_epochs * n_zones,
+    ).reshape(trace.n_epochs, n_zones).astype(np.float64)
+    write_factors = np.array([
+        zone.technology.write_cost_factor for zone in topology
+    ])
+    weights = _mask_write_weights(trace, write_factors, access_zones)
+    occupancy = np.bincount(
+        epoch_ids * n_zones + access_zones,
+        weights=weights,
+        minlength=trace.n_epochs * n_zones,
+    ).reshape(trace.n_epochs, n_zones)
+
+    bandwidths = np.array(topology.gpu_usable_bandwidths())
+    latencies = np.array(topology.gpu_latencies_ns(config.clock_ghz))
+    line = float(trace.bytes_per_access)
+
+    epoch_bytes = counts * line
+    t_bandwidth = ((occupancy * line)
+                   / bandwidths[None, :]).max(axis=1) * 1e9
+
+    epoch_accesses = counts.sum(axis=1)
+    n_channels = sum(zone.channels for zone in topology)
+    parallelism = min(
+        chars.parallelism,
+        float(config.total_mshrs(n_channels)),
+        float(config.max_warps_outstanding),
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fractions = np.where(
+            epoch_accesses[:, None] > 0,
+            counts / np.maximum(epoch_accesses, 1.0)[:, None],
+            0.0,
+        )
+    avg_latency = (fractions * latencies[None, :]).sum(axis=1)
+    t_latency = epoch_accesses * avg_latency / parallelism
+
+    raw_per_epoch = trace.n_raw_accesses / trace.n_epochs
+    t_compute = np.full(trace.n_epochs,
+                        raw_per_epoch * chars.compute_ns_per_access)
+
+    epoch_time = np.maximum.reduce([t_bandwidth, t_latency, t_compute])
+    total_time = float(epoch_time.sum())
+    if total_time <= 0:
+        raise SimulationError("model produced non-positive runtime")
+
+    return SimResult(
+        engine="throughput",
+        total_time_ns=total_time,
+        dram_accesses=n_accesses,
+        bytes_by_zone=epoch_bytes.sum(axis=0),
+        time_bandwidth_ns=float(t_bandwidth.sum()),
+        time_latency_ns=float(t_latency.sum()),
+        time_compute_ns=float(t_compute.sum()),
+    )
+
+
 def reference_detailed_run(config: GpuConfig, trace: DramTrace,
                            zone_map: np.ndarray,
                            topology: SystemTopology,
@@ -153,7 +248,8 @@ def reference_detailed_run(config: GpuConfig, trace: DramTrace,
     write_factors = np.array([
         zone.technology.write_cost_factor for zone in topology
     ])
-    service_weights = trace.write_weights(write_factors, access_zones)
+    service_weights = _mask_write_weights(trace, write_factors,
+                                          access_zones)
 
     miss_rate = max(trace.miss_rate(), 1e-12)
     compute_step = chars.compute_ns_per_access / miss_rate
@@ -245,7 +341,8 @@ def reference_banked_run(config: GpuConfig, trace: DramTrace,
     write_factors = np.array([
         zone.technology.write_cost_factor for zone in topology
     ])
-    service_weights = trace.write_weights(write_factors, access_zones)
+    service_weights = _mask_write_weights(trace, write_factors,
+                                          access_zones)
     pages = trace.page_indices
     miss_rate = max(trace.miss_rate(), 1e-12)
     compute_step = chars.compute_ns_per_access / miss_rate
