@@ -191,6 +191,27 @@ class TestGoldenEquivalence:
                 assert matrix.hops(i, j) == float(zone.hop_cycles)
                 assert matrix.link_bandwidth(i, j) == zone.link_bandwidth
 
+    def test_memoised_vectors_leave_identity_alone(self):
+        """``distances`` and ``write_cost_factors`` are built once per
+        topology and are not fields: reading them changes neither
+        equality, hash nor the cache key's description, and a replaced
+        zone gets values of its own."""
+        import pickle
+
+        from repro.runner.spec import describe_topology
+
+        read, fresh = simulated_baseline(), simulated_baseline()
+        assert read.distances is read.distances
+        assert read.write_cost_factors == (1.15, 1.10)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert describe_topology(read) == describe_topology(fresh)
+        assert pickle.loads(pickle.dumps(read)) == fresh
+        far = read.replace_zone(
+            dataclasses.replace(read.zones[1], hop_cycles=300))
+        assert far.distances.hops(0, 1) == 300.0
+        assert read.distances.hops(0, 1) == 100.0
+        assert read.with_bo_capacity(GIB).distances is not read.distances
+
     def test_gpu_helpers_match_legacy_scalars(self):
         for name in NAMED_TOPOLOGIES:
             topology = topology_by_name(name)
