@@ -1,9 +1,12 @@
 """Build and load the native kernels: one library, several kernels.
 
-Two C files make up the library: ``_windowed.c``, the event engines'
-windowed-service kernel (:mod:`repro.gpu.service`), and ``_lru.c``, the
-L1/L2 hierarchy filter (:mod:`repro.gpu.cache`).  They are compiled
-together on first use — the first filter or detailed/banked replay,
+Three C files make up the library: ``_windowed.c``, the event engines'
+windowed-service kernel (:mod:`repro.gpu.service`), ``_passes.c``, the
+engines' per-access passes around it (zone map to (epoch, zone) bins
+for the throughput engine; to channels, occupancy, the windowed replay,
+busy time and zone counts for the detailed and banked engines), and
+``_lru.c``, the L1/L2 hierarchy filter (:mod:`repro.gpu.cache`).  They
+are compiled together on first use — the first filter or engine run,
 never at import — into a content-addressed shared library under
 ``$XDG_CACHE_HOME/repro/native/`` (default ``~/.cache/repro/native/``),
 keyed by the source bytes, the compile flags and the machine, and then
@@ -13,7 +16,8 @@ directory and ``os.replace`` it into place, so concurrent first builds
 are safe.  Each library ends in a trailer holding the SHA-256 of the
 bytes before it, checked before ``dlopen``: mapping a truncated shared
 object kills the process with SIGBUS instead of raising, so a damaged
-cached library must be caught on disk — it is rebuilt.
+cached library must be caught on disk — it is rebuilt, as is one with
+another ABI version or missing an entry point.
 
 The flags keep IEEE semantics: no ``-ffast-math`` or ``-march=native``,
 and ``-ffp-contract=off`` so no multiply-add is fused — any of those
@@ -39,20 +43,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.core.errors import SimulationError
 from repro.obs.log import log_event
 
 #: compiler driver; tests point it at a missing name to force the
 #: numpy fallback.
 CC = "cc"
 
-#: compile flags; part of the library's cache key.
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: compile flags; part of the library's cache key.  Every function
+#: starts on a 64-byte line, so a kernel's speed does not hang on the
+#: code size of the sources linked before it.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
+          "-falign-functions=64")
 
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_windowed.c", "_lru.c"))
+                for name in ("_windowed.c", "_lru.c", "_passes.c"))
 
 #: must match ``repro_native_abi()`` in the C sources.
-_ABI = 2
+_ABI = 3
 
 #: library trailer: magic, then the SHA-256 of everything before it.
 _MAGIC = b"repro-native-v1\0"
@@ -116,10 +124,16 @@ def _compile(target: Path) -> None:
             os.unlink(tmp)
 
 
-def _open(path: Path) -> ctypes.CDLL:
+def _open(path: Path, rebuilt: bool = False) -> ctypes.CDLL:
     if not _intact(path):
         raise OSError(f"{path.name}: damaged or truncated")
-    lib = ctypes.CDLL(str(path))
+    # dlopen hands back any image already mapped under the same name —
+    # a stale one this process opened before rebuilding — so a rebuilt
+    # library is opened by another spelling of its path; its new inode
+    # then makes the loader map the new file.
+    name = (os.path.join(str(path.parent), ".", path.name) if rebuilt
+            else str(path))
+    lib = ctypes.CDLL(name)
     try:
         abi_fn = lib.repro_native_abi
     except AttributeError as exc:
@@ -190,8 +204,99 @@ def _bind_lru(lib: ctypes.CDLL) -> Callable:
     return filter_hierarchy
 
 
+def _address(array: Optional[np.ndarray]) -> Optional[int]:
+    return None if array is None else array.ctypes.data
+
+
+def _pass_inputs(pages, is_write, zone_map, write_factors):
+    """Contiguous int64 pages and zone map, one-byte write flags (or
+    ``None``, one per page) and float64 write factors."""
+    pages = np.ascontiguousarray(pages, dtype=np.int64)
+    flags = (None if is_write is None
+             else np.ascontiguousarray(is_write, dtype=np.bool_))
+    if flags is not None and flags.shape != pages.shape:
+        raise SimulationError("native pass: write flags must align "
+                              "with page indices")
+    return (pages, flags, np.ascontiguousarray(zone_map, dtype=np.int64),
+            np.ascontiguousarray(write_factors, dtype=np.float64))
+
+
+def _check_pass(status: int, name: str) -> None:
+    if status == -1:
+        raise MemoryError(f"native {name} pass: out of memory")
+    if status == -2:
+        raise SimulationError(f"native {name} pass: a page outside the "
+                              "zone map, or a zone outside the topology")
+
+
+def _bind_throughput(lib: ctypes.CDLL) -> Callable:
+    fn = lib.repro_throughput_pass
+    fn.restype = ctypes.c_int
+    fn.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p,
+                                            ctypes.c_int64, ctypes.c_void_p]
+                   + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2)
+
+    def throughput_pass(pages, is_write, zone_map, write_factors,
+                        n_epochs):
+        """``(counts, occupancy)``, each ``(n_epochs, Z)`` float64."""
+        pages, flags, zone_map, factors = _pass_inputs(
+            pages, is_write, zone_map, write_factors)
+        counts = np.zeros((n_epochs, factors.size))
+        occupancy = np.zeros((n_epochs, factors.size))
+        _check_pass(fn(pages.ctypes.data, _address(flags), pages.size,
+                       zone_map.ctypes.data, zone_map.size,
+                       factors.ctypes.data, factors.size, n_epochs,
+                       counts.ctypes.data, occupancy.ctypes.data),
+                    "throughput")
+        return counts, occupancy
+
+    return throughput_pass
+
+
+def _bind_events(lib: ctypes.CDLL) -> Callable:
+    fn = lib.repro_event_pass
+    fn.restype = ctypes.c_int
+    fn.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p,
+                                            ctypes.c_int64, ctypes.c_void_p,
+                                            ctypes.c_int64]
+                   + [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3
+                   + [ctypes.c_double, ctypes.c_int64]
+                   + [ctypes.POINTER(ctypes.c_double)]
+                   + [ctypes.c_void_p] * 2)
+
+    def event_pass(pages, is_write, zone_map, write_factors, zone_channels,
+                   service, latency, row_miss, n_banks, lines_per_page,
+                   lines_per_row, step, window):
+        """``(last completion, busy per channel, accesses per zone)``;
+        ``n_banks == 0`` is the detailed engine's round-robin pass,
+        ``n_banks > 0`` the banked one (``row_miss`` per zone)."""
+        pages, flags, zone_map, factors = _pass_inputs(
+            pages, is_write, zone_map, write_factors)
+        channels = np.ascontiguousarray(zone_channels, dtype=np.int64)
+        tables = [np.ascontiguousarray(t, dtype=np.float64)
+                  for t in (service, latency)]
+        row_miss = (None if row_miss is None
+                    else np.ascontiguousarray(row_miss, dtype=np.float64))
+        busy = np.zeros(int(channels.sum()))
+        zone_counts = np.zeros(channels.size, dtype=np.int64)
+        last = ctypes.c_double(0.0)
+        _check_pass(fn(pages.ctypes.data, _address(flags), pages.size,
+                       zone_map.ctypes.data, zone_map.size,
+                       factors.ctypes.data, channels.size,
+                       channels.ctypes.data, *(t.ctypes.data
+                                               for t in tables),
+                       _address(row_miss), n_banks, lines_per_page,
+                       lines_per_row, step, max(1, int(window)),
+                       ctypes.byref(last), busy.ctypes.data,
+                       zone_counts.ctypes.data), "event")
+        return last.value, busy, zone_counts
+
+    return event_pass
+
+
 #: kernel name -> binder of its entry point in the loaded library.
-_BINDERS = {"windowed": _bind_windowed, "lru": _bind_lru}
+_BINDERS = {"windowed": _bind_windowed, "throughput": _bind_throughput,
+            "events": _bind_events, "lru": _bind_lru}
 
 
 def _bind(lib: ctypes.CDLL) -> dict[str, Callable]:
@@ -209,13 +314,12 @@ def _load() -> dict[str, Callable]:
         except OSError:
             pass  # stale or damaged: rebuild below
     _compile(path)
-    return _bind(_open(path))
+    return _bind(_open(path, rebuilt=True))
 
 
-def kernel(name: str) -> Optional[Callable]:
-    """The native kernel ``name`` (``"windowed"`` or ``"lru"``), with
-    the library built/loaded on first call; ``None`` when the library
-    is unavailable (the caller falls back to numpy)."""
+def kernels() -> Optional[dict[str, Callable]]:
+    """Every bound kernel by name (see :func:`kernel`), with the library
+    built/loaded on first call; ``None`` when it is unavailable."""
     global _resolved, _kernels
     if not _resolved:
         with _lock:
@@ -228,4 +332,13 @@ def kernel(name: str) -> Optional[Callable]:
                                       f"unavailable ({exc}); using numpy")
                     _kernels = {}
                 _resolved = True
-    return _kernels[name] if _kernels else None
+    return _kernels or None
+
+
+def kernel(name: str) -> Optional[Callable]:
+    """The native kernel ``name`` (``"windowed"``, ``"throughput"``,
+    ``"events"`` or ``"lru"``), with the library built/loaded on first
+    call; ``None`` when the library is unavailable (the caller falls
+    back to numpy)."""
+    bound = kernels()
+    return bound[name] if bound else None

@@ -16,13 +16,15 @@ artifact of the peak-bandwidth abstraction: the banked ablation bench
 checks the Section 3 policy ordering survives row-buffer effects.
 
 Row-buffer outcomes are a pure function of the access stream (a bank
-hits iff its previous access touched the same row), so
-:func:`_bank_row_hits` resolves every access with one grouping sort;
-``run`` feeds the resulting occupancies through the batched window
-kernel in :mod:`repro.gpu.service` and ``row_hit_rates`` reduces the
-same per-access hit vector per zone.  The per-access loops survive in
-the test suite as ``reference_banked_run`` and
-``reference_row_hit_rates`` (``tests/reference_loops.py``) for the
+hits iff its previous access touched the same row).  ``run`` hands the
+per-access work — zone, line-interleaved channel, row-buffer outcome,
+occupancy, the windowed replay, busy time and zone counts — to
+:func:`repro.gpu.service.event_pass`, which runs its compiled pass
+(``_passes.c``: a per-bank open-row table) or the bit-identical numpy
+one (:func:`repro.gpu.service.bank_row_hits`: one grouping sort);
+``row_hit_rates`` reduces the numpy hit vector per zone.  The
+per-access loops survive in the test suite as ``reference_banked_run``
+and ``reference_row_hit_rates`` (``tests/reference_loops.py``) for the
 golden suite.  :class:`BankState` remains the scalar building block the
 reference (and its tests) use.
 """
@@ -32,13 +34,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.core.units import LINE_SIZE, PAGE_SIZE
 from repro.gpu.config import GpuConfig
 from repro.obs import trace as obs_trace
 from repro.gpu.service import (
+    bank_row_hits,
     check_channel_count,
+    event_pass,
     kernel_path,
-    simulate_windowed,
 )
 from repro.gpu.trace import (
     DramTrace,
@@ -47,12 +49,6 @@ from repro.gpu.trace import (
     validate_zone_map,
 )
 from repro.memory.topology import SystemTopology
-
-LINES_PER_PAGE = PAGE_SIZE // LINE_SIZE
-
-#: DRAM row (page) size in lines; 2 KB rows of 128 B lines.
-LINES_PER_ROW = 16
-
 
 class BankState:
     """Open-row tracking for the banks of one channel."""
@@ -79,44 +75,6 @@ class BankState:
     def hit_rate(self) -> float:
         total = self.row_hits + self.row_misses
         return self.row_hits / total if total else 0.0
-
-
-def _bank_row_hits(pages: np.ndarray, access_zones: np.ndarray,
-                   zone_channels: np.ndarray, zone_offset: np.ndarray,
-                   n_banks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channel and row-buffer outcome of every access, vectorized.
-
-    A bank's open row is always the row of its previous access, so
-    access ``i`` hits iff the prior access to the same (zone, channel,
-    bank) touched the same row — an adjacency test after one stable
-    sort grouping the stream by bank.
-    """
-    n = pages.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=bool)
-    # Lines interleave across channels; a DRAM row is a span of
-    # *channel-local* lines, so sequential streams reuse rows.
-    line = (pages * LINES_PER_PAGE
-            + np.arange(n, dtype=np.int64) % LINES_PER_PAGE)
-    per_zone = zone_channels[access_zones]
-    channel = line % per_zone
-    row = (line // per_zone) // LINES_PER_ROW
-    bank_ids = ((zone_offset[access_zones] + channel) * n_banks
-                + row % n_banks)
-    if int(bank_ids.max()) < 1 << 15:
-        bank_ids = bank_ids.astype(np.int16)
-    order = np.argsort(bank_ids, kind="stable")
-    bank_sorted = bank_ids[order]
-    row_sorted = row[order]
-    hit_sorted = np.empty(n, dtype=bool)
-    hit_sorted[0] = False
-    np.logical_and(bank_sorted[1:] == bank_sorted[:-1],
-                   row_sorted[1:] == row_sorted[:-1],
-                   out=hit_sorted[1:])
-    row_hit = np.empty(n, dtype=bool)
-    row_hit[order] = hit_sorted
-    return channel, row_hit
 
 
 class BankedEngine:
@@ -183,40 +141,23 @@ class BankedEngine:
             topology.gpu_latencies_ns(self.config.clock_ghz)
         )
 
-        access_zones, service_weights = trace.gather_zones(
-            zone_map, topology.write_cost_factors)
         miss_rate = max(trace.miss_rate(), 1e-12)
         compute_step = chars.compute_ns_per_access / miss_rate
 
-        zone_offset = np.concatenate(([0], np.cumsum(zone_channels)[:-1]))
-        channel, row_hit = _bank_row_hits(trace.page_indices,
-                                          access_zones, zone_channels,
-                                          zone_offset,
-                                          self.banks_per_channel)
-        channel_ids = (zone_offset[access_zones] + channel
-                       ).astype(np.int16)
-
-        n = trace.n_accesses
-        occupancy = burst_ns[access_zones]
-        occupancy *= service_weights
-        occupancy += np.where(row_hit, 0.0, miss_extra_ns[access_zones])
-        latency = latency_ns[access_zones]
-        ready_base = np.arange(n, dtype=np.float64) * compute_step
-        last_completion = simulate_windowed(ready_base, occupancy,
-                                            latency, channel_ids,
-                                            n_channels_total, window)
+        # busy is the transfer occupancy each channel actually served,
+        # not its last-free timestamp, so dominant_bound() can trust it.
+        last_completion, busy, zone_counts = event_pass(
+            trace, zone_map, topology.write_cost_factors, zone_channels,
+            burst_ns, latency_ns, compute_step, window,
+            row_miss_ns=miss_extra_ns,
+            banks_per_channel=self.banks_per_channel)
 
         total_compute = trace.n_raw_accesses * chars.compute_ns_per_access
         total_time = max(last_completion, total_compute)
         if total_time <= 0:
             raise SimulationError("banked engine produced zero runtime")
 
-        # Busy time per channel — transfer occupancy actually served,
-        # not the last-free timestamp, so dominant_bound() can trust it.
-        busy = np.bincount(channel_ids, weights=occupancy,
-                           minlength=n_channels_total)
-        bytes_by_zone = (np.bincount(access_zones, minlength=n_zones)
-                         * float(trace.bytes_per_access))
+        bytes_by_zone = zone_counts * float(trace.bytes_per_access)
         return SimResult(
             engine=self.name,
             total_time_ns=total_time,
@@ -241,9 +182,9 @@ class BankedEngine:
         zone_offset = np.concatenate(([0], np.cumsum(zone_channels)[:-1]))
         access_zones, _ = trace.gather_zones(
             zone_map, topology.write_cost_factors)
-        _, row_hit = _bank_row_hits(trace.page_indices, access_zones,
-                                    zone_channels, zone_offset,
-                                    self.banks_per_channel)
+        _, row_hit = bank_row_hits(trace.page_indices, access_zones,
+                                   zone_channels, zone_offset,
+                                   self.banks_per_channel)
         totals = np.bincount(access_zones, minlength=n_zones)
         hits = np.bincount(access_zones, weights=row_hit,
                            minlength=n_zones)

@@ -15,12 +15,15 @@ stream request by request:
 * a compute throttle — the SMs cannot feed misses faster than the
   kernel's compute intensity allows.
 
-The replay itself runs through the batched array kernel in
-:mod:`repro.gpu.service`: this module only precomputes the per-access
-zone / channel / occupancy / latency arrays and reduces the result.
-The original per-access heap loop survives in the test suite as
-``reference_detailed_run`` (``tests/reference_loops.py``), which the
-golden suite holds this engine to at 1e-9 relative.
+The per-access work — each access's zone, round-robin channel,
+occupancy, latency and ready time, the batched windowed replay, and the
+per-channel busy time and per-zone counts — is one call,
+:func:`repro.gpu.service.event_pass`, which runs its compiled pass
+(``_passes.c``) or the bit-identical numpy one; this module only builds
+the per-zone tables and reduces the result.  The original per-access
+heap loop survives in the test suite as ``reference_detailed_run``
+(``tests/reference_loops.py``), which the golden suite holds this
+engine to at 1e-9 relative.
 
 The engine exists to validate the analytic model: the ablation bench
 (`benchmarks/test_ablation_engines.py`) checks both engines rank
@@ -34,12 +37,7 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.gpu.config import GpuConfig
 from repro.obs import trace as obs_trace
-from repro.gpu.service import (
-    check_channel_count,
-    kernel_path,
-    rank_within_groups,
-    simulate_windowed,
-)
+from repro.gpu.service import check_channel_count, event_pass, kernel_path
 from repro.gpu.trace import (
     DramTrace,
     SimResult,
@@ -97,9 +95,6 @@ class DetailedEngine:
             topology.gpu_latencies_ns(self.config.clock_ghz)
         )
 
-        access_zones, service_weights = trace.gather_zones(
-            zone_map, topology.write_cost_factors)
-
         # Compute throttle: DRAM access i corresponds (on average) to raw
         # access i / miss_rate, each costing compute_ns_per_access.
         miss_rate = max(trace.miss_rate(), 1e-12)
@@ -107,32 +102,18 @@ class DetailedEngine:
 
         # Requests spread over a zone's channels round-robin: the k-th
         # access to a zone lands on channel k mod that zone's count.
-        zone_offset = np.concatenate(([0], np.cumsum(zone_channels)[:-1]))
-        ranks = rank_within_groups(access_zones, n_zones)
-        channel_ids = (zone_offset[access_zones]
-                       + ranks % zone_channels[access_zones]
-                       ).astype(np.int16)
-
-        n = trace.n_accesses
-        occupancy = service_ns[access_zones]
-        occupancy *= service_weights
-        latency = latency_ns[access_zones]
-        ready_base = np.arange(n, dtype=np.float64) * compute_step
-        last_completion = simulate_windowed(ready_base, occupancy,
-                                            latency, channel_ids,
-                                            n_channels_total, window)
+        # busy is the transfer occupancy each channel actually served,
+        # not its last-free timestamp, so dominant_bound() can trust it.
+        last_completion, busy, zone_counts = event_pass(
+            trace, zone_map, topology.write_cost_factors, zone_channels,
+            service_ns, latency_ns, compute_step, window)
 
         total_compute = trace.n_raw_accesses * chars.compute_ns_per_access
         total_time = max(last_completion, total_compute)
         if total_time <= 0:
             raise SimulationError("detailed engine produced zero runtime")
 
-        # Busy time per channel — transfer occupancy actually served,
-        # not the last-free timestamp, so dominant_bound() can trust it.
-        busy = np.bincount(channel_ids, weights=occupancy,
-                           minlength=n_channels_total)
-        bytes_by_zone = (np.bincount(access_zones, minlength=n_zones)
-                         * float(trace.bytes_per_access))
+        bytes_by_zone = zone_counts * float(trace.bytes_per_access)
         return SimResult(
             engine=self.name,
             total_time_ns=total_time,

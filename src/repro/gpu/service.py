@@ -46,19 +46,38 @@ kernel's bit for bit.  The numpy kernel (:func:`_simulate_numpy` and
 :func:`_simulate_sequential`) is the fallback on hosts where the
 library cannot be built or loaded, and the oracle the native path is
 tested against; :func:`kernel_path` says which one this process runs.
+
+The engines' whole per-access passes live here too, one function per
+pass, so no engine branches on the kernel: :func:`throughput_pass`
+(zone map to (epoch, zone) counts and occupancy) and
+:func:`event_pass` (zone map to channels, occupancy, the windowed
+replay, per-channel busy time and per-zone access counts, for the
+detailed and banked engines).  Each runs its compiled port
+(``_passes.c``) or its numpy form (:meth:`DramTrace.gather_zones`,
+:func:`rank_within_groups`, :func:`bank_row_hits`, ``np.bincount``),
+which performs the same float operations in the same order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import SimulationError
+from repro.core.units import LINE_SIZE, PAGE_SIZE
+from repro.gpu.trace import DramTrace
 
-__all__ = ["check_channel_count", "kernel_path", "rank_within_groups",
-           "simulate_windowed"]
+__all__ = ["bank_row_hits", "check_channel_count", "event_pass",
+           "kernel_path", "rank_within_groups", "simulate_windowed",
+           "throughput_pass"]
+
+LINES_PER_PAGE = PAGE_SIZE // LINE_SIZE
+
+#: DRAM row (page) size in lines; 2 KB rows of 128 B lines.
+LINES_PER_ROW = 16
 
 #: the event engines store channel ids as int16.
 MAX_CHANNELS = int(np.iinfo(np.int16).max)
@@ -122,18 +141,21 @@ def _simulate_sequential(ready_base: np.ndarray, occupancy: np.ndarray,
     return max(inflight) if inflight else 0.0
 
 
-def _native_kernel():
+def _native_kernels() -> Optional[dict]:
+    """The compiled kernels by name, or ``None`` where the library is
+    unavailable (tests patch this to force the numpy kernels)."""
     from repro.gpu import _native  # deferred: loads on first replay
 
-    return _native.kernel("windowed")
+    return _native.kernels()
 
 
 def kernel_path() -> str:
     """``"native"`` when this process runs the compiled kernels — this
-    module's :func:`simulate_windowed` and the cache hierarchy's filter
-    (:mod:`repro.gpu.cache`), which share one library — else
-    ``"numpy"`` (builds or loads the library on first call)."""
-    return "numpy" if _native_kernel() is None else "native"
+    module's passes and :func:`simulate_windowed`, and the cache
+    hierarchy's filter (:mod:`repro.gpu.cache`), which share one
+    library — else ``"numpy"`` (builds or loads the library on first
+    call)."""
+    return "numpy" if _native_kernels() is None else "native"
 
 
 def _check_inputs(ready_base: np.ndarray, occupancy: np.ndarray,
@@ -181,9 +203,9 @@ def simulate_windowed(ready_base: np.ndarray, occupancy: np.ndarray,
     arrays = [np.asarray(a) for a in (ready_base, occupancy, latency,
                                       channel_ids)]
     _check_inputs(*arrays, n_channels)
-    native = _native_kernel()
+    native = _native_kernels()
     if native is not None:
-        return native(*arrays, n_channels, window)
+        return native["windowed"](*arrays, n_channels, window)
     return _simulate_numpy(*arrays, n_channels, window)
 
 
@@ -316,3 +338,186 @@ def _simulate_numpy(ready_base: np.ndarray, occupancy: np.ndarray,
         i += batch
     # The never-popped running max makes the sorted tail the answer.
     return pend_hi
+
+
+def bank_row_hits(pages: np.ndarray, access_zones: np.ndarray,
+                  zone_channels: np.ndarray, zone_offset: np.ndarray,
+                  n_banks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Channel (within its zone) and row-buffer outcome of every access,
+    vectorized.
+
+    A bank's open row is always the row of its previous access, so
+    access ``i`` hits iff the prior access to the same (zone, channel,
+    bank) touched the same row — an adjacency test after one stable
+    sort grouping the stream by bank.
+    """
+    n = pages.size
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.empty(0, dtype=bool)
+    # Lines interleave across channels; a DRAM row is a span of
+    # *channel-local* lines, so sequential streams reuse rows.
+    line = (pages * LINES_PER_PAGE
+            + np.arange(n, dtype=np.int64) % LINES_PER_PAGE)
+    per_zone = zone_channels[access_zones]
+    channel = line % per_zone
+    row = (line // per_zone) // LINES_PER_ROW
+    bank_ids = ((zone_offset[access_zones] + channel) * n_banks
+                + row % n_banks)
+    if int(bank_ids.max()) < 1 << 15:
+        bank_ids = bank_ids.astype(np.int16)
+    order = np.argsort(bank_ids, kind="stable")
+    bank_sorted = bank_ids[order]
+    row_sorted = row[order]
+    hit_sorted = np.empty(n, dtype=bool)
+    hit_sorted[0] = False
+    np.logical_and(bank_sorted[1:] == bank_sorted[:-1],
+                   row_sorted[1:] == row_sorted[:-1],
+                   out=hit_sorted[1:])
+    row_hit = np.empty(n, dtype=bool)
+    row_hit[order] = hit_sorted
+    return channel, row_hit
+
+
+def throughput_pass(trace: DramTrace, zone_map: np.ndarray,
+                    write_cost_factors: Sequence[float]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The throughput engine's per-access pass: ``counts[e, z]``, the
+    DRAM accesses of epoch ``e`` served by zone ``z``, and
+    ``occupancy[e, z]``, the same with writes weighted by the zone's
+    write cost factor; both float64, ``(trace.n_epochs, Z)``.
+
+    Epoch ``e`` starts at access ``ceil(e * n / E)``.  ``zone_map``
+    must have passed :func:`~repro.gpu.trace.validate_zone_map`.
+    """
+    factors = np.asarray(write_cost_factors, dtype=np.float64)
+    native = _native_kernels()
+    if native is not None:
+        return native["throughput"](
+            trace.page_indices, trace.is_write,
+            np.asarray(zone_map, dtype=np.int64), factors, trace.n_epochs)
+    return _throughput_pass_numpy(trace, zone_map, factors)
+
+
+def _throughput_pass_numpy(trace: DramTrace, zone_map: np.ndarray,
+                           factors: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`throughput_pass` in numpy (fallback and oracle)."""
+    n_zones, n_epochs, n = factors.size, trace.n_epochs, trace.n_accesses
+    # bins[i]: the (epoch, zone) cell of access i.  The gather returns
+    # a fresh array of zones, so each epoch's offset is one in-place
+    # add over its run, not a division per access.
+    bins, weights = trace.gather_zones(zone_map, factors)
+    starts = -(-np.arange(n_epochs + 1, dtype=np.int64) * n // n_epochs)
+    for epoch in range(1, n_epochs):
+        bins[starts[epoch]:starts[epoch + 1]] += epoch * n_zones
+    counts = np.bincount(
+        bins, minlength=n_epochs * n_zones,
+    ).reshape(n_epochs, n_zones).astype(np.float64)
+    occupancy = np.bincount(
+        bins, weights=weights, minlength=n_epochs * n_zones,
+    ).reshape(n_epochs, n_zones)
+    return counts, occupancy
+
+
+def _check_event_tables(n: int, compute_step: float,
+                        tables: dict[str, np.ndarray]) -> None:
+    """Finite per-zone tables, ready times and occupancies, checked on
+    the tables alone: ``(n - 1) * step`` bounds every ready time, and
+    ``max|service| * max|weight| + max|row miss|`` every occupancy."""
+    for name, values in tables.items():
+        if not np.isfinite(values).all():
+            raise SimulationError(
+                f"event pass: {name} has non-finite values")
+    if n == 0:
+        return
+    if not math.isfinite((n - 1) * compute_step):
+        raise SimulationError("event pass: ready times are non-finite "
+                              f"(compute step {compute_step!r})")
+    peak = float(np.abs(tables["service"]).max())
+    peak *= max(1.0, float(np.abs(tables["write cost factors"]).max(
+        initial=0.0)))
+    if "row miss" in tables:
+        peak += float(np.abs(tables["row miss"]).max())
+    if not math.isfinite(peak):
+        raise SimulationError("event pass: occupancy overflows "
+                              f"(largest {peak!r})")
+
+
+def event_pass(trace: DramTrace, zone_map: np.ndarray,
+               write_cost_factors: Sequence[float],
+               zone_channels: np.ndarray, service_ns: np.ndarray,
+               latency_ns: np.ndarray, compute_step: float, window: int,
+               row_miss_ns: Optional[np.ndarray] = None,
+               banks_per_channel: int = 0
+               ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The event engines' per-access pass and replay.
+
+    Access ``i`` goes to zone ``z = zone_map[page]`` and one of its
+    channels: round-robin over the zone's channels (the detailed
+    engine), or, with ``banks_per_channel > 0`` (the banked engine),
+    line-interleaved with a per-bank open-row test that adds
+    ``row_miss_ns[z]`` on a row miss.  Its occupancy is
+    ``service_ns[z]`` times its write weight, its latency
+    ``latency_ns[z]`` and its ready time ``i * compute_step``; then
+    :func:`simulate_windowed` replays the stream.  Returns the last
+    completion, the busy time per channel (occupancy summed in access
+    order) and the accesses per zone (int64).
+
+    ``zone_map`` must have passed
+    :func:`~repro.gpu.trace.validate_zone_map`.  The per-zone tables,
+    the last ready time and the largest possible occupancy must be
+    finite, else :class:`SimulationError`.
+    """
+    factors = np.asarray(write_cost_factors, dtype=np.float64)
+    tables = {"service": np.asarray(service_ns, dtype=np.float64),
+              "latency": np.asarray(latency_ns, dtype=np.float64),
+              "write cost factors": factors}
+    if banks_per_channel > 0:
+        tables["row miss"] = np.asarray(row_miss_ns, dtype=np.float64)
+    _check_event_tables(trace.n_accesses, compute_step, tables)
+    zone_channels = np.asarray(zone_channels, dtype=np.int64)
+    native = _native_kernels()
+    if native is not None:
+        return native["events"](
+            trace.page_indices, trace.is_write,
+            np.asarray(zone_map, dtype=np.int64), factors, zone_channels,
+            tables["service"], tables["latency"], tables.get("row miss"),
+            banks_per_channel, LINES_PER_PAGE, LINES_PER_ROW,
+            compute_step, window)
+    return _event_pass_numpy(trace, zone_map, factors, zone_channels,
+                             tables, compute_step, window,
+                             banks_per_channel)
+
+
+def _event_pass_numpy(trace: DramTrace, zone_map: np.ndarray,
+                      factors: np.ndarray, zone_channels: np.ndarray,
+                      tables: dict[str, np.ndarray], compute_step: float,
+                      window: int, banks_per_channel: int
+                      ) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`event_pass` in numpy (fallback and oracle)."""
+    n_zones = zone_channels.size
+    n_channels = int(zone_channels.sum())
+    zones, weights = trace.gather_zones(zone_map, factors)
+    zone_offset = np.concatenate(([0], np.cumsum(zone_channels)[:-1]))
+    if banks_per_channel > 0:
+        channel, row_hit = bank_row_hits(trace.page_indices, zones,
+                                         zone_channels, zone_offset,
+                                         banks_per_channel)
+    else:
+        # The k-th access to a zone lands on channel k mod its count.
+        channel = (rank_within_groups(zones, n_zones)
+                   % zone_channels[zones])
+    channel_ids = (zone_offset[zones] + channel).astype(np.int16)
+    occupancy = tables["service"][zones]
+    occupancy *= weights
+    if banks_per_channel > 0:
+        occupancy += np.where(row_hit, 0.0, tables["row miss"][zones])
+    latency = tables["latency"][zones]
+    ready_base = np.arange(trace.n_accesses, dtype=np.float64)
+    ready_base *= compute_step
+    last = _simulate_numpy(ready_base, occupancy, latency, channel_ids,
+                           n_channels, window)
+    busy = np.bincount(channel_ids, weights=occupancy,
+                       minlength=n_channels)
+    return last, busy, np.bincount(zones, minlength=n_zones)

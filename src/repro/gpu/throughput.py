@@ -19,6 +19,13 @@ form, so a full 19-workload x 11-ratio sweep runs in milliseconds:
 Epoch time is the max of the three bounds; total time sums epochs, so
 phase behaviour (a latency-bound epoch followed by a bandwidth-bound
 one) is preserved rather than averaged away.
+
+The per-access work — each access's zone and write weight, summed into
+(epoch, zone) counts and occupancy — is one call,
+:func:`repro.gpu.service.throughput_pass`, which runs its compiled pass
+(``_passes.c``) or the bit-identical numpy one (a zone gather, a
+write-weight gather and two ``np.bincount`` calls); everything after it
+works on the ``E x Z`` bins.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.gpu.config import GpuConfig
 from repro.obs import trace as obs_trace
+from repro.gpu.service import throughput_pass
 from repro.gpu.trace import (
     DramTrace,
     SimResult,
@@ -69,31 +77,17 @@ class ThroughputEngine:
                   chars: WorkloadCharacteristics) -> SimResult:
         zone_map = validate_zone_map(zone_map, trace.footprint_pages,
                                      len(topology))
-        n_zones = len(topology)
         n_accesses = trace.n_accesses
         if n_accesses == 0:
             raise SimulationError("empty trace")
 
-        # bins[i]: the (epoch, zone) cell of access i, epoch
-        # i * E // n.  The gather returns a fresh array of zones; epoch
-        # e starts at access ceil(e * n / E), so each epoch's offset is
-        # one in-place add over its run, not a division per access.
-        bins, weights = trace.gather_zones(zone_map,
-                                           topology.write_cost_factors)
-        n_epochs = trace.n_epochs
-        starts = -(-np.arange(n_epochs + 1, dtype=np.int64)
-                   * n_accesses // n_epochs)
-        for epoch in range(1, n_epochs):
-            bins[starts[epoch]:starts[epoch + 1]] += epoch * n_zones
-        # counts[e, z]: DRAM accesses in epoch e served by zone z.
-        counts = np.bincount(
-            bins, minlength=n_epochs * n_zones,
-        ).reshape(n_epochs, n_zones).astype(np.float64)
+        # counts[e, z]: DRAM accesses in epoch e served by zone z;
         # occupancy[e, z]: the same, with writes weighted by the zone
         # technology's write cost (turnaround + recovery overhead).
-        occupancy = np.bincount(
-            bins, weights=weights, minlength=n_epochs * n_zones,
-        ).reshape(n_epochs, n_zones)
+        # Epoch e starts at access ceil(e * n / E).
+        counts, occupancy = throughput_pass(trace, zone_map,
+                                            topology.write_cost_factors)
+        n_epochs = trace.n_epochs
 
         # Per-zone cost as seen from the GPU: pairwise distance-matrix
         # latency/bandwidth (equal to the per-zone scalars on legacy

@@ -175,7 +175,8 @@ class DramTrace:
     def gather_zones(self, zone_map: np.ndarray,
                      write_cost_factors: Sequence[float]
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """The engines' prologue: the zone of every access and its
+        """The numpy engine passes' prologue
+        (:mod:`repro.gpu.service`): the zone of every access and its
         channel-occupancy weight (see :meth:`write_weights`).
 
         ``zone_map`` must have passed :func:`validate_zone_map`; it is

@@ -199,11 +199,22 @@ class SystemTopology:
         return target.device_latency_ns + hops / clock_ghz
 
     def gpu_latencies_ns(self, clock_ghz: float) -> tuple[float, ...]:
-        """Per-zone unloaded access latency from the GPU, by zone_id."""
-        return tuple(
-            self.access_latency_ns(zone.zone_id, clock_ghz)
-            for zone in self.zones
-        )
+        """Per-zone unloaded access latency from the GPU, by zone_id.
+
+        Built once per topology and clock (every engine call asks).
+        """
+        latencies = self._gpu_latency_memo.get(clock_ghz)
+        if latencies is None:
+            latencies = tuple(
+                self.access_latency_ns(zone.zone_id, clock_ghz)
+                for zone in self.zones
+            )
+            self._gpu_latency_memo[clock_ghz] = latencies
+        return latencies
+
+    @cached_property
+    def _gpu_latency_memo(self) -> dict[float, tuple[float, ...]]:
+        return {}
 
     def usable_bandwidth_from(self, zone_id: int,
                               from_zone: Optional[int] = None) -> float:
@@ -220,7 +231,12 @@ class SystemTopology:
         return min(target.bandwidth, target.link_bandwidth, pair_link)
 
     def gpu_usable_bandwidths(self) -> tuple[float, ...]:
-        """Per-zone usable bandwidth from the GPU, by zone_id."""
+        """Per-zone usable bandwidth from the GPU, by zone_id (built once
+        per topology, like :attr:`distances`)."""
+        return self._gpu_usable_bandwidths
+
+    @cached_property
+    def _gpu_usable_bandwidths(self) -> tuple[float, ...]:
         return tuple(
             self.usable_bandwidth_from(zone.zone_id)
             for zone in self.zones

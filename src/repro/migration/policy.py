@@ -62,6 +62,27 @@ def validate_watermarks(watermarks) -> Optional[tuple[float, float]]:
     return (low, high)
 
 
+def trim_to_budget(n_promote: int, n_demote: int,
+                   budget: int) -> tuple[int, int]:
+    """Cut a boundary's promotions and demotions to ``budget`` pages.
+
+    The cut alternates, one promotion then one demotion, until the
+    pair fits or one side runs out; then the other side alone shrinks.
+    With ``excess = n_promote + n_demote - budget``, the alternation
+    covers it when ``excess <= 2 * min(n_promote, n_demote)``
+    (promotions give up the odd page); otherwise the smaller side ends
+    at 0 and the larger keeps ``budget``.
+    """
+    excess = n_promote + n_demote - budget
+    if excess <= 0:
+        return n_promote, n_demote
+    if excess <= 2 * min(n_promote, n_demote):
+        return n_promote - (excess + 1) // 2, n_demote - excess // 2
+    if n_promote > n_demote:
+        return budget, 0
+    return 0, budget
+
+
 class EpochMigrationPolicy:
     """Greedy hottest-first migration toward the bandwidth target.
 
@@ -143,9 +164,9 @@ class EpochMigrationPolicy:
             floor = scores[evictable].min() * self.hysteresis
             candidates = candidates[scores[candidates] >= floor]
 
-        # Hottest promotions first, coldest evictions first.
-        candidates = candidates[np.argsort(-scores[candidates],
-                                           kind="stable")]
+        # Hottest promotions first, coldest evictions first.  The
+        # candidates already are: they are a filtered subsequence of
+        # the desired set's stable hottest-first order.
         evictable = evictable[np.argsort(scores[evictable],
                                          kind="stable")]
 
@@ -155,13 +176,8 @@ class EpochMigrationPolicy:
         n_demote = min(n_demote, evictable.size)
         n_promote = min(n_promote, free_bo + n_demote)
         if budget is not None:
-            while n_promote + n_demote > budget:
-                if n_promote > 0:
-                    n_promote -= 1
-                if n_promote + n_demote > budget and n_demote > 0:
-                    n_demote -= 1
-                if n_promote == 0 and n_demote == 0:
-                    break
+            n_promote, n_demote = trim_to_budget(n_promote, n_demote,
+                                                 budget)
             # Never demote more than needed for the kept promotions.
             n_demote = min(n_demote,
                            max(0, n_promote - free_bo))

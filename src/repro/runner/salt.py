@@ -6,8 +6,8 @@ files that can affect an experiment's outcome: the simulation pipeline
 (gpu, kernelsim), the memory system and VM layers, the policies, the
 workload models, and the profiling/runtime support they pull in.
 
-The native kernels' C sources (``gpu/_windowed.c``, ``gpu/_lru.c``)
-count as well.
+The native kernels' C sources (``gpu/_windowed.c``, ``gpu/_passes.c``,
+``gpu/_lru.c``) count as well.
 Editing any of those files changes the salt and orphans every cached
 record (a rerun recomputes and re-stores under the new salt).  Editing
 anything else — experiment scripts, analysis/reporting, the CLI, the

@@ -6,7 +6,9 @@ These are the original pure-Python simulation loops that
 vectorized form of :mod:`repro.gpu.throughput`
 (:func:`reference_throughput_run`), which
 ``tests/test_throughput_oracle.py`` holds the engine to with ``==``
-on every field.  They are kept here, in the test suite, as the
+on every field, and the migration planner's page-at-a-time budget trim
+(:func:`reference_trim_to_budget`, held ``==`` to its closed form by
+``tests/test_migration.py``).  They are kept here, in the test suite, as the
 behavioural oracle: the golden equality suite
 (``tests/test_golden_vectorized.py``) and the kernel differential tests
 (``tests/test_lru_native.py``) check the native and numpy cache filters
@@ -302,7 +304,8 @@ def reference_banked_run(config: GpuConfig, trace: DramTrace,
                          banks_per_channel: int = 16,
                          bank_overlap: int = 4) -> SimResult:
     """The seed :class:`BankedEngine` request loop."""
-    from repro.gpu.banked import LINES_PER_PAGE, LINES_PER_ROW, BankState
+    from repro.gpu.banked import BankState
+    from repro.gpu.service import LINES_PER_PAGE, LINES_PER_ROW
 
     zone_map = validate_zone_map(zone_map, trace.footprint_pages,
                                  len(topology))
@@ -398,7 +401,8 @@ def reference_row_hit_rates(trace: DramTrace, zone_map: np.ndarray,
                             banks_per_channel: int = 16
                             ) -> tuple[float, ...]:
     """The seed per-access ``BankedEngine.row_hit_rates`` loop."""
-    from repro.gpu.banked import LINES_PER_PAGE, LINES_PER_ROW, BankState
+    from repro.gpu.banked import BankState
+    from repro.gpu.service import LINES_PER_PAGE, LINES_PER_ROW
 
     zone_map = np.asarray(zone_map)
     n_channels = [zone.channels for zone in topology]
@@ -420,3 +424,17 @@ def reference_row_hit_rates(trace: DramTrace, zone_map: np.ndarray,
         total = hits + sum(bank.row_misses for bank in zone_banks)
         rates.append(hits / total if total else 0.0)
     return tuple(rates)
+
+
+def reference_trim_to_budget(n_promote: int, n_demote: int,
+                             budget: int) -> tuple[int, int]:
+    """The seed ``EpochMigrationPolicy.plan`` budget trim: one page per
+    iteration, a promotion then a demotion, until the pair fits."""
+    while n_promote + n_demote > budget:
+        if n_promote > 0:
+            n_promote -= 1
+        if n_promote + n_demote > budget and n_demote > 0:
+            n_demote -= 1
+        if n_promote == 0 and n_demote == 0:
+            break
+    return n_promote, n_demote

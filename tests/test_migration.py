@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference_loops import reference_trim_to_budget
 
 from repro.core.errors import ConfigError, PolicyError, SimulationError
 from repro.core.units import PAGE_SIZE, gbps
@@ -13,7 +17,7 @@ from repro.migration.cost import (
     paper_migration,
 )
 from repro.migration.engine import MigrationSimulator
-from repro.migration.policy import EpochMigrationPolicy
+from repro.migration.policy import EpochMigrationPolicy, trim_to_budget
 from repro.migration.tracker import HotnessTracker
 
 
@@ -250,3 +254,20 @@ class TestMigrationSimulator:
             range(16)
         )
         assert (result.final_zone_map[:8] == 0).sum() >= 6
+
+
+class TestBudgetTrim:
+    """The planner's closed-form budget trim against the seed loop."""
+
+    @given(st.integers(0, 5_000), st.integers(0, 5_000),
+           st.integers(0, 10_000))
+    def test_closed_form_equals_loop(self, n_promote, n_demote, budget):
+        assert trim_to_budget(n_promote, n_demote, budget) == \
+            reference_trim_to_budget(n_promote, n_demote, budget)
+
+    def test_small_cases_exhaustively(self):
+        for p in range(12):
+            for d in range(12):
+                for budget in range(25):
+                    assert trim_to_budget(p, d, budget) == \
+                        reference_trim_to_budget(p, d, budget)

@@ -167,7 +167,7 @@ class TestEngineSpans:
         tracer = obs_trace.install(tmp_path / "engine-trace.json")
         expected = service.kernel_path()
         run_experiment("bfs", engine=engine, trace_accesses=5_000)
-        monkeypatch.setattr(service, "_native_kernel", lambda: None)
+        monkeypatch.setattr(service, "_native_kernels", lambda: None)
         run_experiment("bfs", engine=engine, trace_accesses=5_000)
         spans = [e for e in tracer.events
                  if e["name"] == f"engine.{engine}"]

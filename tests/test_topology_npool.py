@@ -192,25 +192,45 @@ class TestGoldenEquivalence:
                 assert matrix.link_bandwidth(i, j) == zone.link_bandwidth
 
     def test_memoised_vectors_leave_identity_alone(self):
-        """``distances`` and ``write_cost_factors`` are built once per
-        topology and are not fields: reading them changes neither
-        equality, hash nor the cache key's description, and a replaced
-        zone gets values of its own."""
+        """``distances``, ``write_cost_factors``,
+        ``gpu_usable_bandwidths()`` and ``gpu_latencies_ns(clock)`` are
+        built once per topology (and clock) and are not fields: reading
+        them changes neither equality, hash nor the cache key's
+        description, and a replaced zone gets values of its own."""
         import pickle
 
         from repro.runner.spec import describe_topology
 
         read, fresh = simulated_baseline(), simulated_baseline()
+        described = describe_topology(fresh)
         assert read.distances is read.distances
         assert read.write_cost_factors == (1.15, 1.10)
+        bandwidths = read.gpu_usable_bandwidths()
+        assert read.gpu_usable_bandwidths() is bandwidths
+        assert bandwidths == tuple(read.usable_bandwidth_from(z.zone_id)
+                                   for z in read.zones)
+        latencies = read.gpu_latencies_ns(1.0)
+        assert read.gpu_latencies_ns(1.0) is latencies
+        assert read.gpu_latencies_ns(2.0) == tuple(
+            read.access_latency_ns(z.zone_id, 2.0) for z in read.zones)
+        assert read.gpu_latencies_ns(2.0) != latencies
+        with pytest.raises(ConfigError):
+            read.gpu_latencies_ns(0.0)
         assert read == fresh and hash(read) == hash(fresh)
-        assert describe_topology(read) == describe_topology(fresh)
+        assert describe_topology(read) == described
+        assert describe_topology(fresh) == described
         assert pickle.loads(pickle.dumps(read)) == fresh
         far = read.replace_zone(
             dataclasses.replace(read.zones[1], hop_cycles=300))
         assert far.distances.hops(0, 1) == 300.0
         assert read.distances.hops(0, 1) == 100.0
+        assert far.gpu_latencies_ns(1.0)[1] == latencies[1] + 200.0
+        assert read.gpu_latencies_ns(1.0) is latencies
         assert read.with_bo_capacity(GIB).distances is not read.distances
+        slow = read.replace_zone(dataclasses.replace(
+            read.zones[0], bandwidth=read.zones[0].bandwidth / 2))
+        assert slow.gpu_usable_bandwidths()[0] == bandwidths[0] / 2
+        assert read.gpu_usable_bandwidths() is bandwidths
 
     def test_gpu_helpers_match_legacy_scalars(self):
         for name in NAMED_TOPOLOGIES:
