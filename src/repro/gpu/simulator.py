@@ -51,36 +51,31 @@ def replay_epochs(trace: DramTrace, zone_map: np.ndarray, engine,
     """Replay ``trace`` one epoch at a time under a changing zone map.
 
     Each epoch runs on ``engine`` as a one-epoch sub-trace (raw accesses
-    pro-rated) against the current zone map.  After every epoch, empty
-    or not, ``on_boundary(pages, result, elapsed_ns, last)`` gets the
-    epoch's pages, its result (``None`` if the epoch had no accesses),
-    the execution time so far and whether it was the last epoch.  It
+    pro-rated) against the current zone map; the sub-traces are
+    :attr:`DramTrace.epoch_traces`, built once per trace and reused by
+    every later replay of it.  After every epoch, empty or not,
+    ``on_boundary(pages, result, elapsed_ns, last)`` gets the epoch's
+    pages, its result (``None`` if the epoch had no accesses), the
+    execution time so far and whether it was the last epoch.  It
     returns the next epoch's zone map, or ``None`` to keep the current
     one (which it may have changed in place).  Returns the per-epoch
     results summed in epoch order.
     """
-    raw_per_epoch = max(1, trace.n_raw_accesses // trace.n_epochs)
     results: list[SimResult] = []
     elapsed_ns = 0.0
-    slices = trace.epoch_slices()
-    for epoch, epoch_slice in enumerate(slices):
-        pages = trace.page_indices[epoch_slice]
-        result = None
-        if pages.size:
-            sub_trace = DramTrace(
-                page_indices=pages,
-                footprint_pages=trace.footprint_pages,
-                n_raw_accesses=max(raw_per_epoch, pages.size),
-                n_epochs=1,
-                bytes_per_access=trace.bytes_per_access,
-                is_write=(trace.is_write[epoch_slice]
-                          if trace.is_write is not None else None),
-            )
+    sub_traces = trace.epoch_traces
+    last_epoch = len(sub_traces) - 1
+    for epoch, sub_trace in enumerate(sub_traces):
+        if sub_trace is None:
+            pages = trace.page_indices[:0]
+            result = None
+        else:
+            pages = sub_trace.page_indices
             result = engine.run(sub_trace, zone_map, topology, chars)
             results.append(result)
             elapsed_ns += result.total_time_ns
         next_map = on_boundary(pages, result, elapsed_ns,
-                               epoch == len(slices) - 1)
+                               epoch == last_epoch)
         if next_map is not None:
             zone_map = next_map
     if not results:

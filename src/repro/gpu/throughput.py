@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.gpu.config import GpuConfig
 from repro.obs import trace as obs_trace
-from repro.gpu.service import throughput_pass
+from repro.gpu.service import kernel_path, throughput_pass
 from repro.gpu.trace import (
     DramTrace,
     SimResult,
@@ -69,7 +69,8 @@ class ThroughputEngine:
         """Simulate one execution; see module docstring for the model."""
         with obs_trace.span("engine.throughput", cat="gpu",
                             accesses=trace.n_accesses,
-                            epochs=trace.n_epochs):
+                            epochs=trace.n_epochs) as span:
+            span.annotate(kernel=kernel_path())
             return self._simulate(trace, zone_map, topology, chars)
 
     def _simulate(self, trace: DramTrace, zone_map: np.ndarray,
@@ -98,19 +99,14 @@ class ThroughputEngine:
 
         # Bandwidth bound per epoch: parallel pool service (Section 3.1).
         epoch_bytes = counts * line
-        t_bandwidth = ((occupancy * line)
-                       / bandwidths[None, :]).max(axis=1) * 1e9
+        t_bandwidth = (occupancy * line / bandwidths).max(axis=1) * 1e9
 
         # Latency bound per epoch: Little's law at effective parallelism.
         epoch_accesses = counts.sum(axis=1)
         parallelism = self.effective_parallelism(chars, topology)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fractions = np.where(
-                epoch_accesses[:, None] > 0,
-                counts / np.maximum(epoch_accesses, 1.0)[:, None],
-                0.0,
-            )
-        avg_latency = (fractions * latencies[None, :]).sum(axis=1)
+        # A zero-access epoch has a zero row: it divides by 1 to 0.0.
+        fractions = counts / np.maximum(epoch_accesses, 1.0)[:, None]
+        avg_latency = (fractions * latencies).sum(axis=1)
         t_latency = epoch_accesses * avg_latency / parallelism
 
         # Compute bound per epoch: raw work spread evenly across epochs.
@@ -118,7 +114,8 @@ class ThroughputEngine:
         t_compute = np.full(n_epochs,
                             raw_per_epoch * chars.compute_ns_per_access)
 
-        epoch_time = np.maximum.reduce([t_bandwidth, t_latency, t_compute])
+        epoch_time = np.maximum(np.maximum(t_bandwidth, t_latency),
+                                t_compute)
         total_time = float(epoch_time.sum())
         if total_time <= 0:
             raise SimulationError("model produced non-positive runtime")

@@ -16,6 +16,7 @@ sustainable memory-level parallelism and compute intensity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,6 +121,40 @@ class DramTrace:
                             dtype=np.int64)
         return [slice(int(edges[i]), int(edges[i + 1]))
                 for i in range(self.n_epochs)]
+
+    @cached_property
+    def epoch_traces(self) -> tuple[Optional["DramTrace"], ...]:
+        """Each execution epoch as a one-epoch trace (``None`` when the
+        epoch has no accesses), split at :meth:`epoch_slices` with the
+        raw accesses pro-rated: ``max(n_raw_accesses // n_epochs, 1)``,
+        raised to the epoch's DRAM access count.
+
+        Built once per trace.  Each sub-trace's arrays are views of
+        this trace's, and the memo never enters a pickle (see
+        :meth:`__getstate__`).
+        """
+        raw_per_epoch = max(1, self.n_raw_accesses // self.n_epochs)
+        sub_traces: list[Optional[DramTrace]] = []
+        for epoch_slice in self.epoch_slices():
+            pages = self.page_indices[epoch_slice]
+            sub_traces.append(DramTrace(
+                page_indices=pages,
+                footprint_pages=self.footprint_pages,
+                n_raw_accesses=max(raw_per_epoch, pages.size),
+                n_epochs=1,
+                bytes_per_access=self.bytes_per_access,
+                is_write=(self.is_write[epoch_slice]
+                          if self.is_write is not None else None),
+            ) if pages.size else None)
+        return tuple(sub_traces)
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: the sub-trace memo is rebuilt on
+        # demand, so a trace pickles to the same bytes before and
+        # after a replay.
+        state = dict(self.__dict__)
+        state.pop("epoch_traces", None)
+        return state
 
     def page_access_counts(self) -> np.ndarray:
         """DRAM accesses per footprint page (the oracle/profiler input)."""

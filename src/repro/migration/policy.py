@@ -138,7 +138,8 @@ class EpochMigrationPolicy:
         ``budget_pages`` further caps this boundary's moves below the
         policy's per-epoch budget (the ONLINE policy derives it from an
         execution-time overhead cap); the effective budget is the
-        minimum of the two.
+        minimum of the two.  A zero effective budget returns an empty
+        plan without ranking any page.
         """
         zone_map = np.asarray(zone_map)
         if zone_map.size != tracker.n_pages:
@@ -149,6 +150,11 @@ class EpochMigrationPolicy:
                 raise PolicyError("budget_pages must be >= 0")
             budget = (budget_pages if budget is None
                       else min(budget, budget_pages))
+        if budget == 0:
+            # Exact shortcut: trim_to_budget(p, d, 0) is (0, 0) and
+            # proactive demotion is capped by the same spent budget.
+            return MigrationPlan(promote=np.empty(0, dtype=np.int64),
+                                 demote=np.empty(0, dtype=np.int64))
         scores = tracker.scores
         desired = self._desired_bo_set(tracker)
         in_bo = zone_map == self.bo_zone

@@ -26,6 +26,7 @@ onto the wrong fabric.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -48,6 +49,15 @@ from repro.workloads.suite import get_workload
 _GOLDEN = 0.6180339887498949
 
 
+@functools.lru_cache(maxsize=8)
+def _stripe_positions(footprint_pages: int) -> np.ndarray:
+    """``(p * φ) mod 1`` for every page *p*, read-only, built once per
+    footprint (the tuner re-stripes the same footprint every epoch)."""
+    pos = (np.arange(footprint_pages, dtype=np.float64) * _GOLDEN) % 1.0
+    pos.flags.writeable = False
+    return pos
+
+
 def place_fractions(fractions, footprint_pages: int) -> np.ndarray:
     """Deterministic zone map striping pages by ``fractions``.
 
@@ -59,8 +69,8 @@ def place_fractions(fractions, footprint_pages: int) -> np.ndarray:
         raise ConfigError("footprint_pages must be positive")
     cum = np.cumsum(np.asarray(fracs, dtype=np.float64))
     cum[-1] = 1.0  # absorb float drift so every position has a bucket
-    pos = (np.arange(footprint_pages, dtype=np.float64) * _GOLDEN) % 1.0
-    zone_map = np.searchsorted(cum, pos, side="right")
+    zone_map = np.searchsorted(cum, _stripe_positions(footprint_pages),
+                               side="right")
     return np.minimum(zone_map, len(fracs) - 1).astype(np.int16)
 
 

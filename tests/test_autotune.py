@@ -35,6 +35,7 @@ from repro.tuning import (
     autotune_spec,
     place_fractions,
 )
+from repro.tuning.autotuner import _GOLDEN, _stripe_positions
 
 #: small tuning problems keep every test well under a second.
 ACCESSES = 8_000
@@ -137,6 +138,34 @@ class TestPlaceFractions:
     def test_validation(self):
         with pytest.raises(ConfigError):
             place_fractions((0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("footprint", (1, 257, 720, 3_072, 2**16))
+    @pytest.mark.parametrize("fractions", ((0.5, 0.5), (0.7, 0.3),
+                                           (0.2, 0.3, 0.5),
+                                           (0.1, 0.2, 0.3, 0.4)))
+    def test_memoised_stripe_equals_inline_positions(self, footprint,
+                                                     fractions):
+        """The memoised positions give the zone map the inline
+        ``(arange(n) * φ) % 1`` stripe gives, twice in a row."""
+        cum = np.cumsum(np.asarray(fractions, dtype=np.float64))
+        cum[-1] = 1.0
+        pos = (np.arange(footprint, dtype=np.float64) * _GOLDEN) % 1.0
+        want = np.minimum(np.searchsorted(cum, pos, side="right"),
+                          len(fractions) - 1).astype(np.int16)
+        for _ in range(2):
+            got = place_fractions(fractions, footprint)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.array_equal(_stripe_positions(footprint), pos)
+
+    def test_memoised_positions_are_read_only(self):
+        place_fractions((0.5, 0.5), 720)
+        positions = _stripe_positions(720)
+        assert positions is _stripe_positions(720)
+        with pytest.raises(ValueError):
+            positions[0] = 0.5
+        zone_map = place_fractions((0.5, 0.5), 720)
+        zone_map[0] = 1  # the returned zone map stays the caller's
 
 
 class TestAutotune:

@@ -170,6 +170,58 @@ class TestMigrationPolicy:
         with pytest.raises(PolicyError):
             policy.plan(np.ones(3, dtype=np.int16), tracker)
 
+    @given(counts=st.lists(st.integers(0, 50), min_size=1, max_size=64),
+           bo_share=st.floats(0.0, 1.0), capacity=st.integers(0, 64),
+           hysteresis=st.floats(1.0, 4.0),
+           watermarks=st.one_of(
+               st.none(),
+               st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0)).map(
+                   lambda lh: (lh[0], min(1.0, lh[0] + (1 - lh[0]) * lh[1])))),
+           per_epoch=st.one_of(st.none(), st.integers(0, 64)),
+           zero_in_policy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_zero_budget_plans_nothing(self, counts, bo_share, capacity,
+                                       hysteresis, watermarks, per_epoch,
+                                       zero_in_policy, seed):
+        """A zero effective budget — from the boundary's cap or the
+        policy's own per-epoch budget — gives an empty int64 plan and
+        leaves the zone map alone."""
+        rng = np.random.default_rng(seed)
+        zone_map = np.where(rng.random(len(counts)) < bo_share, 0, 1
+                            ).astype(np.int16)
+        capacity = max(capacity, int((zone_map == 0).sum()))
+        policy = EpochMigrationPolicy(
+            bo_zone=0, co_zone=1, bo_capacity_pages=capacity,
+            bo_traffic_fraction=200 / 280,
+            budget_pages_per_epoch=0 if zero_in_policy else per_epoch,
+            hysteresis=hysteresis, watermarks=watermarks,
+        )
+        budget = per_epoch if zero_in_policy else 0
+        before = zone_map.copy()
+        zone_map.flags.writeable = False
+        plan = policy.plan(zone_map, self._tracker(counts),
+                           budget_pages=budget)
+        for moves in (plan.promote, plan.demote):
+            assert moves.dtype == np.int64
+            assert moves.size == 0
+        assert plan.n_pages == 0
+        assert np.array_equal(zone_map, before)
+
+    @pytest.mark.parametrize("per_epoch", (None, 0, 3))
+    def test_zero_budget_still_checks_footprint(self, per_epoch):
+        policy = self._policy(budget=per_epoch)
+        tracker = self._tracker([5, 1, 1, 5])
+        with pytest.raises(PolicyError):
+            policy.plan(np.ones(3, dtype=np.int16), tracker,
+                        budget_pages=0)
+
+    @pytest.mark.parametrize("per_epoch", (None, 0, 3))
+    def test_negative_boundary_budget_rejected(self, per_epoch):
+        policy = self._policy(budget=per_epoch)
+        tracker = self._tracker([5, 1, 1, 5])
+        with pytest.raises(PolicyError):
+            policy.plan(np.ones(4, dtype=np.int16), tracker,
+                        budget_pages=-1)
+
 
 class TestMigrationSimulator:
     def _setup(self, n_pages=64, hot_pages=8, capacity=8):

@@ -156,9 +156,9 @@ class TestRunnerTraceMerging:
 
 
 class TestEngineSpans:
-    """The event engines' spans say which windowed-service kernel ran."""
+    """Every engine's span says which per-access kernel ran."""
 
-    @pytest.mark.parametrize("engine", ("detailed", "banked"))
+    @pytest.mark.parametrize("engine", ("throughput", "detailed", "banked"))
     def test_engine_span_carries_kernel(self, tmp_path, monkeypatch,
                                         engine):
         from repro.core.experiment import run_experiment
