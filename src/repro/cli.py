@@ -167,8 +167,7 @@ def _sweep_runner(args: argparse.Namespace):
                       runs_dir=args.runs_dir,
                       chunk_timeout_s=args.chunk_timeout,
                       max_retries=args.max_retries,
-                      shm=getattr(args, "shm", None),
-                      pin_cores=getattr(args, "pin_cores", None))
+                      shm=getattr(args, "shm", None))
 
 
 def cmd_autotune(args: argparse.Namespace) -> int:
@@ -412,24 +411,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig
     from repro.serve import run as serve_run
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        jobs=args.jobs if args.jobs is not None else 1,
-        max_pending_jobs=args.max_pending,
-        simulate_workers=args.workers,
-        request_timeout_s=args.timeout,
-        batch_window_ms=args.batch_window_ms,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
-        drain_timeout_s=args.drain_timeout,
-        chunk_timeout_s=args.chunk_timeout,
-        max_retries=args.max_retries,
-        use_shm=args.shm,
-        pin_cores=args.pin_cores,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            jobs=args.jobs if args.jobs is not None else 1,
+            max_pending_jobs=args.max_pending,
+            simulate_workers=args.workers,
+            request_timeout_s=args.timeout,
+            breaker_threshold=args.breaker_threshold,
+            breaker_reset_s=args.breaker_reset,
+            drain_timeout_s=args.drain_timeout,
+            chunk_timeout_s=args.chunk_timeout,
+            max_retries=args.max_retries,
+            use_shm=args.shm,
+        )
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
     serve_run(config)
     return 0
 
@@ -612,11 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-shm", dest="shm", action="store_false",
                        help="disable shared-memory trace shipping "
                             "(workers synthesize traces themselves)")
-        p.add_argument("--pin-cores", dest="pin_cores",
-                       action="store_true", default=None,
-                       help="pin each worker to its own core group "
-                            "via sched_setaffinity (default: "
-                            "$REPRO_PIN_CORES or off)")
 
     p_run = sub.add_parser("run", help="run one placement experiment")
     common(p_run)
@@ -762,8 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "429 backpressure")
     p_serve.add_argument("--timeout", type=float, default=120.0,
                          help="per-request timeout in seconds")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="placement micro-batch collection window")
     p_serve.add_argument("--breaker-threshold", type=int, default=5,
                          help="consecutive simulate failures before "
                               "the circuit breaker opens (fast 503)")
@@ -788,11 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--jobs > 1)")
     p_serve.add_argument("--no-shm", dest="shm", action="store_false",
                          help="disable shared-memory trace shipping")
-    p_serve.add_argument("--pin-cores", dest="pin_cores",
-                         action="store_true", default=None,
-                         help="pin runner workers to their own core "
-                              "groups (default: $REPRO_PIN_CORES or "
-                              "off)")
     trace_option(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
 

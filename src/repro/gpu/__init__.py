@@ -1,15 +1,9 @@
-"""GPU substrate: config, caches, MSHRs, interconnect, engines."""
+"""GPU substrate: config, caches, engines."""
 
 from repro.gpu.banked import BankedEngine, BankState
 from repro.gpu.cache import CacheHierarchy, CacheStats
 from repro.gpu.config import GpuConfig, table1_config
 from repro.gpu.engine import DetailedEngine
-from repro.gpu.interconnect import (
-    InterconnectLink,
-    local_link,
-    table1_remote_link,
-)
-from repro.gpu.mshr import MshrFile
 from repro.gpu.simulator import GpuSystemSimulator, make_engine
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, SimResult, WorkloadCharacteristics
@@ -22,10 +16,6 @@ __all__ = [
     "GpuConfig",
     "table1_config",
     "DetailedEngine",
-    "InterconnectLink",
-    "local_link",
-    "table1_remote_link",
-    "MshrFile",
     "GpuSystemSimulator",
     "make_engine",
     "ThroughputEngine",

@@ -5,9 +5,8 @@ per-pool sampling — are driven by lightweight continuous monitoring;
 this package is the repro equivalent, shared by every layer instead of
 living inside the daemon:
 
-* :mod:`repro.obs.metrics` — the Prometheus text-format registry
-  (promoted from ``repro.serve.metrics``; that import path remains a
-  compat re-export).  Counters, gauges, fixed-bucket histograms,
+* :mod:`repro.obs.metrics` — the Prometheus text-format registry.
+  Counters, gauges, fixed-bucket histograms,
   :func:`~repro.obs.metrics.parse_metrics`, and the strict
   :func:`~repro.obs.metrics.validate_exposition` checker CI runs over
   ``/metrics``.

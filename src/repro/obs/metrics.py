@@ -1,9 +1,8 @@
 """A minimal Prometheus-text-format metrics registry.
 
-Promoted from ``repro.serve.metrics`` (which remains as a compat
-re-export) so the runner, the cache, and anything else can record
-counters/histograms without a daemon in the process: counters, gauges,
-and fixed-bucket histograms that render to the
+Lives outside the daemon so the runner, the cache, and anything else
+can record counters/histograms without a daemon in the process:
+counters, gauges, and fixed-bucket histograms that render to the
 `text exposition format <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
 scrapers understand.  All mutation happens on the event loop (or under
 the GIL from worker threads incrementing plain ints/floats), so no

@@ -29,7 +29,6 @@ from repro.runner.cache import (
     result_digest,
     strict_json_dumps,
 )
-from repro.runner.cores import CorePool
 from repro.runner.manifest import RunManifest, SpecRecord
 from repro.runner.salt import code_version_salt
 from repro.runner.shm import (
@@ -64,7 +63,6 @@ from repro.runner.wire import pack_chunk, unpack_chunk
 
 __all__ = [
     "CacheStats",
-    "CorePool",
     "RecoveryStats",
     "ResultCache",
     "RunManifest",

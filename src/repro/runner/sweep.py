@@ -95,7 +95,6 @@ from repro.runner.cache import (
     decode_result,
     encode_result,
 )
-from repro.runner.cores import CorePool, apply_affinity, pin_setting
 from repro.runner.manifest import RunManifest, SpecRecord
 from repro.runner.salt import code_version_salt
 from repro.runner.shm import (
@@ -196,22 +195,6 @@ def execute_spec(spec: RunSpec) -> ExperimentResult:
         seed=spec.seed,
         training_dataset=spec.training_dataset,
     )
-
-
-def _worker_init(assignments: "Optional[tuple[tuple[int, ...], ...]]",
-                 counter) -> None:
-    """Pool initializer: pin the worker to its core group.
-
-    ``counter`` is a lock-guarded ``multiprocessing.Value`` dealing
-    each worker a distinct index into the core-group table.  Optional
-    and best-effort — a worker that cannot pin still computes
-    identical results.
-    """
-    if assignments:
-        with counter.get_lock():
-            index = counter.value
-            counter.value += 1
-        apply_affinity(assignments[index % len(assignments)])
 
 
 def _run_chunk_body(specs: Sequence[RunSpec],
@@ -484,13 +467,11 @@ class SweepRunner:
     once per sweep and ships segment names to workers instead of
     re-synthesizing per process; a block holds a reference on its
     segments from submit to harvest, so the ``REPRO_SHM_MAX_BYTES``
-    budget only ever evicts traces no pending chunk needs.
-    ``pin_cores`` (``None`` → ``REPRO_PIN_CORES``, default off) pins
-    each worker to its own core group.  Both are accelerations only — results are
-    bit-identical with them on, off, or unavailable.  The worker pool
-    persists across ``run()`` calls (warm workers keep their decoded
-    traces); call :meth:`close` to release the pool and unlink all
-    segments.
+    budget only ever evicts traces no pending chunk needs.  It is an
+    acceleration only — results are bit-identical with it on, off, or
+    unavailable.  The worker pool persists across ``run()`` calls (warm
+    workers keep their decoded traces); call :meth:`close` to release
+    the pool and unlink all segments.
     """
 
     def __init__(self,
@@ -502,8 +483,7 @@ class SweepRunner:
                  max_retries: Optional[int] = None,
                  backoff: Optional[BackoffPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 shm: Optional[bool] = None,
-                 pin_cores: Optional[bool] = None) -> None:
+                 shm: Optional[bool] = None) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         if isinstance(cache, ResultCache):
             self.cache: Optional[ResultCache] = cache
@@ -532,8 +512,6 @@ class SweepRunner:
         #: tri-state policy: True/False forced, None = automatic
         #: (parallel runs use shm when the platform supports it).
         self.shm_policy = shm if shm is not None else shm_setting()
-        pin = pin_cores if pin_cores is not None else pin_setting()
-        self.pin_cores = bool(pin) if pin is not None else False
         self._arena: Optional[SharedTraceArena] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         #: injectable for tests; the only place the runner sleeps.
@@ -576,20 +554,7 @@ class SweepRunner:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The persistent worker pool, built (or rebuilt) on demand."""
         if self._pool is None:
-            import multiprocessing
-
-            assignments = None
-            if self.pin_cores:
-                try:
-                    assignments = CorePool().assignments(self.jobs)
-                except RunnerError:  # pragma: no cover - no cores
-                    assignments = None
-            counter = multiprocessing.Value("i", 0)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_init,
-                initargs=(assignments, counter),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def _teardown_pool(self) -> None:
@@ -961,8 +926,7 @@ def configure(jobs: Optional[int] = None,
               chunk_timeout_s: Optional[float] = None,
               max_retries: Optional[int] = None,
               fault_plan: Optional[FaultPlan] = None,
-              shm: Optional[bool] = None,
-              pin_cores: Optional[bool] = None) -> SweepRunner:
+              shm: Optional[bool] = None) -> SweepRunner:
     """Install (and return) a new process-wide runner.
 
     The displaced runner's pool and shm segments are released — it
@@ -975,7 +939,7 @@ def configure(jobs: Optional[int] = None,
                           chunk_timeout_s=chunk_timeout_s,
                           max_retries=max_retries,
                           fault_plan=fault_plan,
-                          shm=shm, pin_cores=pin_cores)
+                          shm=shm)
     if previous is not None:
         previous.close()
     return _ACTIVE
@@ -988,8 +952,7 @@ def configured(jobs: Optional[int] = None,
                chunk_timeout_s: Optional[float] = None,
                max_retries: Optional[int] = None,
                fault_plan: Optional[FaultPlan] = None,
-               shm: Optional[bool] = None,
-               pin_cores: Optional[bool] = None
+               shm: Optional[bool] = None
                ) -> Iterator[SweepRunner]:
     """Scope a runner configuration to a ``with`` block.
 
@@ -1003,7 +966,7 @@ def configured(jobs: Optional[int] = None,
                          chunk_timeout_s=chunk_timeout_s,
                          max_retries=max_retries,
                          fault_plan=fault_plan,
-                         shm=shm, pin_cores=pin_cores)
+                         shm=shm)
     _ACTIVE = runner
     try:
         yield runner

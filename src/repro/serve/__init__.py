@@ -19,6 +19,7 @@ See ``docs/api.md`` ("Serving") for the endpoint catalogue and
 semantics.
 """
 
+from repro.obs.metrics import MetricsRegistry, parse_metrics
 from repro.serve.batching import (
     BatchSaturatedError,
     MicroBatcher,
@@ -33,7 +34,6 @@ from repro.serve.config import (
     default_serve_url,
 )
 from repro.serve.http import BackgroundServer, ServeApp, run
-from repro.serve.metrics import MetricsRegistry, parse_metrics
 from repro.serve.service import (
     BadRequestError,
     DeadlineExceededError,

@@ -31,9 +31,9 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.core.errors import ServeError
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import parse_metrics
 from repro.resilience import BackoffPolicy
 from repro.serve.config import default_serve_url
-from repro.serve.metrics import parse_metrics
 
 #: HTTP statuses worth re-submitting: queue saturation (429) and
 #: temporary unavailability — draining or an open circuit breaker (503).

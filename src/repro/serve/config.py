@@ -10,6 +10,7 @@ small enough to exercise from a laptop.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -34,6 +35,19 @@ def default_serve_url() -> str:
     return f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
 
 
+def _check_seconds(name: str, value: float, *,
+                   allow_zero: bool = False) -> None:
+    """Require a finite duration in ``(0, threading.TIMEOUT_MAX]`` (or
+    from 0 with ``allow_zero``).  Written so ``nan`` fails every
+    comparison and is rejected rather than slipping past ``<= 0``."""
+    low = 0 <= value if allow_zero else 0 < value
+    if not (low and value <= threading.TIMEOUT_MAX):
+        bracket = "[" if allow_zero else "("
+        raise ConfigError(f"{name} must be a number of seconds in "
+                          f"{bracket}0, {threading.TIMEOUT_MAX:.0f}], "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything the daemon needs to run.
@@ -46,7 +60,8 @@ class ServeConfig:
     and every kind consults the shared on-disk result cache first.
     ``/v1/placement`` never enters this
     queue — it is answered from the closed-form ``GetAllocation`` path,
-    micro-batched over a ``batch_window_ms`` collection window.
+    micro-batched over a fixed 2 ms collection window (at most 64 per
+    batch, 256 queued before requests degrade to inline computation).
     """
 
     host: str = DEFAULT_HOST
@@ -89,16 +104,6 @@ class ServeConfig:
     #: arena for its whole lifetime, so warm workers reuse published
     #: traces across requests.
     use_shm: Optional[bool] = None
-    #: pin runner workers to their own core groups (None →
-    #: $REPRO_PIN_CORES, default off).
-    pin_cores: Optional[bool] = None
-
-    #: placement micro-batch collection window and size cap.
-    batch_window_ms: float = 2.0
-    max_batch_size: int = 64
-    #: pending placement requests beyond which the daemon degrades to
-    #: inline (unbatched) computation instead of queueing further.
-    max_placement_queue: int = 256
 
     #: ceiling on request body size (bytes); 413 beyond it.
     max_body_bytes: int = 4 * 1024 * 1024
@@ -115,26 +120,22 @@ class ServeConfig:
             raise ConfigError("max_pending_jobs must be >= 1")
         if self.simulate_workers < 1:
             raise ConfigError("simulate_workers must be >= 1")
-        if self.request_timeout_s <= 0:
-            raise ConfigError("request_timeout_s must be positive")
-        if self.batch_window_ms < 0:
-            raise ConfigError("batch_window_ms must be >= 0")
-        if self.max_batch_size < 1:
-            raise ConfigError("max_batch_size must be >= 1")
+        _check_seconds("request_timeout_s", self.request_timeout_s)
+        _check_seconds("retry_after_s", self.retry_after_s, allow_zero=True)
         if self.breaker_threshold < 1:
             raise ConfigError("breaker_threshold must be >= 1")
-        if self.breaker_reset_s <= 0:
-            raise ConfigError("breaker_reset_s must be positive")
+        _check_seconds("breaker_reset_s", self.breaker_reset_s)
         if self.breaker_probes < 1:
             raise ConfigError("breaker_probes must be >= 1")
-        if self.drain_timeout_s < 0:
-            raise ConfigError("drain_timeout_s must be >= 0")
+        _check_seconds("drain_timeout_s", self.drain_timeout_s,
+                       allow_zero=True)
         try:
             check_chunk_timeout(self.chunk_timeout_s)
         except RunnerError as exc:
             raise ConfigError(str(exc)) from None
-        if self.header_read_timeout_s <= 0:
-            raise ConfigError("header_read_timeout_s must be positive")
+        if self.max_body_bytes < 1:
+            raise ConfigError("max_body_bytes must be >= 1")
+        _check_seconds("header_read_timeout_s", self.header_read_timeout_s)
 
     def resolved_cache_dir(self) -> Optional[Path]:
         """The cache root this daemon will read and write, or ``None``."""

@@ -368,7 +368,6 @@ class PlacementService:
             chunk_timeout_s=self.config.chunk_timeout_s,
             max_retries=self.config.max_retries,
             shm=self.config.use_shm,
-            pin_cores=self.config.pin_cores,
         )
         # External-trace registry lives under the same cache root the
         # result cache uses; no cache root (use_cache=False) means no
@@ -393,12 +392,7 @@ class PlacementService:
         )
         #: every in-flight job of every kind, by content key.
         self._flight = SingleFlight()
-        self._batcher = MicroBatcher(
-            self._placement_batch,
-            window_s=self.config.batch_window_ms / 1000.0,
-            max_batch=self.config.max_batch_size,
-            max_queue=self.config.max_placement_queue,
-        )
+        self._batcher = MicroBatcher(self._placement_batch)
         # Live depth: the gauge tracks every enqueue/dequeue instead of
         # being sampled only when a placement request completes, which
         # left /metrics stale between batches and blind to bursts.

@@ -89,6 +89,18 @@ class TestCompare:
         assert not list(tmp_path.iterdir())  # no sweep ran
 
 
+class TestServe:
+    @pytest.mark.parametrize("timeout", ["nan", "0"])
+    def test_bad_config_exits_with_one_line(self, timeout):
+        """A rejected ServeConfig exits cleanly, not with a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--timeout", timeout])
+        message = excinfo.value.code
+        assert isinstance(message, str)
+        assert message.startswith("request_timeout_s must be")
+        assert "\n" not in message
+
+
 class TestAutotune:
     def test_oversized_epochs_rejected(self, capsys):
         """``--epochs`` applies the shared epoch cap, with the same

@@ -157,17 +157,3 @@ class TestValidateExposition:
     def test_accepts_empty_text(self):
         assert validate_exposition("") == 0
 
-
-class TestCompatShim:
-    def test_serve_metrics_reexports_obs(self):
-        """repro.serve.metrics stays importable and identical."""
-        from repro.obs import metrics as obs_metrics
-        from repro.serve import metrics as serve_metrics
-
-        assert serve_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert serve_metrics.Counter is obs_metrics.Counter
-        assert serve_metrics.Gauge is obs_metrics.Gauge
-        assert serve_metrics.Histogram is obs_metrics.Histogram
-        assert serve_metrics.parse_metrics is obs_metrics.parse_metrics
-        assert (serve_metrics.DEFAULT_BUCKETS
-                is obs_metrics.DEFAULT_BUCKETS)

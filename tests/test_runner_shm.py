@@ -26,7 +26,6 @@ from repro.core.errors import RunnerError
 from repro.gpu.trace import DramTrace
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.runner import (
-    CorePool,
     SharedTraceArena,
     SweepRunner,
     bw_ratio_policy,
@@ -314,39 +313,6 @@ class TestWire:
         frame = pack_chunk([({"a": 1}, 0.5)])
         with pytest.raises(RunnerError):
             unpack_chunk(mutate(bytes(frame)))
-
-
-# ----------------------------------------------------------------------
-# CorePool
-# ----------------------------------------------------------------------
-
-class TestCorePool:
-    def test_slack_reserved_when_plentiful(self):
-        pool = CorePool(slack=1, cores=range(8))
-        assert pool.worker_cores == tuple(range(1, 8))
-
-    def test_no_slack_when_scarce(self):
-        pool = CorePool(slack=1, cores=[0])
-        assert pool.worker_cores == (0,)
-        pool = CorePool(slack=1, cores=[0, 1])
-        assert pool.worker_cores == (0, 1)
-
-    def test_assignments_cover_every_worker(self):
-        pool = CorePool(slack=0, cores=range(6))
-        groups = pool.assignments(4)
-        assert len(groups) == 4
-        assert all(groups)
-        assert set().union(*groups) == set(range(6))
-
-    def test_more_workers_than_cores_wraps(self):
-        pool = CorePool(slack=0, cores=[0, 1])
-        groups = pool.assignments(5)
-        assert len(groups) == 5
-        assert all(len(g) == 1 for g in groups[2:])
-
-    def test_empty_cores_rejected(self):
-        with pytest.raises(RunnerError):
-            CorePool(cores=[])
 
 
 # ----------------------------------------------------------------------

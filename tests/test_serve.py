@@ -29,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.errors import ServeError
+from repro.obs.metrics import parse_metrics
 from repro.serve import BackgroundServer, ServeClient, ServeConfig
 
 #: short traces keep cold simulate jobs around a second on slow boxes.
@@ -145,6 +146,28 @@ class TestPlacementEndpoint:
         # count strictly grew but by at most the request count.
         grew = server.service.m_place_batches.value() - before
         assert 1 <= grew <= 16
+
+    def test_saturated_batcher_degrades_inline(self, client, server):
+        """A full batch queue still answers, computed inline."""
+        batcher = server.service._batcher
+        assert (batcher.window_s, batcher.max_batch,
+                batcher.max_queue) == (0.002, 64, 256)
+        request = dict(sizes=[4096 * 10, 4096 * 10, 4096 * 10],
+                       hotness=[1.0, 50.0, 5.0],
+                       bo_capacity_bytes=4096 * 10)
+        batched = client.placement(**request)
+        inline_metric = "repro_serve_placement_inline_total"
+        before = parse_metrics(client.metrics_text())[inline_metric]
+        batcher.max_queue = 0
+        try:
+            degraded = client.placement(**request)
+        finally:
+            batcher.max_queue = 256
+        assert batched["degraded"] is False
+        assert degraded["degraded"] is True
+        assert degraded["hints"] == batched["hints"] == ["CO", "BO", "CO"]
+        after = parse_metrics(client.metrics_text())[inline_metric]
+        assert after == before + 1
 
 
 class TestSimulateDedupAndCache:

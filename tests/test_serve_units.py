@@ -17,6 +17,7 @@ from repro.core.cachedir import cache_root
 from repro.core.errors import ConfigError, ServeError
 from repro.memory.acpi import enumerate_tables
 from repro.memory.topology import simulated_baseline
+from repro.obs.metrics import MetricsRegistry, parse_metrics
 from repro.runner import SweepRunner, default_cache_root
 from repro.serve.batching import (
     BatchSaturatedError,
@@ -24,7 +25,6 @@ from repro.serve.batching import (
     SingleFlight,
 )
 from repro.serve.config import ServeConfig, default_serve_url
-from repro.serve.metrics import MetricsRegistry, parse_metrics
 from repro.serve.service import BadRequestError, PlacementService
 
 
@@ -77,8 +77,16 @@ class TestServeConfig:
         {"max_pending_jobs": 0},
         {"simulate_workers": 0},
         {"request_timeout_s": 0},
-        {"batch_window_ms": -1},
-        {"max_batch_size": 0},
+        {"request_timeout_s": float("nan")},
+        {"request_timeout_s": float("inf")},
+        {"retry_after_s": float("nan")},
+        {"retry_after_s": -1},
+        {"breaker_reset_s": float("nan")},
+        {"drain_timeout_s": float("nan")},
+        {"drain_timeout_s": -1},
+        {"header_read_timeout_s": float("nan")},
+        {"header_read_timeout_s": 0},
+        {"max_body_bytes": 0},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
