@@ -1,23 +1,33 @@
 """Build and load the native kernels: one library, several kernels.
 
-Three C files make up the library: ``_windowed.c``, the event engines'
-windowed-service kernel (:mod:`repro.gpu.service`), ``_passes.c``, the
-engines' per-access passes around it (zone map to (epoch, zone) bins
-for the throughput engine; to channels, occupancy, the windowed replay,
-busy time and zone counts for the detailed and banked engines), and
-``_lru.c``, the L1/L2 hierarchy filter (:mod:`repro.gpu.cache`).  They
-are compiled together on first use — the first filter or engine run,
-never at import — into a content-addressed shared library under
-``$XDG_CACHE_HOME/repro/native/`` (default ``~/.cache/repro/native/``),
-keyed by the source bytes, the compile flags and the machine, and then
-loaded through :mod:`ctypes`.  Later processes find the library on disk
-and only pay the ``dlopen``.  Builds write a temporary file in the same
-directory and ``os.replace`` it into place, so concurrent first builds
-are safe.  Each library ends in a trailer holding the SHA-256 of the
-bytes before it, checked before ``dlopen``: mapping a truncated shared
-object kills the process with SIGBUS instead of raising, so a damaged
-cached library must be caught on disk — it is rebuilt, as is one with
-another ABI version or missing an entry point.
+Four C files make up the library, ABI version 4:
+
+* ``_windowed.c``, the event engines' windowed-service kernel
+  (:mod:`repro.gpu.service`; kernel ``"windowed"``);
+* ``_passes.c``, the engines' per-access passes around it: zone map to
+  (epoch, zone) bins for the throughput engine (``"throughput"``); to
+  channels, occupancy, the windowed replay, busy time and zone counts
+  for the detailed and banked engines (``"events"``);
+* ``_lru.c``, the L1/L2 hierarchy filter (:mod:`repro.gpu.cache`;
+  ``"lru"``);
+* ``_synth.c``, trace synthesis's per-phase interleave, numpy's
+  Fisher–Yates shuffle drawn from the caller's own generator
+  (:mod:`repro.workloads.interleave`; ``"interleave"``, which that
+  module checks against numpy once per process before using it).
+
+They are compiled together on first use — the first synthesis, filter
+or engine run, never at import — into a content-addressed shared
+library under ``$XDG_CACHE_HOME/repro/native/`` (default
+``~/.cache/repro/native/``), keyed by the source bytes, the compile
+flags and the machine, and then loaded through :mod:`ctypes`.  Later
+processes find the library on disk and only pay the ``dlopen``.  Builds
+write a temporary file in the same directory and ``os.replace`` it into
+place, so concurrent first builds are safe.  Each library ends in a
+trailer holding the SHA-256 of the bytes before it, checked before
+``dlopen``: mapping a truncated shared object kills the process with
+SIGBUS instead of raising, so a damaged cached library must be caught
+on disk — it is rebuilt, as is one with another ABI version or missing
+an entry point.
 
 The flags keep IEEE semantics: no ``-ffast-math`` or ``-march=native``,
 and ``-ffp-contract=off`` so no multiply-add is fused — any of those
@@ -57,10 +67,11 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
           "-falign-functions=64")
 
 SOURCES = tuple(Path(__file__).with_name(name)
-                for name in ("_windowed.c", "_lru.c", "_passes.c"))
+                for name in ("_windowed.c", "_lru.c", "_passes.c",
+                             "_synth.c"))
 
 #: must match ``repro_native_abi()`` in the C sources.
-_ABI = 3
+_ABI = 4
 
 #: library trailer: magic, then the SHA-256 of everything before it.
 _MAGIC = b"repro-native-v1\0"
@@ -294,9 +305,55 @@ def _bind_events(lib: ctypes.CDLL) -> Callable:
     return event_pass
 
 
+def _function_address(function) -> int:
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+def _bind_interleave(lib: ctypes.CDLL) -> Callable:
+    fn = lib.repro_synth_interleave
+    fn.restype = ctypes.c_int
+    fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64]
+                   + [ctypes.c_void_p] * 6)
+
+    def interleave(rng, streams, bases, flags):
+        """``(lines, is_write)`` of one synthesis phase, drawn from
+        ``rng``'s own bit generator under its lock (see
+        :mod:`repro.workloads.interleave`)."""
+        k = len(streams)
+        streams = [np.ascontiguousarray(s, dtype=np.int64) for s in streams]
+        flags = [np.ascontiguousarray(f, dtype=np.bool_) for f in flags]
+        counts = np.array([s.size for s in streams], dtype=np.int64)
+        bases = np.ascontiguousarray(bases, dtype=np.int64)
+        if (bases.shape != (k,)
+                or [f.size for f in flags] != counts.tolist()):
+            raise ValueError("native interleave: one base and one flag "
+                             "per access of each stream")
+        lines = np.empty(int(counts.sum()), dtype=np.int64)
+        is_write = np.empty(lines.size, dtype=np.bool_)
+        bitgen = rng.bit_generator
+        interface = bitgen.ctypes
+        with bitgen.lock:
+            status = fn(interface.state_address,
+                        _function_address(interface.next_uint32),
+                        _function_address(interface.next_uint64), k,
+                        counts.ctypes.data,
+                        (ctypes.c_void_p * k)(*(s.ctypes.data
+                                                for s in streams)),
+                        bases.ctypes.data,
+                        (ctypes.c_void_p * k)(*(f.ctypes.data
+                                                for f in flags)),
+                        lines.ctypes.data, is_write.ctypes.data)
+        if status != 0:
+            raise MemoryError("native interleave: out of memory")
+        return lines, is_write
+
+    return interleave
+
+
 #: kernel name -> binder of its entry point in the loaded library.
 _BINDERS = {"windowed": _bind_windowed, "throughput": _bind_throughput,
-            "events": _bind_events, "lru": _bind_lru}
+            "events": _bind_events, "lru": _bind_lru,
+            "interleave": _bind_interleave}
 
 
 def _bind(lib: ctypes.CDLL) -> dict[str, Callable]:
@@ -337,8 +394,8 @@ def kernels() -> Optional[dict[str, Callable]]:
 
 def kernel(name: str) -> Optional[Callable]:
     """The native kernel ``name`` (``"windowed"``, ``"throughput"``,
-    ``"events"`` or ``"lru"``), with the library built/loaded on first
-    call; ``None`` when the library is unavailable (the caller falls
-    back to numpy)."""
+    ``"events"``, ``"lru"`` or ``"interleave"``), with the library
+    built/loaded on first call; ``None`` when the library is unavailable
+    (the caller falls back to numpy)."""
     bound = kernels()
     return bound[name] if bound else None

@@ -22,9 +22,9 @@
 
 #define MIN_BATCH_WINDOW 32
 
-/* ABI version of the library built from this file, _passes.c and
- * _lru.c; the loader refuses a library that disagrees. */
-int repro_native_abi(void) { return 3; }
+/* ABI version of the library built from this file, _passes.c, _lru.c
+ * and _synth.c; the loader refuses a library that disagrees. */
+int repro_native_abi(void) { return 4; }
 
 static inline double dmax(double a, double b) { return a >= b ? a : b; }
 static inline double dmin(double a, double b) { return a <= b ? a : b; }

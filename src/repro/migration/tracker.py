@@ -52,14 +52,6 @@ class HotnessTracker:
         self._scores += counts
         self.epochs_observed += 1
 
-    def hottest(self, k: int) -> np.ndarray:
-        """Indices of the ``k`` hottest pages, hottest first."""
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        k = min(k, self.n_pages)
-        order = np.argsort(-self._scores, kind="stable")
-        return order[:k]
-
     def reset(self) -> None:
         self._scores[:] = 0.0
         self.epochs_observed = 0

@@ -7,10 +7,9 @@ files that can affect an experiment's outcome: the simulation pipeline
 workload models, and the profiling/runtime support they pull in.
 
 The native kernels' C sources (``gpu/_windowed.c``, ``gpu/_passes.c``,
-``gpu/_lru.c``) count as well.
-Editing any of those files changes the salt and orphans every cached
-record (a rerun recomputes and re-stores under the new salt).  Editing
-anything else — experiment scripts, analysis/reporting, the CLI, the
+``gpu/_lru.c``, ``gpu/_synth.c``) count as well.  Editing any of
+those files changes the salt and orphans every cached record (a rerun
+recomputes and re-stores under the new salt).  Editing anything else — experiment scripts, analysis/reporting, the CLI, the
 runner itself, docs, tests — leaves the salt untouched, which is what
 makes re-running a figure after an unrelated edit near-instant.
 """

@@ -33,6 +33,7 @@ from repro.gpu.cache import CacheHierarchy
 from repro.gpu.config import GpuConfig, table1_config
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
 from repro.workloads import patterns
+from repro.workloads.interleave import interleave
 
 #: 128-byte lines per 4 KiB page.
 LINES_PER_PAGE = PAGE_SIZE // LINE_SIZE
@@ -252,8 +253,13 @@ class TraceWorkload(abc.ABC):
         are interleaved by a random permutation that preserves each
         structure's internal access order (so sequential streams stay
         sequential while mixing with gathers, as warps from different
-        thread blocks interleave on real hardware).  Write flags are
-        drawn per structure from its ``read_fraction``.
+        thread blocks interleave on real hardware; see
+        :mod:`repro.workloads.interleave`).  Write flags are drawn per
+        structure from its ``read_fraction``.  When only one structure
+        draws accesses in the last phase, that phase is its stream and
+        the permutation is not drawn: it would be constant, and ``rng``
+        is local to this call.  Earlier phases always draw it, so every
+        later draw is unchanged.
         """
         self._check_dataset(dataset)
         if n_accesses <= 0:
@@ -272,7 +278,7 @@ class TraceWorkload(abc.ABC):
 
         pieces: list[np.ndarray] = []
         flag_pieces: list[np.ndarray] = []
-        for phase in phase_list:
+        for index, phase in enumerate(phase_list):
             n_phase = max(1, int(round(
                 n_accesses * phase.duration_weight / phase_total
             )))
@@ -286,33 +292,30 @@ class TraceWorkload(abc.ABC):
                     f"{self.name}/{phase.name}: no positive traffic weight"
                 )
             counts = rng.multinomial(n_phase, weights / weights.sum())
-            streams = [
-                line_base[i] + patterns.generate(
-                    spec.pattern, rng, int(counts[i]), spec.n_lines,
-                    dict(spec.pattern_params),
-                )
+            offsets = [
+                patterns.generate(spec.pattern, rng, int(counts[i]),
+                                  spec.n_lines, dict(spec.pattern_params))
                 for i, spec in enumerate(specs)
             ]
             flags = [
                 rng.random(int(counts[i])) >= spec.read_fraction
                 for i, spec in enumerate(specs)
             ]
-            # The narrowest key type keeps the stable sort below on
-            # NumPy's radix path; the permutation's draws do not depend
-            # on it.
-            order = rng.permutation(np.repeat(
-                np.arange(len(specs),
-                          dtype=np.min_scalar_type(len(specs) - 1)),
-                counts))
-            # Structure i takes the slots where order == i, in order:
-            # one stable sort lists every structure's slots back to back.
-            slots = np.argsort(order, kind="stable")
-            phase_stream = np.empty(int(counts.sum()), dtype=np.int64)
-            phase_flags = np.empty(int(counts.sum()), dtype=bool)
-            phase_stream[slots] = np.concatenate(streams)
-            phase_flags[slots] = np.concatenate(flags)
+            drawn = np.flatnonzero(counts)
+            if drawn.size == 1 and index == len(phase_list) - 1:
+                # One structure takes the whole phase: every order of
+                # its labels is the same, and rng is not read again.
+                i = int(drawn[0])
+                pieces.append(np.add(offsets[i], line_base[i],
+                                     out=offsets[i]))
+                flag_pieces.append(flags[i])
+                continue
+            phase_stream, phase_flags = interleave(rng, offsets,
+                                                   line_base[:-1], flags)
             pieces.append(phase_stream)
             flag_pieces.append(phase_flags)
+        if len(pieces) == 1:
+            return pieces[0], flag_pieces[0]
         return np.concatenate(pieces), np.concatenate(flag_pieces)
 
     def raw_line_trace(self, dataset: str = "default",

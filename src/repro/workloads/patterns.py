@@ -180,6 +180,12 @@ def partial(rng: np.random.Generator, n_accesses: int, n_lines: int,
     return rng.integers(0, used, size=n_accesses, dtype=np.int64)
 
 
+def _wrap(values: np.ndarray, n_lines: int) -> np.ndarray:
+    """``values % n_lines`` for ``0 <= values < 2 * n_lines``, in place."""
+    return np.subtract(values, n_lines, out=values,
+                       where=values >= n_lines)
+
+
 def phase_shift_period(n_accesses: int, n_phases: int) -> int:
     """Accesses per phase: the ``K`` of the ``phase_shift`` spec."""
     if n_phases <= 0:
@@ -218,13 +224,17 @@ def phase_shift(rng: np.random.Generator, n_accesses: int, n_lines: int,
         raise WorkloadError("hot_traffic must be in (0,1]")
     period = phase_shift_period(n_accesses, n_phases)
     _, n_hot = phase_shift_window(0, n_lines, hot_fraction)
-    index = np.arange(n_accesses, dtype=np.int64)
-    starts = (index // period) * n_hot % n_lines
-    is_hot = rng.random(n_accesses) < hot_traffic
+    hot = np.flatnonzero(rng.random(n_accesses) < hot_traffic)
     addrs = rng.integers(0, n_lines, size=n_accesses, dtype=np.int64)
-    n_hot_accesses = int(is_hot.sum())
-    offsets = rng.integers(0, n_hot, size=n_hot_accesses, dtype=np.int64)
-    addrs[is_hot] = (starts[is_hot] + offsets) % n_lines
+    offsets = rng.integers(0, n_hot, size=hot.size, dtype=np.int64)
+    # Window p covers accesses [p * period, (p + 1) * period): repeat
+    # each window's start over the hot accesses that fall in it.
+    n_windows = -(-n_accesses // period)
+    per_window = np.diff(np.searchsorted(
+        hot, np.arange(n_windows + 1, dtype=np.int64) * period))
+    offsets += np.repeat(
+        np.arange(n_windows, dtype=np.int64) * n_hot % n_lines, per_window)
+    addrs[hot] = _wrap(offsets, n_lines)
     return addrs
 
 
@@ -249,12 +259,16 @@ def sliding_window(rng: np.random.Generator, n_accesses: int,
     if passes <= 0:
         raise WorkloadError("passes must be positive")
     n_window = max(1, int(round(n_lines * window_fraction)))
-    index = np.arange(n_accesses, dtype=np.int64)
-    starts = (index * passes * n_lines / max(1, n_accesses)).astype(
-        np.int64
-    ) % n_lines
-    offsets = rng.integers(0, n_window, size=n_accesses, dtype=np.int64)
-    return (starts + offsets) % n_lines
+    # The float operations of i * passes * n_lines / n, in that order;
+    # i is exact as a double.
+    starts = (np.arange(n_accesses, dtype=np.float64) * passes * n_lines
+              / max(1, n_accesses)).astype(np.int64)
+    # Rounding is monotonic, so the starts never decrease and the last
+    # one says whether any reaches past the structure.
+    if n_accesses and starts[-1] >= n_lines:
+        starts %= n_lines
+    starts += rng.integers(0, n_window, size=n_accesses, dtype=np.int64)
+    return _wrap(starts, n_lines)
 
 
 PATTERNS: dict[str, PatternFn] = {

@@ -30,12 +30,15 @@ TEST_ACCESSES = 30_000
 @pytest.fixture
 def fresh_loader(tmp_path, monkeypatch):
     """An unloaded native-kernel state with its own empty library
-    cache; returns the directory the library is built into."""
+    cache, and synthesis's interleave not yet checked; returns the
+    directory the library is built into."""
     from repro.gpu import _native
+    from repro.workloads import interleave
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(_native, "_resolved", False)
     monkeypatch.setattr(_native, "_kernels", {})
+    monkeypatch.setattr(interleave, "_checked", interleave._UNCHECKED)
     return tmp_path / "xdg" / "repro" / "native"
 
 

@@ -6,14 +6,19 @@ These are the original pure-Python simulation loops that
 vectorized form of :mod:`repro.gpu.throughput`
 (:func:`reference_throughput_run`), which
 ``tests/test_throughput_oracle.py`` holds the engine to with ``==``
-on every field, and the migration planner's page-at-a-time budget trim
+on every field, the migration planner's page-at-a-time budget trim
 (:func:`reference_trim_to_budget`, held ``==`` to its closed form by
-``tests/test_migration.py``).  They are kept here, in the test suite, as the
-behavioural oracle: the golden equality suite
-(``tests/test_golden_vectorized.py``) and the kernel differential tests
-(``tests/test_lru_native.py``) check the native and numpy cache filters
-are *bit-identical* to :class:`ReferenceCacheHierarchy`, and the
-vectorized engines reproduce the reference
+``tests/test_migration.py``), and the first forms of trace synthesis:
+the two dynamic access patterns (:func:`reference_phase_shift`,
+:func:`reference_sliding_window`) and the per-phase interleave
+(:func:`reference_raw_access_stream`), held ``==`` to
+:mod:`repro.workloads` by ``tests/test_synth_native.py``.  They are
+kept here, in the test suite, as the behavioural oracle: the golden
+equality suite (``tests/test_golden_vectorized.py``) and the kernel
+differential tests (``tests/test_lru_native.py``) check the native
+and numpy cache filters are *bit-identical* to
+:class:`ReferenceCacheHierarchy`, and the vectorized engines reproduce
+the reference
 :class:`~repro.gpu.trace.SimResult` fields to 1e-9 relative, on local,
 interleaved, random and BW-AWARE placements.  They are not timed: the
 kernels' absolute cost per access is read from the per-layer ledger of
@@ -30,11 +35,12 @@ other quantity follows the seed loops operation for operation.
 from __future__ import annotations
 
 import heapq
+import zlib
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.errors import SimulationError
+from repro.core.errors import SimulationError, WorkloadError
 from repro.gpu.cache import CacheStats
 from repro.gpu.config import GpuConfig
 from repro.gpu.trace import (
@@ -44,6 +50,12 @@ from repro.gpu.trace import (
     validate_zone_map,
 )
 from repro.memory.topology import SystemTopology
+from repro.workloads.patterns import (
+    PATTERNS,
+    _require_positive,
+    phase_shift_period,
+    phase_shift_window,
+)
 
 
 class ReferenceSetAssocCache:
@@ -438,3 +450,104 @@ def reference_trim_to_budget(n_promote: int, n_demote: int,
         if n_promote == 0 and n_demote == 0:
             break
     return n_promote, n_demote
+
+
+def reference_phase_shift(rng: np.random.Generator, n_accesses: int,
+                          n_lines: int, params: dict) -> np.ndarray:
+    """The first ``patterns.phase_shift``: every access's window start
+    from its index (``//`` and ``%`` over the whole stream), then a
+    boolean gather of the hot ones."""
+    _require_positive(n_accesses, n_lines)
+    n_phases = int(params.get("n_phases", 4))
+    hot_fraction = float(params.get("hot_fraction", 0.1))
+    hot_traffic = float(params.get("hot_traffic", 0.85))
+    if not 0.0 < hot_fraction < 1.0:
+        raise WorkloadError("hot_fraction must be in (0,1)")
+    if not 0.0 < hot_traffic <= 1.0:
+        raise WorkloadError("hot_traffic must be in (0,1]")
+    period = phase_shift_period(n_accesses, n_phases)
+    _, n_hot = phase_shift_window(0, n_lines, hot_fraction)
+    index = np.arange(n_accesses, dtype=np.int64)
+    starts = (index // period) * n_hot % n_lines
+    is_hot = rng.random(n_accesses) < hot_traffic
+    addrs = rng.integers(0, n_lines, size=n_accesses, dtype=np.int64)
+    n_hot_accesses = int(is_hot.sum())
+    offsets = rng.integers(0, n_hot, size=n_hot_accesses, dtype=np.int64)
+    addrs[is_hot] = (starts[is_hot] + offsets) % n_lines
+    return addrs
+
+
+def reference_sliding_window(rng: np.random.Generator, n_accesses: int,
+                             n_lines: int, params: dict) -> np.ndarray:
+    """The first ``patterns.sliding_window``: integer access indices
+    into the window-start float expression, ``%`` on every sum."""
+    _require_positive(n_accesses, n_lines)
+    window_fraction = float(params.get("window_fraction", 0.25))
+    passes = float(params.get("passes", 1.0))
+    if not 0.0 < window_fraction <= 1.0:
+        raise WorkloadError("window_fraction must be in (0,1]")
+    if passes <= 0:
+        raise WorkloadError("passes must be positive")
+    n_window = max(1, int(round(n_lines * window_fraction)))
+    index = np.arange(n_accesses, dtype=np.int64)
+    starts = (index * passes * n_lines / max(1, n_accesses)).astype(
+        np.int64
+    ) % n_lines
+    offsets = rng.integers(0, n_window, size=n_accesses, dtype=np.int64)
+    return (starts + offsets) % n_lines
+
+
+def reference_raw_access_stream(workload, dataset: str, n_accesses: int,
+                                seed: int
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``TraceWorkload.raw_access_stream`` loop: in every
+    phase, ``rng.permutation`` of the labels, a stable ``argsort`` and
+    two scatters, with the reference dynamic patterns."""
+    workload._check_dataset(dataset)
+    if n_accesses <= 0:
+        raise WorkloadError("n_accesses must be positive")
+    specs = workload.data_structures(dataset)
+    key = f"{workload.name}/{dataset}/{seed}".encode()
+    rng = np.random.default_rng(zlib.crc32(key))
+    phase_list = workload.phases(dataset)
+    phase_total = sum(p.duration_weight for p in phase_list)
+    line_base = np.cumsum([0] + [s.n_lines for s in specs])
+    generators = dict(PATTERNS, phase_shift=reference_phase_shift,
+                      sliding_window=reference_sliding_window)
+
+    pieces: list[np.ndarray] = []
+    flag_pieces: list[np.ndarray] = []
+    for phase in phase_list:
+        n_phase = max(1, int(round(
+            n_accesses * phase.duration_weight / phase_total
+        )))
+        weights = np.array([
+            s.traffic_weight
+            * (phase.weight_overrides or {}).get(s.name, 1.0)
+            for s in specs
+        ], dtype=np.float64)
+        if weights.sum() <= 0:
+            raise WorkloadError("no positive traffic weight")
+        counts = rng.multinomial(n_phase, weights / weights.sum())
+        streams = [
+            line_base[i] + generators[spec.pattern](
+                rng, int(counts[i]), spec.n_lines,
+                dict(spec.pattern_params))
+            for i, spec in enumerate(specs)
+        ]
+        flags = [
+            rng.random(int(counts[i])) >= spec.read_fraction
+            for i, spec in enumerate(specs)
+        ]
+        order = rng.permutation(np.repeat(
+            np.arange(len(specs),
+                      dtype=np.min_scalar_type(len(specs) - 1)),
+            counts))
+        slots = np.argsort(order, kind="stable")
+        phase_stream = np.empty(int(counts.sum()), dtype=np.int64)
+        phase_flags = np.empty(int(counts.sum()), dtype=bool)
+        phase_stream[slots] = np.concatenate(streams)
+        phase_flags[slots] = np.concatenate(flags)
+        pieces.append(phase_stream)
+        flag_pieces.append(phase_flags)
+    return np.concatenate(pieces), np.concatenate(flag_pieces)

@@ -143,11 +143,13 @@ class TestImportSurface:
     def test_experiment_import_leaves_heavy_packages_unloaded(self):
         """``import repro.core.experiment`` is the cold path of every
         run; asyncio, serve, ingest and runner load on their own verbs
-        only.  Structural, so it does not flake with host speed."""
+        only, and the native library on the first synthesis, filter or
+        engine run.  Structural, so it does not flake with host
+        speed."""
         script = ("import sys, repro.core.experiment\n"
                   "print(' '.join(sorted(m for m in sys.modules if m in "
                   "('asyncio', 'repro.serve', 'repro.ingest', "
-                  "'repro.runner'))))")
+                  "'repro.runner', 'repro.gpu._native'))))")
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         done = subprocess.run([sys.executable, "-c", script], env=env,

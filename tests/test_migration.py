@@ -36,13 +36,6 @@ class TestHotnessTracker:
         # The recent page must now rank hotter than the stale one.
         assert tracker.scores[1] > tracker.scores[0]
 
-    def test_hottest_order(self):
-        tracker = HotnessTracker(4)
-        tracker.observe_epoch(np.array([2, 2, 2, 0, 0, 3]))
-        assert tracker.hottest(2).tolist() == [2, 0]
-        assert tracker.hottest(0).size == 0
-        assert tracker.hottest(10).size == 4
-
     def test_scores_read_only(self):
         tracker = HotnessTracker(2)
         with pytest.raises(ValueError):
