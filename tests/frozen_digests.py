@@ -1,8 +1,9 @@
 """Shared ``--regenerate`` command of the frozen-digest manifests.
 
 ``tests/test_placement_digests.py``, ``tests/test_replay_digests.py``,
-``tests/test_engine_digests.py`` and ``tests/test_synth_digests.py``
-each pin a JSON map of key -> digest under ``tests/golden/``.  Regenerating one prints every key
+``tests/test_engine_digests.py``, ``tests/test_synth_digests.py`` and
+``tests/test_ingest_digests.py`` each pin a JSON map of key -> digest
+under ``tests/golden/``.  Regenerating one prints every key
 whose digest moved with its old and new value, so a change that moves
 digests on purpose can account for each key, then rewrites the file.
 """
