@@ -1,16 +1,14 @@
 """GPU substrate: config, caches, engines."""
 
-from repro.gpu.banked import BankedEngine, BankState
 from repro.gpu.cache import CacheHierarchy, CacheStats
 from repro.gpu.config import GpuConfig, table1_config
-from repro.gpu.engine import DetailedEngine
+from repro.gpu.engine import BankedEngine, DetailedEngine
 from repro.gpu.simulator import GpuSystemSimulator, make_engine
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, SimResult, WorkloadCharacteristics
 
 __all__ = [
     "BankedEngine",
-    "BankState",
     "CacheHierarchy",
     "CacheStats",
     "GpuConfig",

@@ -2,8 +2,12 @@
 
 Four C files make up the library, ABI version 4:
 
-* ``_windowed.c``, the event engines' windowed-service kernel
-  (:mod:`repro.gpu.service`; kernel ``"windowed"``);
+* ``_windowed.c``, the event engines' windowed-service kernel, which
+  the event pass calls (:mod:`repro.gpu.service`).  Its own entry,
+  kernel ``"windowed"``, has no caller in the package: it is the test
+  entry that differential-tests the compiled core on arbitrary
+  per-access occupancy and latency, which the event pass, building
+  them from per-zone tables, cannot reach;
 * ``_passes.c``, the engines' per-access passes around it: zone map to
   (epoch, zone) bins for the throughput engine (``"throughput"``); to
   channels, occupancy, the windowed replay, busy time and zone counts
@@ -158,6 +162,11 @@ def _open(path: Path, rebuilt: bool = False) -> ctypes.CDLL:
 
 
 def _bind_windowed(lib: ctypes.CDLL) -> Callable:
+    """The compiled windowed core alone, for tests: the only way to
+    drive it on arbitrary per-access occupancy and latency (the event
+    pass builds them from per-zone tables).  Unchecked: the caller
+    passes equal-length finite arrays and ``0 <= channel_ids <
+    n_channels``."""
     fn = lib.repro_simulate_windowed
     fn.restype = ctypes.c_double
     fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3 + [

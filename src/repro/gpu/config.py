@@ -71,6 +71,14 @@ class GpuConfig:
             raise ConfigError("n_channels must be positive")
         return self.mshrs_per_l2_slice * n_channels
 
+    def effective_parallelism(self, parallelism: float,
+                              n_channels: int) -> float:
+        """Outstanding requests a workload of ``parallelism`` actually
+        sustains on ``n_channels``: capped by the MSHR file and the
+        chip's warp budget."""
+        return min(parallelism, float(self.total_mshrs(n_channels)),
+                   float(self.max_warps_outstanding))
+
     def cycles_to_ns(self, cycles: float) -> float:
         return cycles / self.clock_ghz
 

@@ -1,33 +1,48 @@
-"""Event-driven detailed performance engine.
+"""Event-driven engines: detailed (channel FIFOs) and banked (row buffers).
 
 Where :class:`repro.gpu.throughput.ThroughputEngine` applies the
-Section 3.1 service model per epoch, this engine replays the DRAM access
-stream request by request:
+Section 3.1 service model per epoch, these engines replay the DRAM
+access stream request by request:
 
 * a bounded window of outstanding requests (workload parallelism capped
   by the Table 1 MSHR file) — a request issues only when a window slot
   and an MSHR entry are free;
-* per-channel FIFO service — each zone spreads requests across its
-  channels round-robin, a channel transfers one line at a time at the
-  channel's share of pool bandwidth;
+* per-channel FIFO service — a channel transfers one line at a time at
+  the channel's share of pool bandwidth;
 * per-request latency — DRAM device latency plus the interconnect hop
   for remote zones, paid on top of queueing delay;
 * a compute throttle — the SMs cannot feed misses faster than the
   kernel's compute intensity allows.
 
-The per-access work — each access's zone, round-robin channel,
+The two engines differ only in how a request finds its channel and what
+a transfer costs:
+
+* :class:`DetailedEngine` spreads each zone's requests over its
+  channels round-robin and charges every transfer at peak bandwidth;
+* :class:`BankedEngine` interleaves lines across channels and keeps the
+  open row of each of a channel's :data:`BANKS_PER_CHANNEL` banks.  A
+  row miss adds the zone's precharge + activate cost from its Table 1
+  timings (tRP + tRCD on top of tCL), divided by the
+  :data:`BANK_OVERLAP` activates the controller hides behind other
+  banks' transfers.  Sequential streams hit the open row and approach
+  peak bandwidth; random streams thrash rows and lose bandwidth, the
+  effective-bandwidth gap GPGPU-Sim models.
+
+The per-access work — each access's zone, channel, row-buffer outcome,
 occupancy, latency and ready time, the batched windowed replay, and the
 per-channel busy time and per-zone counts — is one call,
 :func:`repro.gpu.service.event_pass`, which runs its compiled pass
 (``_passes.c``) or the bit-identical numpy one; this module only builds
 the per-zone tables and reduces the result.  The original per-access
-heap loop survives in the test suite as ``reference_detailed_run``
-(``tests/reference_loops.py``), which the golden suite holds this
-engine to at 1e-9 relative.
+heap loops survive in the test suite as ``reference_detailed_run`` and
+``reference_banked_run`` (``tests/reference_loops.py``), which the
+golden suite holds these engines to at 1e-9 relative.
 
-The engine exists to validate the analytic model: the ablation bench
-(`benchmarks/test_ablation_engines.py`) checks both engines rank
-placement policies identically and agree on magnitudes.
+The engines exist to validate the analytic model: the ablation benches
+(``benchmarks/test_ablation_engines.py``,
+``benchmarks/test_ablation_banked.py``) check that the engines rank
+placement policies identically, agree on magnitudes, and that the
+Section 3 policy ordering survives row-buffer effects.
 """
 
 from __future__ import annotations
@@ -46,11 +61,21 @@ from repro.gpu.trace import (
 )
 from repro.memory.topology import SystemTopology
 
+#: banks per channel of the banked engine's open-row table.
+BANKS_PER_CHANNEL = 16
 
-class DetailedEngine:
-    """Request-level event-driven simulation."""
+#: average activates the banked engine's controller overlaps behind
+#: other banks' transfers; divides the visible row-miss penalty on the
+#: data bus.
+BANK_OVERLAP = 4
 
-    name = "detailed"
+
+class _EventEngine:
+    """Request-level event-driven simulation over one event pass."""
+
+    name: str
+    #: banks per channel; 0 means round-robin channels and no row model.
+    banks_per_channel: int
 
     def __init__(self, config: GpuConfig) -> None:
         self.config = config
@@ -58,7 +83,7 @@ class DetailedEngine:
     def run(self, trace: DramTrace, zone_map: np.ndarray,
             topology: SystemTopology,
             chars: WorkloadCharacteristics) -> SimResult:
-        with obs_trace.span("engine.detailed", cat="gpu",
+        with obs_trace.span(f"engine.{self.name}", cat="gpu",
                             accesses=trace.n_accesses) as span:
             span.annotate(kernel=kernel_path())
             return self._simulate(trace, zone_map, topology, chars)
@@ -76,15 +101,12 @@ class DetailedEngine:
                                  dtype=np.int64)
         n_channels_total = int(zone_channels.sum())
         check_channel_count(n_channels_total)
-        window = int(min(
-            chars.parallelism,
-            self.config.total_mshrs(n_channels_total),
-            self.config.max_warps_outstanding,
-        ))
-        window = max(window, 1)
+        window = max(1, int(self.config.effective_parallelism(
+            chars.parallelism, n_channels_total)))
 
-        # Per-zone cost from the GPU's viewpoint via the distance
-        # matrix; equals the per-zone scalars on legacy topologies.
+        # Data-transfer occupancy of one line at channel peak rate,
+        # using the GPU-viewpoint bandwidth from the distance matrix
+        # (equal to the per-zone scalars on legacy topologies).
         usable_bw = topology.gpu_usable_bandwidths()
         service_ns = np.array([
             trace.bytes_per_access
@@ -94,24 +116,35 @@ class DetailedEngine:
         latency_ns = np.array(
             topology.gpu_latencies_ns(self.config.clock_ghz)
         )
+        row_miss_ns = None
+        if self.banks_per_channel:
+            # Row-miss command overhead from the zone's DRAM timings,
+            # divided by the cross-bank overlap the controller extracts.
+            row_miss_ns = np.array([
+                (zone.technology.timings.row_miss_cycles()
+                 - zone.technology.timings.row_hit_cycles())
+                * zone.technology.timings.cycle_ns / BANK_OVERLAP
+                for zone in topology
+            ])
 
         # Compute throttle: DRAM access i corresponds (on average) to raw
         # access i / miss_rate, each costing compute_ns_per_access.
         miss_rate = max(trace.miss_rate(), 1e-12)
         compute_step = chars.compute_ns_per_access / miss_rate
 
-        # Requests spread over a zone's channels round-robin: the k-th
-        # access to a zone lands on channel k mod that zone's count.
         # busy is the transfer occupancy each channel actually served,
         # not its last-free timestamp, so dominant_bound() can trust it.
         last_completion, busy, zone_counts = event_pass(
             trace, zone_map, topology.write_cost_factors, zone_channels,
-            service_ns, latency_ns, compute_step, window)
+            service_ns, latency_ns, compute_step, window,
+            row_miss_ns=row_miss_ns,
+            banks_per_channel=self.banks_per_channel)
 
         total_compute = trace.n_raw_accesses * chars.compute_ns_per_access
         total_time = max(last_completion, total_compute)
         if total_time <= 0:
-            raise SimulationError("detailed engine produced zero runtime")
+            raise SimulationError(
+                f"{self.name} engine produced zero runtime")
 
         bytes_by_zone = zone_counts * float(trace.bytes_per_access)
         return SimResult(
@@ -123,3 +156,17 @@ class DetailedEngine:
             time_latency_ns=float(latency_ns.sum() / n_zones),
             time_compute_ns=total_compute,
         )
+
+
+class DetailedEngine(_EventEngine):
+    """Event-driven engine with round-robin channel FIFOs."""
+
+    name = "detailed"
+    banks_per_channel = 0
+
+
+class BankedEngine(_EventEngine):
+    """Event-driven engine with per-bank row-buffer timing."""
+
+    name = "banked"
+    banks_per_channel = BANKS_PER_CHANNEL

@@ -14,9 +14,8 @@ from typing import Callable, Literal, Optional, Union
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.gpu.banked import BankedEngine
 from repro.gpu.config import GpuConfig, table1_config
-from repro.gpu.engine import DetailedEngine
+from repro.gpu.engine import BankedEngine, DetailedEngine
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, SimResult, WorkloadCharacteristics
 from repro.memory.topology import SystemTopology

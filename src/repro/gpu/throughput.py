@@ -53,16 +53,6 @@ class ThroughputEngine:
     def __init__(self, config: GpuConfig) -> None:
         self.config = config
 
-    def effective_parallelism(self, chars: WorkloadCharacteristics,
-                              topology: SystemTopology) -> float:
-        """Outstanding requests actually sustainable on this chip."""
-        n_channels = sum(zone.channels for zone in topology)
-        return min(
-            chars.parallelism,
-            float(self.config.total_mshrs(n_channels)),
-            float(self.config.max_warps_outstanding),
-        )
-
     def run(self, trace: DramTrace, zone_map: np.ndarray,
             topology: SystemTopology,
             chars: WorkloadCharacteristics) -> SimResult:
@@ -103,7 +93,8 @@ class ThroughputEngine:
 
         # Latency bound per epoch: Little's law at effective parallelism.
         epoch_accesses = counts.sum(axis=1)
-        parallelism = self.effective_parallelism(chars, topology)
+        parallelism = self.config.effective_parallelism(
+            chars.parallelism, sum(zone.channels for zone in topology))
         # A zero-access epoch has a zero row: it divides by 1 to 0.0.
         fractions = counts / np.maximum(epoch_accesses, 1.0)[:, None]
         avg_latency = (fractions * latencies).sum(axis=1)

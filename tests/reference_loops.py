@@ -1,8 +1,8 @@
 """Reference (per-access loop) implementations of the hot paths.
 
 These are the original pure-Python simulation loops that
-:mod:`repro.gpu.cache`, :mod:`repro.gpu.engine` and
-:mod:`repro.gpu.banked` replaced with kernels, plus the first
+:mod:`repro.gpu.cache` and :mod:`repro.gpu.engine` (both event
+engines) replaced with kernels, plus the first
 vectorized form of :mod:`repro.gpu.throughput`
 (:func:`reference_throughput_run`), which
 ``tests/test_throughput_oracle.py`` holds the engine to with ``==``
@@ -309,6 +309,34 @@ def reference_detailed_run(config: GpuConfig, trace: DramTrace,
     )
 
 
+class BankState:
+    """Open-row tracking for the banks of one channel: the scalar
+    building block of :func:`reference_banked_run`."""
+
+    def __init__(self, n_banks: int) -> None:
+        if n_banks <= 0:
+            raise SimulationError("n_banks must be positive")
+        self.n_banks = n_banks
+        self._open_rows = np.full(n_banks, -1, dtype=np.int64)
+        self.row_hits = 0
+        self.row_misses = 0
+
+    def access(self, row: int) -> bool:
+        """Access ``row``; returns True on a row-buffer hit."""
+        bank = row % self.n_banks
+        if self._open_rows[bank] == row:
+            self.row_hits += 1
+            return True
+        self._open_rows[bank] = row
+        self.row_misses += 1
+        return False
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.row_hits + self.row_misses
+        return self.row_hits / total if total else 0.0
+
+
 def reference_banked_run(config: GpuConfig, trace: DramTrace,
                          zone_map: np.ndarray,
                          topology: SystemTopology,
@@ -316,7 +344,6 @@ def reference_banked_run(config: GpuConfig, trace: DramTrace,
                          banks_per_channel: int = 16,
                          bank_overlap: int = 4) -> SimResult:
     """The seed :class:`BankedEngine` request loop."""
-    from repro.gpu.banked import BankState
     from repro.gpu.service import LINES_PER_PAGE, LINES_PER_ROW
 
     zone_map = validate_zone_map(zone_map, trace.footprint_pages,
@@ -406,36 +433,6 @@ def reference_banked_run(config: GpuConfig, trace: DramTrace,
         time_latency_ns=float(sum(latency_ns) / n_zones),
         time_compute_ns=total_compute,
     )
-
-
-def reference_row_hit_rates(trace: DramTrace, zone_map: np.ndarray,
-                            topology: SystemTopology,
-                            banks_per_channel: int = 16
-                            ) -> tuple[float, ...]:
-    """The seed per-access ``BankedEngine.row_hit_rates`` loop."""
-    from repro.gpu.banked import BankState
-    from repro.gpu.service import LINES_PER_PAGE, LINES_PER_ROW
-
-    zone_map = np.asarray(zone_map)
-    n_channels = [zone.channels for zone in topology]
-    banks = [
-        [BankState(banks_per_channel) for _ in range(count)]
-        for count in n_channels
-    ]
-    access_zones = zone_map[trace.page_indices].astype(np.int64)
-    for i in range(trace.n_accesses):
-        zone_id = int(access_zones[i])
-        line = (int(trace.page_indices[i]) * LINES_PER_PAGE
-                + (i % LINES_PER_PAGE))
-        channel = line % n_channels[zone_id]
-        row = (line // n_channels[zone_id]) // LINES_PER_ROW
-        banks[zone_id][channel].access(row)
-    rates = []
-    for zone_banks in banks:
-        hits = sum(bank.row_hits for bank in zone_banks)
-        total = hits + sum(bank.row_misses for bank in zone_banks)
-        rates.append(hits / total if total else 0.0)
-    return tuple(rates)
 
 
 def reference_trim_to_budget(n_promote: int, n_demote: int,

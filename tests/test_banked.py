@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from reference_loops import BankState
 from repro.core.errors import SimulationError
 from repro.core.units import gbps
-from repro.gpu.banked import BankedEngine, BankState
 from repro.gpu.config import table1_config
+from repro.gpu.engine import BankedEngine
 from repro.gpu.simulator import make_engine
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
 from repro.memory.topology import simulated_baseline
@@ -64,8 +65,8 @@ class TestBankState:
 
 
 class TestBankedEngine:
-    def _engine(self, **kwargs):
-        return BankedEngine(table1_config(), **kwargs)
+    def _engine(self):
+        return BankedEngine(table1_config())
 
     def test_sequential_near_peak(self):
         result = self._engine().run(_sequential_trace(), _local_map(),
@@ -80,25 +81,6 @@ class TestBankedEngine:
             _random_trace(), _local_map(), simulated_baseline(), CHARS
         )
         assert random.achieved_bandwidth < 0.7 * sequential.achieved_bandwidth
-
-    def test_row_hit_rates_diagnostic(self):
-        engine = self._engine()
-        topo = simulated_baseline()
-        seq = engine.row_hit_rates(_sequential_trace(), _local_map(),
-                                   topo, CHARS)
-        rnd = engine.row_hit_rates(_random_trace(), _local_map(),
-                                   topo, CHARS)
-        assert seq[0] > 0.85
-        assert rnd[0] < 0.3
-
-    def test_more_bank_overlap_less_penalty(self):
-        little = BankedEngine(table1_config(), bank_overlap=1).run(
-            _random_trace(), _local_map(), simulated_baseline(), CHARS
-        )
-        lots = BankedEngine(table1_config(), bank_overlap=16).run(
-            _random_trace(), _local_map(), simulated_baseline(), CHARS
-        )
-        assert lots.total_time_ns < little.total_time_ns
 
     def test_policy_ordering_survives_row_effects(self):
         # The Section 3 conclusion holds under row-buffer modeling.
@@ -128,12 +110,6 @@ class TestBankedEngine:
             self._engine().run(_sequential_trace(),
                                np.zeros(3, dtype=np.int16),
                                simulated_baseline(), CHARS)
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            BankedEngine(table1_config(), banks_per_channel=0)
-        with pytest.raises(SimulationError):
-            BankedEngine(table1_config(), bank_overlap=0)
 
     def test_experiment_harness_supports_banked(self):
         from repro.core.experiment import run_experiment

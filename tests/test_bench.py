@@ -16,10 +16,9 @@ from reference_loops import (
     reference_banked_run,
     reference_detailed_run,
 )
-from repro.gpu.banked import BankedEngine
 from repro.gpu.cache import CacheHierarchy
 from repro.gpu.config import table1_config
-from repro.gpu.engine import DetailedEngine
+from repro.gpu.engine import BankedEngine, DetailedEngine
 from repro.memory.topology import simulated_baseline
 from repro.workloads import get_workload
 from repro.workloads.base import BASELINE_CHANNELS, FOOTPRINT_SCALE

@@ -67,12 +67,15 @@ class TestRun:
 
 
 class TestCompare:
-    def test_default_policy_set(self, capsys):
+    def test_default_policy_set(self, capsys, tmp_path):
         code, out = run_cli(capsys, "compare", "-w", "lbm",
-                            "-n", "20000")
+                            "-n", "20000", "--cache-dir", str(tmp_path))
         assert code == 0
         assert "LOCAL" in out and "INTERLEAVE" in out
         assert "1.000x" in out  # baseline normalized to itself
+        # The sweep cached into the given root, not the working dir.
+        assert list(tmp_path.glob("seg-*.log"))
+        assert list(tmp_path.glob("runs/*/manifest.json"))
 
     @pytest.mark.parametrize("verb", ["compare", "run", "profile"])
     def test_oversized_trace_rejected_before_any_work(self, capsys,
@@ -114,8 +117,9 @@ class TestAutotune:
 
 
 class TestFigure:
-    def test_known_figure(self, capsys):
-        code, out = run_cli(capsys, "figure", "fig01_topologies")
+    def test_known_figure(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "figure", "fig01_topologies",
+                            "--cache-dir", str(tmp_path))
         assert code == 0
         assert "BW ratio" in out
 

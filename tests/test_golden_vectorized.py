@@ -12,7 +12,8 @@ this suite pins the vectorized implementations to them:
   workloads and placement shapes (local, interleave, random and the
   BW-AWARE map ``run_experiment`` builds), including the tiny-window
   regime that takes the sequential fallback;
-* row-buffer hit rates: 1e-12 absolute.
+* the windowed-service kernel: the batched numpy kernel and the compiled
+  one within 1e-9 relative of the sequential replay.
 
 Traces here are shorter than ``DEFAULT_RAW_ACCESSES`` so the reference
 loops stay affordable.
@@ -26,17 +27,16 @@ from reference_loops import (
     ReferenceCacheHierarchy,
     reference_banked_run,
     reference_detailed_run,
-    reference_row_hit_rates,
 )
-from repro.gpu.banked import BankedEngine
+from repro.gpu import _native
 from repro.gpu.cache import CacheHierarchy
 from repro.gpu.config import table1_config
-from repro.gpu.engine import DetailedEngine
+from repro.gpu.engine import BankedEngine, DetailedEngine
 from repro.gpu.service import (
     _MIN_BATCH_WINDOW,
+    _simulate_numpy,
     _simulate_sequential,
     rank_within_groups,
-    simulate_windowed,
 )
 from repro.memory.topology import simulated_baseline
 from repro.workloads import get_workload
@@ -117,20 +117,6 @@ class TestEngineGolden:
                                            want.bytes_by_zone,
                                            rtol=1e-12)
 
-    @pytest.mark.parametrize("name", ("bfs", "sgemm"))
-    def test_row_hit_rates_match_reference(self, name):
-        workload = get_workload(name)
-        trace = workload.dram_trace("default", n_accesses=N_RAW, seed=0)
-        chars = workload.characteristics("default")
-        topology = simulated_baseline()
-        engine = BankedEngine(table1_config())
-        for zone_map in _zone_maps(trace.footprint_pages,
-                                   len(topology)).values():
-            got = engine.row_hit_rates(trace, zone_map, topology, chars)
-            want = reference_row_hit_rates(trace, zone_map, topology)
-            assert all(abs(a - b) <= 1e-12
-                       for a, b in zip(got, want))
-
     def test_low_parallelism_takes_sequential_path(self):
         """sgemm's window (parallelism 20) sits under the batching
         threshold, so this run exercises the fallback replay."""
@@ -166,7 +152,8 @@ class TestEngineGolden:
 
 
 class TestServiceKernel:
-    """The shared window kernel against its own sequential replay."""
+    """The shared window kernel, numpy and (where the library builds)
+    compiled, against its own sequential replay."""
 
     @pytest.mark.parametrize("window", (
         _MIN_BATCH_WINDOW - 1,  # fallback path
@@ -174,6 +161,9 @@ class TestServiceKernel:
         64,
     ))
     def test_batched_equals_sequential(self, window):
+        kernels = [kernel for kernel in (_simulate_numpy,
+                                         _native.kernel("windowed"))
+                   if kernel is not None]
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(1, 400))
@@ -184,11 +174,12 @@ class TestServiceKernel:
                 occupancy = np.full(n, float(rng.uniform(0.5, 2.0)))
             latency = rng.uniform(0, 100, n)
             channels = rng.integers(0, n_channels, n).astype(np.int16)
-            batched = simulate_windowed(ready, occupancy, latency,
-                                        channels, n_channels, window)
             serial = _simulate_sequential(ready, occupancy, latency,
                                           channels, n_channels, window)
-            assert _relative(batched, serial) <= 1e-9
+            for kernel in kernels:
+                batched = kernel(ready, occupancy, latency, channels,
+                                 n_channels, window)
+                assert _relative(batched, serial) <= 1e-9
 
     def test_rank_within_groups(self):
         groups = np.array([2, 0, 2, 2, 1, 0, 2])

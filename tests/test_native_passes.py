@@ -28,9 +28,8 @@ from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
 from repro.gpu import _native, service
-from repro.gpu.banked import BankedEngine
 from repro.gpu.config import table1_config
-from repro.gpu.engine import DetailedEngine
+from repro.gpu.engine import BankedEngine, DetailedEngine
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
 from repro.memory.topology import (
@@ -158,6 +157,20 @@ class TestEngines:
         assert _fields(fast) == _fields(slow)
 
 
+#: (change to the event pass's inputs, expected message): each makes
+#: one input non-finite.
+BAD_EVENT_INPUTS = (
+    (dict(service_ns=np.array([3.0, math.inf])), "service"),
+    (dict(latency_ns=np.array([math.nan, 1.0])), "latency"),
+    (dict(write_cost_factors=np.array([1.0, math.inf])), "write cost"),
+    (dict(row_miss_ns=np.array([math.nan, 1.0])), "row miss"),
+    (dict(compute_step=math.inf), "ready times"),
+    (dict(compute_step=math.nan), "ready times"),
+    # Each table is finite, a written line's occupancy is not.
+    (dict(service_ns=np.array([1.6e308, 1.0])), "occupancy"),
+)
+
+
 class TestFailureParity:
     """Non-finite inputs raise before either kernel runs, alike."""
 
@@ -176,23 +189,17 @@ class TestFailureParity:
         inputs.update(changes)
         return inputs
 
-    @pytest.mark.parametrize("changes, match", [
-        (dict(service_ns=np.array([3.0, math.inf])), "service"),
-        (dict(latency_ns=np.array([math.nan, 1.0])), "latency"),
-        (dict(write_cost_factors=np.array([1.0, math.inf])),
-         "write cost"),
-        (dict(row_miss_ns=np.array([math.nan, 1.0])), "row miss"),
-        (dict(compute_step=math.inf), "ready times"),
-        (dict(compute_step=math.nan), "ready times"),
-        # Each table is finite, a written line's occupancy is not.
-        (dict(service_ns=np.array([1.6e308, 1.0])), "occupancy"),
+    @pytest.mark.parametrize("changes, match, banked", [
+        pytest.param(changes, match, banked,
+                     id=f"{banked}-changes{index}-{match}")
+        for banked in (False, True)
+        for index, (changes, match) in enumerate(BAD_EVENT_INPUTS)
+        # the detailed pass has no row-miss table
+        if banked or match != "row miss"
     ])
-    @pytest.mark.parametrize("banked", (False, True))
     def test_both_paths_raise(self, changes, match, banked):
         inputs = self.pass_inputs(**changes)
         if not banked:
-            if match == "row miss":
-                pytest.skip("the detailed pass has no row-miss table")
             inputs.update(row_miss_ns=None, banks_per_channel=0)
         for kernels in (None, _native.kernels()):
             with pytest.MonkeyPatch.context() as patch:

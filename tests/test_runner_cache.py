@@ -162,7 +162,7 @@ class TestCacheKeyInvalidation:
         root = Path(repro.__file__).resolve().parent
         sources = {str(p.relative_to(root)) for p in _iter_sources(root)}
         for module in ("gpu/lru.py", "gpu/service.py", "gpu/cache.py",
-                       "gpu/engine.py", "gpu/banked.py"):
+                       "gpu/engine.py"):
             assert module in sources, module
 
     def test_salt_covers_native_kernel_source(self, tmp_path):

@@ -1,20 +1,21 @@
 """The native windowed-service kernel against its numpy oracle.
 
-:func:`repro.gpu.service.simulate_windowed` runs a compiled port of the
-batched numpy kernel (``gpu/_windowed.c``, built by
-:mod:`repro.gpu._native`).  The port promises the *same float*, not a
-close one, so everything here compares with ``==``:
+The event pass runs a compiled port of the batched numpy kernel
+(``gpu/_windowed.c``, built by :mod:`repro.gpu._native`).  The port
+promises the *same float*, not a close one, so everything here compares
+with ``==``:
 
-* a hypothesis differential test over raw streams (tiny windows that
-  take the sequential branch, windows equal to and above the stream
-  length, 1-64 channels, zero and tied occupancies, compute-throttled
-  and saturated streams);
+* a hypothesis differential test over raw streams, through the
+  library's ``"windowed"`` test entry (tiny windows that take the
+  sequential branch, windows equal to and above the stream length,
+  1-64 channels, zero and tied occupancies, compute-throttled and
+  saturated streams, and the empty stream);
 * whole :class:`SimResult` equality for both event engines (the
   engine spans' ``kernel`` field is checked in test_obs_integration);
 * the fallback: no compiler means the numpy kernel and the same result;
 * the build seam: concurrent first builds, a truncated cached library,
-  a cached library missing an entry point, input validation and the
-  engines' int16 channel limit.
+  a cached library missing an entry point, and the engines' int16
+  channel limit.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from conftest import bwaware_zone_map
 from repro.core.errors import SimulationError
 from repro.core.experiment import run_experiment
 from repro.gpu import _native, service
-from repro.gpu.banked import BankedEngine
 from repro.gpu.config import table1_config
-from repro.gpu.engine import DetailedEngine
+from repro.gpu.engine import BankedEngine, DetailedEngine
 from repro.memory.topology import simulated_baseline, symmetric_topology
 from repro.workloads import get_workload
 
@@ -100,6 +100,11 @@ class TestDifferential:
     def test_native_equals_numpy(self, native, stream):
         assert native(*stream) == service._simulate_numpy(*stream)
 
+    def test_empty_stream(self, native):
+        empty = np.empty(0)
+        stream = (empty, empty, empty, np.empty(0, dtype=np.int16), 4, 8)
+        assert native(*stream) == service._simulate_numpy(*stream) == 0.0
+
     def test_sequential_branch_is_the_numpy_one(self, native):
         rng = np.random.default_rng(3)
         n = 2_000
@@ -154,35 +159,6 @@ class TestChannelLimit:
                            engine=engine, trace_accesses=N_RAW)
 
 
-class TestInputChecks:
-    def stream(self, n=50):
-        return [np.arange(n, dtype=float), np.ones(n), np.full(n, 5.0),
-                np.arange(n) % 4, 4, 8]
-
-    @pytest.mark.parametrize("kernel", ("native", "numpy"))
-    @pytest.mark.parametrize("mutate, match", [
-        (lambda s: s.__setitem__(1, s[1][:-1]), "equal length"),
-        (lambda s: s[3].__setitem__(7, -1), "outside"),
-        (lambda s: s[3].__setitem__(7, 4), "outside"),
-        (lambda s: s[2].__setitem__(3, np.nan), "latency"),
-        (lambda s: s[1].__setitem__(3, np.inf), "occupancy"),
-        (lambda s: s[0].__setitem__(0, -np.inf), "ready_base"),
-    ])
-    def test_rejected_before_either_kernel(self, monkeypatch, kernel,
-                                           mutate, match):
-        if kernel == "numpy":
-            monkeypatch.setattr(service, "_native_kernels", lambda: None)
-        stream = self.stream()
-        mutate(stream)
-        with pytest.raises(SimulationError, match=match):
-            service.simulate_windowed(*stream)
-
-    def test_empty_stream(self):
-        empty = np.empty(0)
-        assert service.simulate_windowed(
-            empty, empty, empty, np.empty(0, dtype=np.int16), 4, 8) == 0.0
-
-
 class TestBuild:
     def test_missing_compiler_falls_back_to_numpy(self, bound,
                                                   fresh_loader,
@@ -209,8 +185,10 @@ class TestBuild:
             handle.truncate(size // 2)
         assert service.kernel_path() == "native"
         assert path.stat().st_size == size
-        stream = TestInputChecks().stream(500)
-        assert (service.simulate_windowed(*stream)
+        n = 500
+        stream = (np.arange(n, dtype=float), np.ones(n), np.full(n, 5.0),
+                  np.arange(n) % 4, 4, 8)
+        assert (_native.kernel("windowed")(*stream)
                 == service._simulate_numpy(*stream))
 
     def test_library_missing_entry_points_is_rebuilt(self, native,
@@ -237,12 +215,12 @@ class TestBuild:
             while not os.path.exists({str(go)!r}):
                 time.sleep(0.005)
             import numpy as np
-            from repro.gpu import service
+            from repro.gpu import _native, service
             assert service.kernel_path() == "native"
             n = 3000
             stream = (np.arange(n) * 0.3, np.linspace(0, 4, n),
                       np.full(n, 80.0), np.arange(n) % 16, 16, 256)
-            print(repr(service.simulate_windowed(*stream)))
+            print(repr(_native.kernel("windowed")(*stream)))
             print(repr(service._simulate_numpy(*stream)))
         """)
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
