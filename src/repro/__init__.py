@@ -23,6 +23,7 @@ Quickstart::
 """
 
 from repro.core.errors import ReproError
+from repro.core.lazy import lazy_exports
 from repro.core.units import GB, GIB, PAGE_SIZE
 
 __version__ = "1.0.0"
@@ -109,17 +110,4 @@ __all__ = sorted(_API) + ["GB", "GIB", "PAGE_SIZE", "ReproError",
                           "__version__"]
 
 
-def __getattr__(name: str):
-    module_name = _API.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return __all__
+__getattr__, __dir__ = lazy_exports(__name__, _API)

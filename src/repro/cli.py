@@ -45,10 +45,6 @@ from repro.memory.topology import (
     topology_names,
 )
 from repro.policies.registry import policy_names
-from repro.profiling.cdf import AccessCdf
-from repro.profiling.profiler import PageAccessProfiler
-from repro.runner import (ResultCache, check_chunk_timeout, configured,
-                          make_spec)
 from repro.workloads import get_workload, scenario_names, workload_names
 
 #: the CLI spelling of the shared topology registry.
@@ -157,6 +153,8 @@ def _sweep_runner(args: argparse.Namespace):
     ``--cache-dir`` relocates it (otherwise ``$REPRO_CACHE_DIR`` or
     ``./.repro-cache``).
     """
+    from repro.runner import ResultCache, configured
+
     if args.no_cache:
         cache: object = False
     elif args.cache_dir:
@@ -171,7 +169,7 @@ def _sweep_runner(args: argparse.Namespace):
 
 
 def cmd_autotune(args: argparse.Namespace) -> int:
-    from repro.runner import code_version_salt, content_key
+    from repro.runner import ResultCache, code_version_salt, content_key
     from repro.tuning import (AutotuneReport, RatioController, autotune,
                               autotune_spec)
 
@@ -215,6 +213,8 @@ def cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.runner import make_spec
+
     topology = _topology(args.topology)
     with _sweep_runner(args) as runner:
         outcome = runner.run([
@@ -287,6 +287,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.profiling import AccessCdf, PageAccessProfiler
+
     workload = get_workload(args.workload)
     profile = PageAccessProfiler().profile(
         workload, args.dataset,
@@ -527,6 +529,8 @@ _epochs = _capped(DEFAULT_REQUEST_LIMITS.check_epochs, "epochs")
 
 def _chunk_timeout(raw: str) -> float:
     """An argparse type: a chunk budget the sweep runner accepts."""
+    from repro.runner import check_chunk_timeout
+
     try:
         return check_chunk_timeout(float(raw))
     except (ValueError, RunnerError) as exc:

@@ -29,8 +29,6 @@ from repro.gpu.trace import SimResult
 from repro.memory.topology import SystemTopology, simulated_baseline
 from repro.policies.base import PlacementPolicy
 from repro.policies.registry import make_policy
-from repro.profiling.profiler import PageAccessProfiler
-from repro.runtime.hints import hints_from_profile
 from repro.vm.process import Process
 from repro.workloads.base import TraceWorkload
 from repro.workloads.suite import get_workload
@@ -117,6 +115,9 @@ def resolve_policy(policy: Union[str, PlacementPolicy],
             "ORACLE", page_accesses=trace.page_access_counts()
         ), None
     if name == "ANNOTATED":
+        from repro.profiling.profiler import PageAccessProfiler
+        from repro.runtime.hints import hints_from_profile
+
         train = training_dataset if training_dataset is not None else dataset
         profile = PageAccessProfiler().profile(
             workload, train, n_accesses=trace_accesses, seed=seed

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.errors import ConfigError
 from repro.gpu.config import GpuConfig
-from repro.gpu.lru import lru_filter
 
 #: memoized L1 set-id bases, keyed by (n_sms, n_sets, length, dtype).
 _SM_BASES: dict[tuple[int, int, int, type], np.ndarray] = {}
@@ -90,6 +89,8 @@ def _numpy_filter(line_addrs: np.ndarray, n_sms: int, l1_sets: int,
     """The vectorized hierarchy filter, with the native kernel's
     signature: ``(misses, l1_hits, l2_accesses, l2_hits)`` of one
     replay from empty caches."""
+    from repro.gpu.lru import lru_filter  # deferred: the fallback only
+
     n = int(line_addrs.size)
     line_top = int(line_addrs.max())
     dtype = np.int32 if line_top < 2 ** 31 else np.int64

@@ -23,49 +23,32 @@ See ``docs/api.md`` ("Observability") for the span/metric/log
 inventories and the Perfetto walkthrough.
 """
 
-from repro.obs.log import LOG_JSON_ENV, format_event, json_mode, log_event
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_metrics,
-    validate_exposition,
-)
-from repro.obs.trace import (
-    TRACE_ENV,
-    TRACE_ID_HEADER,
-    Tracer,
-    current_trace_id,
-    enabled,
-    install,
-    instant,
-    new_trace_id,
-    span,
-    uninstall,
-)
+from repro.core.lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "LOG_JSON_ENV",
-    "MetricsRegistry",
-    "TRACE_ENV",
-    "TRACE_ID_HEADER",
-    "Tracer",
-    "current_trace_id",
-    "enabled",
-    "format_event",
-    "install",
-    "instant",
-    "json_mode",
-    "log_event",
-    "new_trace_id",
-    "parse_metrics",
-    "span",
-    "uninstall",
-    "validate_exposition",
-]
+_API = {
+    "Counter": "repro.obs.metrics",
+    "DEFAULT_BUCKETS": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "LOG_JSON_ENV": "repro.obs.log",
+    "MetricsRegistry": "repro.obs.metrics",
+    "TRACE_ENV": "repro.obs.trace",
+    "TRACE_ID_HEADER": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "current_trace_id": "repro.obs.trace",
+    "enabled": "repro.obs.trace",
+    "format_event": "repro.obs.log",
+    "install": "repro.obs.trace",
+    "instant": "repro.obs.trace",
+    "json_mode": "repro.obs.log",
+    "log_event": "repro.obs.log",
+    "new_trace_id": "repro.obs.trace",
+    "parse_metrics": "repro.obs.metrics",
+    "span": "repro.obs.trace",
+    "uninstall": "repro.obs.trace",
+    "validate_exposition": "repro.obs.metrics",
+}
+
+__all__ = sorted(_API)
+
+__getattr__, __dir__ = lazy_exports(__name__, _API)

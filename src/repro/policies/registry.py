@@ -19,7 +19,6 @@ from repro.policies.base import PlacementPolicy
 from repro.policies.bwaware import BwAwarePolicy, CounterBwAwarePolicy
 from repro.policies.interleave import InterleavePolicy
 from repro.policies.local import LocalPolicy
-from repro.policies.online import OnlinePolicy
 from repro.policies.oracle import OraclePolicy
 
 
@@ -66,6 +65,10 @@ def _make_annotated(**kwargs: object) -> PlacementPolicy:
 
 
 def _make_online(**kwargs: object) -> PlacementPolicy:
+    # Deferred: OnlinePolicy pulls in the migration stack, which static
+    # placements never run.
+    from repro.policies.online import OnlinePolicy
+
     initial = kwargs.pop("initial", "BW-AWARE")
     epochs = kwargs.pop("epochs", 16)
     budget = kwargs.pop("budget_pages_per_epoch", None)

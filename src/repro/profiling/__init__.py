@@ -1,18 +1,16 @@
 """Profiling substrate: page counters, CDFs, structure reverse maps."""
 
-from repro.profiling.cdf import AccessCdf
-from repro.profiling.datastruct_map import DataStructureMap, ScatterPoint
-from repro.profiling.profiler import (
-    PageAccessProfiler,
-    StructureProfile,
-    WorkloadProfile,
-)
+from repro.core.lazy import lazy_exports
 
-__all__ = [
-    "AccessCdf",
-    "DataStructureMap",
-    "ScatterPoint",
-    "PageAccessProfiler",
-    "StructureProfile",
-    "WorkloadProfile",
-]
+_API = {
+    "AccessCdf": "repro.profiling.cdf",
+    "DataStructureMap": "repro.profiling.datastruct_map",
+    "ScatterPoint": "repro.profiling.datastruct_map",
+    "PageAccessProfiler": "repro.profiling.profiler",
+    "StructureProfile": "repro.profiling.profiler",
+    "WorkloadProfile": "repro.profiling.profiler",
+}
+
+__all__ = sorted(_API)
+
+__getattr__, __dir__ = lazy_exports(__name__, _API)

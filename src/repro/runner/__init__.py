@@ -21,78 +21,44 @@ both:
 See ``docs/api.md`` ("Running sweeps in parallel") for usage.
 """
 
-from repro.runner.cache import (
-    CacheStats,
-    ResultCache,
-    decode_result,
-    encode_result,
-    result_digest,
-    strict_json_dumps,
-)
-from repro.runner.manifest import RunManifest, SpecRecord
-from repro.runner.salt import code_version_salt
-from repro.runner.shm import (
-    SharedTraceArena,
-    TraceHandle,
-    shm_available,
-)
-from repro.runner.spec import (
-    RunSpec,
-    bw_ratio_policy,
-    canonical_policy,
-    content_key,
-    describe_topology,
-    make_spec,
-    parse_policy,
-)
-from repro.runner.sweep import (
-    RecoveryStats,
-    SweepOutcome,
-    SweepRunner,
-    active,
-    check_chunk_timeout,
-    configure,
-    configured,
-    default_cache_root,
-    default_chunk_timeout,
-    default_jobs,
-    default_max_retries,
-    execute_spec,
-)
-from repro.runner.wire import pack_chunk, unpack_chunk
+from repro.core.lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "RecoveryStats",
-    "ResultCache",
-    "RunManifest",
-    "RunSpec",
-    "SharedTraceArena",
-    "SpecRecord",
-    "SweepOutcome",
-    "SweepRunner",
-    "TraceHandle",
-    "active",
-    "bw_ratio_policy",
-    "canonical_policy",
-    "check_chunk_timeout",
-    "code_version_salt",
-    "configure",
-    "configured",
-    "content_key",
-    "decode_result",
-    "default_cache_root",
-    "default_chunk_timeout",
-    "default_jobs",
-    "default_max_retries",
-    "describe_topology",
-    "encode_result",
-    "execute_spec",
-    "make_spec",
-    "pack_chunk",
-    "parse_policy",
-    "result_digest",
-    "shm_available",
-    "strict_json_dumps",
-    "unpack_chunk",
-]
+_API = {
+    "CacheStats": "repro.runner.cache",
+    "RecoveryStats": "repro.runner.sweep",
+    "ResultCache": "repro.runner.cache",
+    "RunManifest": "repro.runner.manifest",
+    "RunSpec": "repro.runner.spec",
+    "SharedTraceArena": "repro.runner.shm",
+    "SpecRecord": "repro.runner.manifest",
+    "SweepOutcome": "repro.runner.sweep",
+    "SweepRunner": "repro.runner.sweep",
+    "TraceHandle": "repro.runner.shm",
+    "active": "repro.runner.sweep",
+    "bw_ratio_policy": "repro.runner.spec",
+    "canonical_policy": "repro.runner.spec",
+    "check_chunk_timeout": "repro.runner.sweep",
+    "code_version_salt": "repro.runner.salt",
+    "configure": "repro.runner.sweep",
+    "configured": "repro.runner.sweep",
+    "content_key": "repro.runner.spec",
+    "decode_result": "repro.runner.cache",
+    "default_cache_root": "repro.runner.sweep",
+    "default_chunk_timeout": "repro.runner.sweep",
+    "default_jobs": "repro.runner.sweep",
+    "default_max_retries": "repro.runner.sweep",
+    "describe_topology": "repro.runner.spec",
+    "encode_result": "repro.runner.cache",
+    "execute_spec": "repro.runner.sweep",
+    "make_spec": "repro.runner.spec",
+    "pack_chunk": "repro.runner.wire",
+    "parse_policy": "repro.runner.spec",
+    "result_digest": "repro.runner.cache",
+    "shm_available": "repro.runner.shm",
+    "strict_json_dumps": "repro.runner.cache",
+    "unpack_chunk": "repro.runner.wire",
+}
+
+__all__ = sorted(_API)
+
+__getattr__, __dir__ = lazy_exports(__name__, _API)

@@ -109,6 +109,11 @@ from repro.runner.shm import (
 from repro.runner.spec import RunSpec, parse_policy
 from repro.runner.wire import pack_chunk, unpack_chunk
 
+# Worker pools fork from this process: load the ANNOTATED policy's
+# profiling pass here, or each worker of every pool imports it again.
+import repro.profiling.profiler  # noqa: F401
+import repro.runtime.hints  # noqa: F401
+
 #: default on-disk locations, overridable from the environment.
 #: (cache resolution itself lives in :mod:`repro.core.cachedir` so the
 #: CLI and the serve daemon share the exact same rule.)

@@ -1,8 +1,10 @@
 """The command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -167,3 +169,33 @@ class TestTrace:
                             "-p", "BW-AWARE")
         assert code == 0
         assert out.startswith("trace:bfs#")
+
+
+def _verbs(parser, prefix=()):
+    """Every subcommand path of ``parser``, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,)
+                yield from _verbs(sub, prefix + (name,))
+
+
+class TestHelp:
+    """Names a verb imports lazily must not break its parser: an
+    argparse ``type=``/``choices=`` callable only runs at parse time."""
+
+    @pytest.mark.parametrize("verb", sorted(_verbs(build_parser())),
+                             ids=" ".join)
+    def test_help_exits_zero(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*verb, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro")
+
+    def test_bad_chunk_timeout_keeps_its_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "-w", "bfs", "--chunk-timeout", "nan"])
+        assert excinfo.value.code == 2
+        assert ("repro compare: error: argument --chunk-timeout: chunk "
+                "timeout must be a number of seconds in (0, "
+                in capsys.readouterr().err)

@@ -139,20 +139,62 @@ class TestComparePolicies:
         assert results["ORACLE"].throughput > results["BW-AWARE"].throughput
 
 
+#: what a static ``repro run`` never executes: the sweep runner and its
+#: cache, fault injection, the metrics registry, the ONLINE policy and
+#: its migration stack, the numpy LRU fallback, and ANNOTATED's
+#: profiling pass with the CUDA-shaped runtime it hints through.
+DEFERRED = ("repro.runner", "repro.resilience", "repro.obs.metrics",
+            "repro.migration", "repro.policies.online", "repro.gpu.lru",
+            "repro.profiling.profiler", "repro.profiling.datastruct_map",
+            "repro.runtime", "multiprocessing", "concurrent.futures")
+
+
+def _loaded_after(code: str, watched, timeout: float = 60) -> list:
+    """The ``watched`` modules (or any submodule of one) a fresh
+    interpreter holds after running ``code``."""
+    script = (f"import sys\n{code}\n"
+              f"watched = {tuple(watched)!r}\n"
+              "print(' '.join(sorted(w for w in watched if any("
+              "m == w or m.startswith(w + '.') for m in sys.modules))))")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout,
+                          check=True)
+    return done.stdout.split()
+
+
 class TestImportSurface:
+    """Structural checks on what a cold run imports; no timings, which
+    depend on the host."""
+
     def test_experiment_import_leaves_heavy_packages_unloaded(self):
         """``import repro.core.experiment`` is the cold path of every
         run; asyncio, serve, ingest and runner load on their own verbs
         only, and the native library on the first synthesis, filter or
-        engine run.  Structural, so it does not flake with host
-        speed."""
-        script = ("import sys, repro.core.experiment\n"
-                  "print(' '.join(sorted(m for m in sys.modules if m in "
-                  "('asyncio', 'repro.serve', 'repro.ingest', "
-                  "'repro.runner', 'repro.gpu._native'))))")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60,
-                              check=True)
-        assert done.stdout.split() == []
+        engine run."""
+        assert _loaded_after(
+            "import repro.core.experiment",
+            ("asyncio", "repro.serve", "repro.ingest", "repro.runner",
+             "repro.gpu._native")) == []
+
+    def test_cli_import_defers_what_a_static_run_never_executes(self):
+        assert _loaded_after("import repro.cli", DEFERRED) == []
+
+    def test_static_runs_on_every_engine_stay_off_the_deferred_path(self):
+        """A BW-AWARE run on each engine after ``import repro.cli`` —
+        the cold ``repro run`` — loads none of them either, so the
+        deferral did not just move their import into the run."""
+        code = ("import repro.cli\n"
+                "from repro.core.experiment import run_experiment\n"
+                "for engine in ('throughput', 'detailed', 'banked'):\n"
+                "    run_experiment('bfs', policy='BW-AWARE', "
+                "engine=engine, trace_accesses=5000)\n"
+                "from repro.gpu.service import kernel_path\n"
+                "print(kernel_path())")
+        # The first engine run may build the native library.
+        loaded = _loaded_after(code, DEFERRED, timeout=120)
+        # Without a compiler the numpy filter is the fallback that runs.
+        path = loaded.pop(0)
+        expected = ["repro.gpu.lru"] if path == "numpy" else []
+        assert loaded == expected

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,10 +12,13 @@ from reference_loops import ReferenceSetAssocCache
 from repro.core.metrics import geomean
 from repro.core.units import PAGE_SIZE, bytes_to_pages, pages_to_bytes
 from repro.gpu.config import table1_config
+from repro.gpu.simulator import GpuSystemSimulator
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
 from repro.memory.acpi import Sbit
-from repro.memory.topology import simulated_baseline
+from repro.memory.distance import DistanceMatrix
+from repro.memory.topology import (SystemTopology, simulated_baseline,
+                                   topology_by_name)
 from repro.policies.bwaware import BwAwarePolicy, two_zone_fractions
 from repro.policies.oracle import OraclePolicy
 from repro.profiling.cdf import AccessCdf
@@ -23,6 +28,9 @@ from repro.vm.process import Process
 
 COMMON = settings(deadline=None, max_examples=50,
                   suppress_health_check=[HealthCheck.too_slow])
+#: example counts from the conftest ``ci``/``dev`` profile.
+PROFILED = settings(deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestUnitProperties:
@@ -315,3 +323,89 @@ class TestMetricsProperties:
     def test_geomean_scale_invariance(self, values, factor):
         scaled = geomean([v * factor for v in values])
         assert scaled == pytest.approx(geomean(values) * factor, rel=1e-6)
+
+
+def _random_trace(seed: int, n_pages: int = 256,
+                  n_accesses: int = 3000) -> DramTrace:
+    rng = np.random.default_rng(seed)
+    return DramTrace(page_indices=rng.integers(0, n_pages, n_accesses),
+                     footprint_pages=n_pages, n_raw_accesses=n_accesses,
+                     is_write=rng.random(n_accesses) < 0.3)
+
+
+def _relabelled(topology: SystemTopology, perm) -> SystemTopology:
+    """``topology`` with zone ``i`` renamed ``perm[i]``: zones, the
+    GPU-local id and an explicit distance matrix move together."""
+    old = np.argsort(perm)  # old[new id] = old id
+
+    def moved(rows):
+        if rows is None:
+            return None
+        return tuple(tuple(rows[i][j] for j in old) for i in old)
+
+    distance = topology.distance
+    if distance is not None:
+        distance = DistanceMatrix(hop_cycles=moved(distance.hop_cycles),
+                                  link_gbps=moved(distance.link_gbps))
+    zones = tuple(replace(zone, zone_id=int(perm[zone.zone_id]))
+                  for zone in topology.zones)
+    return SystemTopology(topology.name, zones,
+                          int(perm[topology.gpu_local_zone]),
+                          distance=distance)
+
+
+class TestMetamorphicRelations:
+    """Relations between two runs of the same engine.  A bug that moves
+    every engine (and every frozen digest) alike still breaks them."""
+
+    @pytest.mark.parametrize("topology_name",
+                             ["baseline", "three-pool", "chiplet-4"])
+    @pytest.mark.parametrize("engine", ["throughput", "detailed", "banked"])
+    @given(st.data(), st.integers(min_value=0, max_value=2**31 - 1))
+    @PROFILED
+    def test_zone_relabelling_permutes_pools_and_keeps_time(
+            self, engine, topology_name, data, seed):
+        topology = topology_by_name(topology_name)
+        perm = np.array(data.draw(st.permutations(range(len(topology)))))
+        trace = _random_trace(seed)
+        zone_map = np.random.default_rng(seed).integers(
+            0, len(topology), trace.footprint_pages).astype(np.int16)
+        chars = WorkloadCharacteristics()
+
+        base = GpuSystemSimulator(topology, None, engine).simulate(
+            trace, zone_map, chars)
+        moved = GpuSystemSimulator(
+            _relabelled(topology, perm), None, engine).simulate(
+            trace, perm[zone_map].astype(np.int16), chars)
+
+        np.testing.assert_array_equal(moved.bytes_by_zone[perm],
+                                      base.bytes_by_zone)
+        for part in ("total_time_ns", "time_bandwidth_ns",
+                     "time_latency_ns", "time_compute_ns"):
+            assert getattr(moved, part) == pytest.approx(
+                getattr(base, part), rel=1e-9, abs=0.0), part
+
+    @given(st.floats(min_value=0.125, max_value=8.0),
+           st.floats(min_value=0.05, max_value=0.95),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    @PROFILED
+    def test_bandwidth_scaling_scales_bandwidth_time(self, k, co_share,
+                                                     seed):
+        topology = simulated_baseline()
+        scaled = SystemTopology(
+            topology.name,
+            tuple(zone.rescaled_bandwidth(zone.bandwidth * k)
+                  for zone in topology.zones),
+            topology.gpu_local_zone)
+        trace = _random_trace(seed)
+        rng = np.random.default_rng(seed)
+        zone_map = (rng.random(trace.footprint_pages)
+                    < co_share).astype(np.int16)
+        engine = ThroughputEngine(table1_config())
+        chars = WorkloadCharacteristics()
+
+        base = engine.run(trace, zone_map, topology, chars)
+        assert base.dominant_bound() == "bandwidth"
+        faster = engine.run(trace, zone_map, scaled, chars)
+        assert faster.time_bandwidth_ns == pytest.approx(
+            base.time_bandwidth_ns / k, rel=1e-9, abs=0.0)
