@@ -2,16 +2,18 @@
 
 Four C files make up the library, ABI version 4:
 
-* ``_windowed.c``, the event engines' windowed-service kernel, which
-  the event pass calls (:mod:`repro.gpu.service`).  Its own entry,
+* ``_windowed.c``, the event engines' windowed-service kernel.  It
+  streams its per-access inputs through one sliding buffer of a few
+  windows, filled in access order by a producer, so its working
+  memory is O(window + channels), never O(accesses).  Its own entry,
   kernel ``"windowed"``, has no caller in the package: it is the test
-  entry that differential-tests the compiled core on arbitrary
-  per-access occupancy and latency, which the event pass, building
-  them from per-zone tables, cannot reach;
-* ``_passes.c``, the engines' per-access passes around it: zone map to
+  entry that feeds the core from arrays, to differential-test it on
+  arbitrary per-access occupancy and latency, which the event pass,
+  building them from per-zone tables, cannot reach;
+* ``_passes.c``, the engines' per-access passes: zone map to
   (epoch, zone) bins for the throughput engine (``"throughput"``); to
-  channels, occupancy, the windowed replay, busy time and zone counts
-  for the detailed and banked engines (``"events"``);
+  channels, occupancy, busy time and zone counts for the detailed and
+  banked engines (``"events"``), as the windowed core's producer;
 * ``_lru.c``, the L1/L2 hierarchy filter (:mod:`repro.gpu.cache`;
   ``"lru"``);
 * ``_synth.c``, trace synthesis's per-phase interleave, numpy's
@@ -162,11 +164,12 @@ def _open(path: Path, rebuilt: bool = False) -> ctypes.CDLL:
 
 
 def _bind_windowed(lib: ctypes.CDLL) -> Callable:
-    """The compiled windowed core alone, for tests: the only way to
-    drive it on arbitrary per-access occupancy and latency (the event
-    pass builds them from per-zone tables).  Unchecked: the caller
-    passes equal-length finite arrays and ``0 <= channel_ids <
-    n_channels``."""
+    """The compiled windowed core over arrays, for tests: the only way
+    to drive it on arbitrary per-access occupancy and latency (the
+    event pass makes them from per-zone tables).  Arrays of unequal
+    length, and a channel id outside ``[0, n_channels)``, raise
+    :class:`SimulationError`; the doubles are the caller's to keep
+    finite."""
     fn = lib.repro_simulate_windowed
     fn.restype = ctypes.c_double
     fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3 + [
@@ -177,12 +180,19 @@ def _bind_windowed(lib: ctypes.CDLL) -> Callable:
         arrays = [np.ascontiguousarray(a, dtype=np.float64)
                   for a in (ready_base, occupancy, latency)]
         channels = np.ascontiguousarray(channel_ids, dtype=np.int64)
+        if any(a.size != channels.size for a in arrays):
+            raise SimulationError(
+                "native windowed kernel: ready times, occupancy, latency "
+                "and channel ids must have one value per access")
         status = ctypes.c_int(0)
         last = fn(*(a.ctypes.data for a in arrays), channels.ctypes.data,
                   channels.size, n_channels, max(1, int(window)),
                   ctypes.byref(status))
-        if status.value != 0:
+        if status.value == -1:
             raise MemoryError("native windowed kernel: out of memory")
+        if status.value == -2:
+            raise SimulationError("native windowed kernel: a channel id "
+                                  f"outside [0, {n_channels})")
         return last
 
     return simulate

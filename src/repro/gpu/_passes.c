@@ -11,13 +11,16 @@
  * - repro_throughput_pass fills counts[e*Z+z] and occupancy[e*Z+z]
  *   over the epoch runs (epoch e starts at access ceil(e*n/E)), each an
  *   ordered double sum from 0.0: what np.bincount does.
- * - repro_event_pass picks each access's channel (detailed: a per-zone
- *   round-robin cursor, equal to offset[z] + rank % channels[z];
- *   banked: the line/row/bank maths and a per-bank open-row table,
- *   equal to the stable-sort adjacency test), builds occupancy, latency
- *   and ready time, runs the windowed core (_windowed.c) on those
- *   buffers and returns the last completion, the per-channel busy time
- *   (summed in access order, as np.bincount) and accesses per zone.
+ * - repro_event_pass is the producer of the windowed core
+ *   (_windowed.c): as the core asks for the next accesses, it picks
+ *   each one's channel (detailed: a per-zone round-robin cursor, equal
+ *   to offset[z] + rank % channels[z]; banked: the line/row/bank maths
+ *   and a per-bank open-row table, equal to the stable-sort adjacency
+ *   test), makes its occupancy, latency and ready time into the core's
+ *   sliding buffer and adds its occupancy to its channel's busy time
+ *   and one to its zone's count, in access order (as np.bincount
+ *   sums).  It returns the core's last completion, so no per-access
+ *   array of the stream's length is ever allocated.
  *
  * Every double comes from the same operations in the same order as the
  * numpy path.  The Python caller validates the zone map and the
@@ -32,12 +35,13 @@
 #define PASS_NO_MEMORY -1
 #define PASS_BAD_INDEX -2
 
-double repro_simulate_windowed(const double *ready_base,
-                               const double *occupancy,
-                               const double *latency,
-                               const int64_t *channel_ids, int64_t n,
-                               int64_t n_channels, int64_t window,
-                               int *status);
+/* The windowed core (_windowed.c), fed by a producer; its statuses
+ * share PASS_NO_MEMORY and PASS_BAD_INDEX's values. */
+typedef int (*windowed_fill)(void *ctx, int64_t start, int64_t count,
+                             double *ready, double *occupancy,
+                             double *latency, int64_t *channel);
+double windowed_replay(windowed_fill fill, void *ctx, int64_t n,
+                       int64_t n_channels, int64_t window, int *status);
 
 /* Zone of access i, or -1 when its page lies outside the map or the
  * map names no zone of the topology. */
@@ -117,6 +121,81 @@ done:
     return status;
 }
 
+/* The event pass's producer state: its inputs and tables, the
+ * per-zone channel cursors and per-bank open rows, and the outputs it
+ * accumulates. */
+struct event_stream {
+    const int64_t *pages;
+    const uint8_t *is_write;
+    const int64_t *zone_map;
+    int64_t footprint, n_zones;
+    const int64_t *zone_channels;
+    const double *service, *latency, *row_miss, *weights;
+    int64_t n_banks, lines_per_page, lines_per_row;
+    double step;
+    const int64_t *offset;
+    int64_t *cursor, *open_row;
+    double *busy;
+    int64_t *zone_counts;
+};
+
+/* Accesses [start, start + count) into the core's buffer. */
+static int fill_events(void *ctx, int64_t start, int64_t count,
+                       double *ready, double *occupancy, double *latency,
+                       int64_t *channel)
+{
+    /* Fields copied to locals: the loop's stores through double and
+     * int64 pointers would otherwise make the compiler reload them. */
+    const struct event_stream *ev = ctx;
+    const int64_t *pages = ev->pages, *zone_map = ev->zone_map;
+    const uint8_t *is_write = ev->is_write;
+    const int64_t footprint = ev->footprint, n_zones = ev->n_zones;
+    const int64_t *zone_channels = ev->zone_channels, *offset = ev->offset;
+    const double *service = ev->service, *weights = ev->weights;
+    const double *zone_latency = ev->latency, *row_miss = ev->row_miss;
+    const int64_t n_banks = ev->n_banks;
+    const int64_t lines_per_page = ev->lines_per_page;
+    const int64_t lines_per_row = ev->lines_per_row;
+    const double step = ev->step;
+    int64_t *cursor = ev->cursor, *open_row = ev->open_row;
+    double *busy = ev->busy;
+    int64_t *zone_counts = ev->zone_counts;
+
+    for (int64_t k = 0; k < count; k++) {
+        int64_t i = start + k;
+        int64_t z = access_zone(pages, i, zone_map, footprint, n_zones);
+        if (z < 0)
+            return PASS_BAD_INDEX;
+        double occ = service[z];
+        occ *= access_weight(is_write, i, weights, n_zones, z);
+        int64_t c;
+        if (n_banks > 0) {
+            /* Lines interleave across the zone's channels; a row is a
+             * span of channel-local lines. */
+            int64_t per_zone = zone_channels[z];
+            int64_t line = pages[i] * lines_per_page + i % lines_per_page;
+            int64_t local = line % per_zone;
+            int64_t row = (line / per_zone) / lines_per_row;
+            int64_t bank = (offset[z] + local) * n_banks + row % n_banks;
+            int hit = open_row[bank] == row;
+            open_row[bank] = row;
+            occ += hit ? 0.0 : row_miss[z];
+            c = offset[z] + local;
+        } else {
+            c = offset[z] + cursor[z];
+            if (++cursor[z] == zone_channels[z])
+                cursor[z] = 0;
+        }
+        occupancy[k] = occ;
+        latency[k] = zone_latency[z];
+        ready[k] = (double)i * step;
+        channel[k] = c;
+        busy[c] += occ;
+        zone_counts[z]++;
+    }
+    return PASS_OK;
+}
+
 /*
  * n_banks == 0 runs the detailed engine's pass, n_banks > 0 the banked
  * one (row_miss then holds each zone's row-miss overhead).  busy holds
@@ -139,14 +218,9 @@ int repro_event_pass(const int64_t *pages, const uint8_t *is_write,
     int64_t *offset = malloc((size_t)n_zones * sizeof(int64_t) + 1);
     int64_t *cursor = calloc((size_t)n_zones + 1, sizeof(int64_t));
     int64_t *open_row = malloc((size_t)n_open * sizeof(int64_t) + 1);
-    double *occ_buf = malloc((size_t)n * sizeof(double) + 1);
-    double *lat_buf = malloc((size_t)n * sizeof(double) + 1);
-    double *ready_buf = malloc((size_t)n * sizeof(double) + 1);
-    int64_t *channel_buf = malloc((size_t)n * sizeof(int64_t) + 1);
     double *weights = weight_table(write_factors, n_zones);
     *last = 0.0;
-    if (!offset || !cursor || !open_row || !occ_buf || !lat_buf
-        || !ready_buf || !channel_buf || !weights) {
+    if (!offset || !cursor || !open_row || !weights) {
         status = PASS_NO_MEMORY;
         goto done;
     }
@@ -158,55 +232,19 @@ int repro_event_pass(const int64_t *pages, const uint8_t *is_write,
     for (int64_t b = 0; b < n_open; b++)
         open_row[b] = -1;
 
-    for (int64_t i = 0; i < n; i++) {
-        int64_t z = access_zone(pages, i, zone_map, footprint, n_zones);
-        if (z < 0) {
-            status = PASS_BAD_INDEX;
-            goto done;
-        }
-        double occ = service[z];
-        occ *= access_weight(is_write, i, weights, n_zones, z);
-        int64_t channel;
-        if (n_banks > 0) {
-            /* Lines interleave across the zone's channels; a row is a
-             * span of channel-local lines. */
-            int64_t per_zone = zone_channels[z];
-            int64_t line = pages[i] * lines_per_page + i % lines_per_page;
-            int64_t local = line % per_zone;
-            int64_t row = (line / per_zone) / lines_per_row;
-            int64_t bank = (offset[z] + local) * n_banks + row % n_banks;
-            int hit = open_row[bank] == row;
-            open_row[bank] = row;
-            occ += hit ? 0.0 : row_miss[z];
-            channel = offset[z] + local;
-        } else {
-            channel = offset[z] + cursor[z];
-            if (++cursor[z] == zone_channels[z])
-                cursor[z] = 0;
-        }
-        occ_buf[i] = occ;
-        lat_buf[i] = latency[z];
-        ready_buf[i] = (double)i * step;
-        channel_buf[i] = channel;
-        busy[channel] += occ;
-        zone_counts[z]++;
-    }
-
-    int windowed_status = 0;
-    *last = repro_simulate_windowed(ready_buf, occ_buf, lat_buf,
-                                    channel_buf, n, n_channels, window,
-                                    &windowed_status);
-    if (windowed_status != 0)
-        status = PASS_NO_MEMORY;
+    struct event_stream ev = {
+        pages, is_write, zone_map, footprint, n_zones, zone_channels,
+        service, latency, row_miss, weights, n_banks, lines_per_page,
+        lines_per_row, step, offset, cursor, open_row, busy, zone_counts};
+    double replayed = windowed_replay(fill_events, &ev, n, n_channels,
+                                      window, &status);
+    if (status == PASS_OK)
+        *last = replayed;
 
 done:
     free(offset);
     free(cursor);
     free(open_row);
-    free(occ_buf);
-    free(lat_buf);
-    free(ready_buf);
-    free(channel_buf);
     free(weights);
     return status;
 }

@@ -1,6 +1,6 @@
 /*
  * Native windowed-service kernel: a compiled replay of
- * repro.gpu.service's numpy kernel, bit for bit.
+ * repro.gpu.service's numpy kernel, bit for bit, over a streamed input.
  *
  * It runs the numpy kernel's exact batch schedule and float operations:
  * the sequential heap replay below MIN_BATCH_WINDOW, the look-ahead
@@ -12,8 +12,19 @@
  * -march=native and with -ffp-contract=off: each of those can change
  * the last bits (reassociation, FMA contraction).
  *
- * Inputs are validated by the Python caller: equal lengths, finite
- * doubles, 0 <= channel_ids[i] < n_channels.
+ * A batch starting at access i never reads past access i + window, so
+ * the core pulls each access's ready time, occupancy, latency and
+ * channel through one sliding buffer of STREAM_SPAN windows (the window
+ * floored at MIN_BATCH_WINDOW, the buffer capped at n), filled in
+ * access order by a producer: the event pass (_passes.c), which makes
+ * each access's inputs from its per-zone tables, or
+ * repro_simulate_windowed below, which copies them from the caller's
+ * arrays.  Working memory is one allocation of O(window + channels)
+ * words, whatever the stream's length.
+ *
+ * repro_simulate_windowed checks every channel id against n_channels;
+ * the other inputs are the caller's: equal lengths (the Python binding
+ * checks them) and finite doubles.
  */
 
 #include <stdint.h>
@@ -21,6 +32,15 @@
 #include <string.h>
 
 #define MIN_BATCH_WINDOW 32
+
+/* Windows held by the sliding buffer: a refill moves under one window
+ * of held accesses and produces at least STREAM_SPAN - 1 new ones. */
+#define STREAM_SPAN 4
+
+/* Statuses; a producer's own failure status is passed through. */
+#define WINDOWED_OK 0
+#define WINDOWED_NO_MEMORY -1
+#define WINDOWED_BAD_INDEX -2
 
 /* ABI version of the library built from this file, _passes.c, _lru.c
  * and _synth.c; the loader refuses a library that disagrees. */
@@ -106,101 +126,169 @@ static double heap_pop(double *h, int64_t *size)
     return top;
 }
 
+/* Fills accesses [start, start + count) into the four arrays, in access
+ * order; returns WINDOWED_OK or a negative status that stops the
+ * replay. */
+typedef int (*windowed_fill)(void *ctx, int64_t start, int64_t count,
+                             double *ready, double *occupancy,
+                             double *latency, int64_t *channel);
+
+/* The sliding buffer: accesses [base, end) at positions 0 .. end-base. */
+struct stream {
+    windowed_fill fill;
+    void *ctx;
+    int64_t n, cap, base, end;
+    double *ready, *occupancy, *latency;
+    int64_t *channel;
+};
+
+/* Hold accesses [i, i + need) (need <= cap, base <= i <= end): move the
+ * held tail from i to the front and fill up to the capacity. */
+static int stream_hold(struct stream *s, int64_t i, int64_t need)
+{
+    if (i + need <= s->end)
+        return WINDOWED_OK;
+    int64_t from = i - s->base, live = s->end - i;
+    if (from > 0 && live > 0) {
+        size_t dbl = (size_t)live * sizeof(double);
+        memmove(s->ready, s->ready + from, dbl);
+        memmove(s->occupancy, s->occupancy + from, dbl);
+        memmove(s->latency, s->latency + from, dbl);
+        memmove(s->channel, s->channel + from,
+                (size_t)live * sizeof(int64_t));
+    }
+    s->base = i;
+    int64_t stop = s->n - i < s->cap ? s->n : i + s->cap;
+    int status = s->fill(s->ctx, s->end, stop - s->end, s->ready + live,
+                         s->occupancy + live, s->latency + live,
+                         s->channel + live);
+    s->end = stop;
+    return status;
+}
+
 /* _simulate_sequential: one request at a time (tiny windows). */
-static double simulate_sequential(const double *ready_base,
-                                  const double *occupancy,
-                                  const double *latency,
-                                  const int64_t *channel_ids, int64_t n,
-                                  double *channel_free, int64_t window,
-                                  double *heap)
+static int simulate_sequential(struct stream *s, double *channel_free,
+                               int64_t window, double *heap, double *last)
 {
     int64_t size = 0;
-    for (int64_t i = 0; i < n; i++) {
-        double ready = ready_base[i];
+    for (int64_t i = 0; i < s->n; i++) {
+        if (i == s->end) {
+            int status = stream_hold(s, i, 1);
+            if (status != WINDOWED_OK)
+                return status;
+        }
+        int64_t at = i - s->base;
+        double ready = s->ready[at];
         while (size >= window) {
             double popped = heap_pop(heap, &size);
             if (popped > ready)
                 ready = popped;
         }
-        int64_t channel = channel_ids[i];
+        int64_t channel = s->channel[at];
         double free_at = channel_free[channel];
         double start = ready > free_at ? ready : free_at;
-        double finish = start + occupancy[i];
+        double finish = start + s->occupancy[at];
         channel_free[channel] = finish;
-        heap_push(heap, &size, finish + latency[i]);
+        heap_push(heap, &size, finish + s->latency[at]);
     }
-    double last = 0.0;
+    *last = 0.0;
     for (int64_t k = 0; k < size; k++)
-        if (k == 0 || heap[k] > last)
-            last = heap[k];
-    return last;
+        if (k == 0 || heap[k] > *last)
+            *last = heap[k];
+    return WINDOWED_OK;
 }
 
 /*
- * Returns the last completion time; *status is 0 on success and -1 when
- * working memory could not be allocated.
+ * The replay of n accesses drawn from fill(ctx, ...) over n_channels
+ * channels; returns the last completion time.  *status is WINDOWED_OK,
+ * WINDOWED_NO_MEMORY, or the producer's failure status (the result is
+ * then 0.0).  Shared with _passes.c, not exported from the library.
  */
-double repro_simulate_windowed(const double *ready_base,
-                               const double *occupancy,
-                               const double *latency,
-                               const int64_t *channel_ids, int64_t n,
-                               int64_t n_channels, int64_t window,
-                               int *status)
+__attribute__((visibility("hidden")))
+double windowed_replay(windowed_fill fill, void *ctx, int64_t n,
+                       int64_t n_channels, int64_t window, int *status)
 {
-    *status = 0;
+    *status = WINDOWED_OK;
     if (n <= 0)
         return 0.0;
-    if (window < 1)
-        window = 1;
-    double *channel_free = calloc((size_t)n_channels, sizeof(double));
-    if (channel_free == NULL) {
-        *status = -1;
+    if (n_channels < 1) { /* no channel id can be valid */
+        *status = WINDOWED_BAD_INDEX;
         return 0.0;
     }
-    if (window < MIN_BATCH_WINDOW && n > window) {
-        double *heap = malloc((size_t)window * sizeof(double));
-        double last = 0.0;
-        if (heap == NULL)
-            *status = -1;
-        else
-            last = simulate_sequential(ready_base, occupancy, latency,
-                                       channel_ids, n, channel_free,
-                                       window, heap);
-        free(heap);
-        free(channel_free);
-        return last;
-    }
-
+    if (window < 1)
+        window = 1;
+    int sequential = window < MIN_BATCH_WINDOW && n > window;
+    int64_t span = window < MIN_BATCH_WINDOW ? MIN_BATCH_WINDOW : window;
+    int64_t cap = span > n / STREAM_SPAN ? n : STREAM_SPAN * span;
     /* A batch never exceeds the window, nor the stream. */
-    int64_t cap = window < n ? window : n;
-    size_t dbl = (size_t)cap * sizeof(double);
-    double *pending = malloc(dbl), *merged = malloc(dbl);
-    double *ready_buf = malloc(dbl), *total = malloc(dbl);
-    double *completions = malloc(dbl);
-    double *sort_tmp = malloc(dbl);
-    int64_t *runs = malloc(((size_t)cap + 1) * sizeof(int64_t));
-    int64_t *order = malloc((size_t)cap * sizeof(int64_t));
-    int64_t *touched = malloc((size_t)cap * sizeof(int64_t));
-    int64_t *slot = calloc((size_t)n_channels, sizeof(int64_t));
-    double pend_hi = 0.0;
-    if (!pending || !merged || !ready_buf || !total || !completions
-        || !sort_tmp || !runs || !order || !touched || !slot) {
-        *status = -1;
-        goto done;
+    int64_t batch_cap = window < n ? window : n;
+
+    /* One block: the buffer's ready, occupancy and latency, the channel
+     * free levels and the core's doubles (the heap, or six batch
+     * arrays), then the buffer's channels and the core's integers (run
+     * bounds, order, touched channels and per-channel slots). */
+    size_t n_dbl = 3 * (size_t)cap + (size_t)n_channels
+        + (sequential ? (size_t)window : 6 * (size_t)batch_cap);
+    size_t n_int = (size_t)cap
+        + (sequential ? 0 : 3 * (size_t)batch_cap + 1 + (size_t)n_channels);
+    double *block = malloc((n_dbl + n_int) * sizeof(double));
+    if (block == NULL) {
+        *status = WINDOWED_NO_MEMORY;
+        return 0.0;
+    }
+    struct stream s = {fill, ctx, n, cap, 0, 0, NULL, NULL, NULL, NULL};
+    double *d = block;
+    s.ready = d;
+    s.occupancy = d + cap;
+    s.latency = d + 2 * cap;
+    double *channel_free = d + 3 * cap;
+    d = channel_free + n_channels;
+    int64_t *w = (int64_t *)(block + n_dbl);
+    s.channel = w;
+    w += cap;
+    memset(channel_free, 0, (size_t)n_channels * sizeof(double));
+
+    double last = 0.0;
+    if (sequential) {
+        *status = simulate_sequential(&s, channel_free, window, d, &last);
+        free(block);
+        return *status == WINDOWED_OK ? last : 0.0;
     }
 
+    double *pending = d, *merged = d + batch_cap;
+    double *ready_buf = d + 2 * batch_cap, *total = d + 3 * batch_cap;
+    double *completions = d + 4 * batch_cap;
+    double *sort_tmp = d + 5 * batch_cap;
+    int64_t *runs = w, *order = w + batch_cap + 1;
+    int64_t *touched = order + batch_cap, *slot = touched + batch_cap;
+    memset(slot, 0, (size_t)n_channels * sizeof(int64_t));
+
+    double pend_hi = 0.0;
     int64_t n_pending = 0; /* sorted in-flight completion times */
     int64_t cf_check = 0;
     int64_t i = 0;
     int64_t batch = window;
     while (i < n) {
+        /* This batch reads accesses i .. i + window - 1 at most, held
+         * at ready_base[0 ..] and the others. */
+        int held = stream_hold(&s, i, window < n - i ? window : n - i);
+        if (held != WINDOWED_OK) {
+            *status = held;
+            pend_hi = 0.0;
+            break;
+        }
+        int64_t at = i - s.base;
+        const double *ready_base = s.ready + at;
+        const double *occupancy = s.occupancy + at;
+        const double *latency = s.latency + at;
+        const int64_t *ch = s.channel + at;
         const double *ready;
         int cf_idle;
         int64_t n_pops;
         if (i < window) {
             /* Window not yet full: no pops, the throttle decides. */
             batch = window - i < n - i ? window - i : n - i;
-            ready = ready_base + i;
+            ready = ready_base;
             cf_idle = 0;
             n_pops = 0;
         } else {
@@ -210,7 +298,7 @@ double repro_simulate_windowed(const double *ready_base,
             if (window < look)
                 look = window;
             double frontier = pending[0];
-            int throttle_slack = ready_base[i + look - 1] <= frontier;
+            int throttle_slack = ready_base[look - 1] <= frontier;
             if (cf_check == 0) {
                 double hi = channel_free[0];
                 for (int64_t c = 1; c < n_channels; c++)
@@ -229,14 +317,14 @@ double repro_simulate_windowed(const double *ready_base,
             int64_t k = 0;
             for (; k < look; k++) {
                 double r = throttle_slack
-                    ? pending[k] : dmax(ready_base[i + k], pending[k]);
+                    ? pending[k] : dmax(ready_base[k], pending[k]);
                 ready_buf[k] = r;
                 if (k == look - 1)
                     break;
-                double occ_lat = occupancy[i + k] + latency[i + k];
+                double occ_lat = occupancy[k] + latency[k];
                 double cand = cf_idle
                     ? r + occ_lat
-                    : dmax(r, channel_free[channel_ids[i + k]]) + occ_lat;
+                    : dmax(r, channel_free[ch[k]]) + occ_lat;
                 floor_min = k == 0 ? cand : dmin(floor_min, cand);
                 if (!(floor_min >= pending[k + 1]))
                     break;
@@ -249,7 +337,6 @@ double repro_simulate_windowed(const double *ready_base,
 
         /* Stable grouping of the batch by channel: a counting sort over
          * the channels it touches, visited in ascending order. */
-        const int64_t *ch = channel_ids + i;
         int64_t n_touched = 0;
         for (int64_t k = 0; k < batch; k++)
             if (slot[ch[k]]++ == 0)
@@ -281,12 +368,12 @@ double repro_simulate_windowed(const double *ready_base,
         /* Sequential cumulative occupancy in channel order. */
         double acc = 0.0;
         for (int64_t p = 0; p < batch; p++) {
-            double occ = occupancy[i + order[p]];
+            double occ = occupancy[order[p]];
             acc = p == 0 ? occ : acc + occ;
             total[p] = acc;
         }
-        double bound = ready_base[i + batch - 1] > pend_hi
-            ? ready_base[i + batch - 1] : pend_hi;
+        double bound = ready_base[batch - 1] > pend_hi
+            ? ready_base[batch - 1] : pend_hi;
         double shift = 2.0 * (bound + total[batch - 1] + 1.0);
 
         /* FIFO chaining: segmented running max via the K-offset global
@@ -307,12 +394,12 @@ double repro_simulate_windowed(const double *ready_base,
             if (!cf_idle)
                 base = dmax(base, free_at);
             base -= total[p];
-            base += occupancy[i + k];
+            base += occupancy[k];
             base += offset;
             run_max = p == 0 ? base : dmax(run_max, base);
             double finish = (run_max - offset) + total[p];
             channel_free[c] = finish;
-            completions[p] = finish + latency[i + k];
+            completions[p] = finish + latency[k];
         }
 
         /* pending = sorted(pending[n_pops:] + completions). */
@@ -333,17 +420,50 @@ double repro_simulate_windowed(const double *ready_base,
         i += batch;
     }
 
-done:
-    free(pending);
-    free(merged);
-    free(ready_buf);
-    free(total);
-    free(completions);
-    free(sort_tmp);
-    free(runs);
-    free(order);
-    free(touched);
-    free(slot);
-    free(channel_free);
+    free(block);
     return pend_hi;
+}
+
+/* The caller's arrays as a producer, every channel id checked. */
+struct arrays {
+    const double *ready, *occupancy, *latency;
+    const int64_t *channel;
+    int64_t n_channels;
+};
+
+static int fill_arrays(void *ctx, int64_t start, int64_t count,
+                       double *ready, double *occupancy, double *latency,
+                       int64_t *channel)
+{
+    const struct arrays *in = ctx;
+    for (int64_t k = 0; k < count; k++) {
+        int64_t c = in->channel[start + k];
+        if ((uint64_t)c >= (uint64_t)in->n_channels)
+            return WINDOWED_BAD_INDEX;
+        channel[k] = c;
+    }
+    size_t dbl = (size_t)count * sizeof(double);
+    memcpy(ready, in->ready + start, dbl);
+    memcpy(occupancy, in->occupancy + start, dbl);
+    memcpy(latency, in->latency + start, dbl);
+    return WINDOWED_OK;
+}
+
+/*
+ * The replay over the caller's arrays (the library's test entry).
+ * Returns the last completion time; *status is 0 on success, -1 when
+ * working memory could not be allocated and -2 when a channel id lies
+ * outside [0, n_channels).
+ */
+double repro_simulate_windowed(const double *ready_base,
+                               const double *occupancy,
+                               const double *latency,
+                               const int64_t *channel_ids, int64_t n,
+                               int64_t n_channels, int64_t window,
+                               int *status)
+{
+    struct arrays in = {ready_base, occupancy, latency, channel_ids,
+                        n_channels};
+    return windowed_replay(fill_arrays, &in, n, n_channels, window,
+                           status);
 }

@@ -40,7 +40,11 @@ sequential replay.
 The compiled event pass runs a port of this kernel (``_windowed.c``,
 built and loaded on first use by :mod:`repro.gpu._native`) that
 performs the same batch schedule and the same float operations in the
-same order, so its result equals the numpy kernel's bit for bit.  The
+same order, so its result equals the numpy kernel's bit for bit.  A
+batch never reads past ``window`` accesses ahead, so the port pulls
+its per-access inputs through a sliding buffer of a few windows that
+the compiled pass fills as it goes: its working memory is
+O(window + channels), not O(accesses).  The
 numpy kernel (:func:`_simulate_numpy` and :func:`_simulate_sequential`)
 is the fallback on hosts where the library cannot be built or loaded,
 and the oracle the native path is tested against (through the

@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from repro.core.experiment import resolve_policy
 from repro.core.units import GIB, PAGE_SIZE
+from repro.gpu.service import _MIN_BATCH_WINDOW
 from repro.memory.acpi import enumerate_tables
 from repro.memory.topology import simulated_baseline, symmetric_topology
 from repro.policies.base import PlacementContext
@@ -91,6 +92,24 @@ def bwaware_zone_map(workload, dataset, topology, seed):
                                    seed, topology, process)
     workload.reserve_in(process, dataset, hints=hints)
     return process.place_all(policy)
+
+
+#: windows the native core's sliding buffer holds (``STREAM_SPAN`` in
+#: ``src/repro/gpu/_windowed.c``).
+STREAM_SPAN = 4
+
+
+def stream_seams(window: int) -> list[int]:
+    """Stream lengths on every seam of the native windowed core's
+    sliding buffer at ``window``: one short of, at and one past the
+    window and the buffer's capacity (``STREAM_SPAN`` windows, the
+    window floored at the core's batch minimum), and several capacities
+    long, so refills land at and around batch boundaries."""
+    capacity = STREAM_SPAN * max(window, _MIN_BATCH_WINDOW)
+    lengths = {window - 1, window, window + 1, capacity - 1, capacity,
+               capacity + 1, 2 * capacity + 1, 3 * capacity - 1,
+               5 * capacity + window // 2}
+    return sorted(n for n in lengths if n >= 1)
 
 
 # Hypothesis profiles for suites that leave ``max_examples`` to the

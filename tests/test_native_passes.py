@@ -10,9 +10,14 @@ everything here compares with ``==``:
   to 1024 epochs, with and without write flags, 1 to 4 zones plus
   chiplet-4 — on every output: the (epoch, zone) counts and occupancy,
   the last completion, the per-channel busy time and the zone counts;
+* the event pass on stream lengths at every seam of the windowed
+  core's sliding buffer, both event engines, with and without write
+  flags;
 * whole :class:`SimResult`\\ s of all three engines;
 * failure parity: both paths raise :class:`SimulationError` on the
-  same non-finite inputs, before either kernel runs.
+  same non-finite inputs, before either kernel runs;
+* working memory: a warm native event pass on a long trace allocates
+  no buffer of the trace's length (it takes almost no page faults).
 
 The numpy forms run with ``service._native_kernels`` patched to
 ``None``; with no compiler both sides are numpy and the suite checks
@@ -20,12 +25,14 @@ the fallback against itself.
 """
 
 import math
+import resource
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import stream_seams
 from repro.core.errors import SimulationError
 from repro.gpu import _native, service
 from repro.gpu.config import table1_config
@@ -132,6 +139,44 @@ class TestEventPass:
         assert busy.size == int(channels.sum())
         assert bits(zone_counts) == bits(slow[2])
         assert int(zone_counts.sum()) == trace.n_accesses
+
+
+def _event_tables(n_zones, banks, seed=0):
+    rng = np.random.default_rng(seed)
+    tables = dict(write_cost_factors=1.0 + rng.random(n_zones) * 0.3,
+                  zone_channels=rng.integers(1, 9, n_zones),
+                  service_ns=rng.random(n_zones) * 20.0 + 0.1,
+                  latency_ns=rng.random(n_zones) * 300.0)
+    if banks:
+        tables.update(row_miss_ns=rng.random(n_zones) * 15.0,
+                      banks_per_channel=banks)
+    return tables
+
+
+class TestEventPassSeams:
+    """Lengths on every seam of the native core's sliding buffer, where
+    the event pass's producer refills it mid-replay."""
+
+    @pytest.mark.parametrize("step", (0.0, 3.0))
+    @pytest.mark.parametrize("window", (1, 31, 32, 33, 720))
+    @pytest.mark.parametrize("writes", (False, True),
+                             ids=("reads", "writes"))
+    @pytest.mark.parametrize("banks", (0, 16), ids=("detailed", "banked"))
+    def test_outputs_equal(self, banks, writes, window, step):
+        for n in stream_seams(window):
+            rng = np.random.default_rng(n)
+            trace = DramTrace(
+                page_indices=(np.arange(n) // 5 + rng.integers(0, 3, n))
+                % 97,
+                footprint_pages=97, n_raw_accesses=2 * n,
+                is_write=rng.random(n) < 0.3 if writes else None)
+            zone_map = rng.integers(0, 3, 97)
+            slow, fast = numpy_and_native(
+                service.event_pass, trace, zone_map, compute_step=step,
+                window=window, **_event_tables(3, banks))
+            assert fast[0] == slow[0], n
+            assert bits(fast[1]) == bits(slow[1]), n
+            assert bits(fast[2]) == bits(slow[2]), n
 
 
 def _fields(result):
@@ -270,3 +315,29 @@ class TestNativeBounds:
                                   np.zeros(10, dtype=np.int64),
                                   np.array([1.1]), 4)
 
+
+
+class TestWorkingMemory:
+    """The native event pass streams the trace through a window-sized
+    buffer, so a warm call on a long trace maps no new pages; a pass
+    that allocated its per-access arrays afresh faults one page per
+    4 KiB of them (~1,800 at 240k accesses)."""
+
+    @pytest.mark.parametrize("banks", (0, 16), ids=("detailed", "banked"))
+    def test_warm_call_takes_almost_no_page_faults(self, banks):
+        if _native.kernels() is None:
+            pytest.skip("no native library on this host")
+        n, footprint = 240_000, 3_000
+        rng = np.random.default_rng(5)
+        trace = DramTrace(page_indices=rng.integers(0, footprint, n),
+                          footprint_pages=footprint, n_raw_accesses=2 * n,
+                          is_write=rng.random(n) < 0.3)
+        zone_map = rng.integers(0, 2, footprint)
+        inputs = dict(compute_step=0.1, window=720,
+                      **_event_tables(2, banks))
+        first = service.event_pass(trace, zone_map, **inputs)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        second = service.event_pass(trace, zone_map, **inputs)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert second[0] == first[0]
+        assert faults < 64, f"{faults} page faults in a warm event pass"

@@ -9,7 +9,10 @@ with ``==``:
   library's ``"windowed"`` test entry (tiny windows that take the
   sequential branch, windows equal to and above the stream length,
   1-64 channels, zero and tied occupancies, compute-throttled and
-  saturated streams, and the empty stream);
+  saturated streams, and the empty stream), plus stream lengths on
+  every seam of the core's sliding buffer (``stream_seams``);
+* the test entry's input checks: a channel id outside
+  ``[0, n_channels)`` and arrays of unequal length raise;
 * whole :class:`SimResult` equality for both event engines (the
   engine spans' ``kernel`` field is checked in test_obs_integration);
 * the fallback: no compiler means the numpy kernel and the same result;
@@ -28,10 +31,10 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bwaware_zone_map
+from conftest import bwaware_zone_map, stream_seams
 from repro.core.errors import SimulationError
 from repro.core.experiment import run_experiment
 from repro.gpu import _native, service
@@ -62,15 +65,20 @@ def bound(native):
 
 @st.composite
 def streams(draw):
-    n = draw(st.integers(1, 1500))
-    n_channels = draw(st.integers(1, 64))
     batched = service._MIN_BATCH_WINDOW
-    window = draw(st.one_of(
-        st.integers(1, batched - 1),  # the sequential branch
-        st.just(n),  # one fill batch, no pops
-        st.integers(n + 1, n + 64),
-        st.integers(batched, max(batched, n // 2)),  # batches with pops
-    ))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 1500))
+        window = draw(st.one_of(
+            st.integers(1, batched - 1),  # the sequential branch
+            st.just(n),  # one fill batch, no pops
+            st.integers(n + 1, n + 64),
+            st.integers(batched, max(batched, n // 2)),  # pops
+        ))
+    else:  # a length on a seam of the native core's sliding buffer
+        window = draw(st.sampled_from((1, 9, batched - 1, batched,
+                                       batched + 1, 100)))
+        n = draw(st.sampled_from(stream_seams(window)))
+    n_channels = draw(st.integers(1, 64))
     # 0 saturates the channels; large steps leave them compute-throttled.
     step = draw(st.sampled_from([0.0, 0.01, 0.5, 3.0, 40.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -94,11 +102,32 @@ def streams(draw):
             channels.astype(np.int16), n_channels, window)
 
 
+def _stream(n, window, n_channels=8, step=0.3, seed=0):
+    rng = np.random.default_rng(seed)
+    return (np.arange(n) * step, rng.random(n) * 4.0,
+            rng.random(n) * 90.0, rng.integers(0, n_channels, n),
+            n_channels, window)
+
+
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(streams())
+    @example(_stream(31, 32))
+    @example(_stream(129, 32, step=0.0))
+    @example(_stream(5 * 400 + 7, 100, step=0.0))
+    @example(_stream(61, 15, n_channels=3))
     def test_native_equals_numpy(self, native, stream):
         assert native(*stream) == service._simulate_numpy(*stream)
+
+    @pytest.mark.parametrize("step", (0.0, 0.3, 40.0))
+    @pytest.mark.parametrize("window", (1, 5, 31, 32, 33, 100, 257))
+    def test_every_buffer_seam(self, native, window, step):
+        """Lengths around the window and the sliding buffer's capacity,
+        saturated and compute-throttled, so refills fall inside fill
+        batches, pop batches and the sequential heap loop."""
+        for n in stream_seams(window):
+            stream = _stream(n, window, step=step, seed=n)
+            assert native(*stream) == service._simulate_numpy(*stream), n
 
     def test_empty_stream(self, native):
         empty = np.empty(0)
@@ -111,6 +140,32 @@ class TestDifferential:
         stream = (np.arange(n) * 0.2, rng.random(n) * 4, np.full(n, 90.0),
                   rng.integers(0, 8, n), 8, 20)
         assert native(*stream) == service._simulate_sequential(*stream)
+
+
+class TestInputChecks:
+    """The test entry checks what it cannot trust, instead of writing
+    past the core's per-channel arrays."""
+
+    @pytest.mark.parametrize("bad", (-1, 4, 1 << 40))
+    @pytest.mark.parametrize("n, window", ((50, 8), (50, 64), (600, 40)))
+    def test_channel_outside_the_topology(self, native, bad, n, window):
+        ready, occupancy, latency, channels, n_channels, _ = _stream(
+            n, window, n_channels=4)
+        channels[n - 3] = bad
+        with pytest.raises(SimulationError, match=r"outside \[0, 4\)"):
+            native(ready, occupancy, latency, channels, n_channels, window)
+
+    def test_no_channels(self, native):
+        stream = _stream(10, 8, n_channels=1)[:4]
+        with pytest.raises(SimulationError, match="outside"):
+            native(*stream, 0, 8)
+
+    @pytest.mark.parametrize("short", range(4))
+    def test_arrays_of_unequal_length(self, native, short):
+        arrays = list(_stream(40, 8)[:4])
+        arrays[short] = arrays[short][:-1]
+        with pytest.raises(SimulationError, match="one value per access"):
+            native(*arrays, 8, 8)
 
 
 def _engine_inputs(name):
