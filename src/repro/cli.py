@@ -216,19 +216,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.runner import make_spec
 
     topology = _topology(args.topology)
+    specs = [
+        make_spec(
+            workload, policy,
+            dataset=args.dataset,
+            topology=topology,
+            bo_capacity_fraction=args.capacity,
+            trace_accesses=args.accesses,
+            seed=args.seed,
+        )
+        for workload in args.workload
+        for policy in args.policies
+    ]
     with _sweep_runner(args) as runner:
-        outcome = runner.run([
-            make_spec(
-                workload, policy,
-                dataset=args.dataset,
-                topology=topology,
-                bo_capacity_fraction=args.capacity,
-                trace_accesses=args.accesses,
-                seed=args.seed,
-            )
-            for workload in args.workload
-            for policy in args.policies
-        ])
+        outcome = runner.run(specs)
         results = iter(outcome.results)
         for workload in args.workload:
             per_policy = {policy: next(results)
@@ -876,15 +877,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     trace_path = getattr(args, "trace", None)
-    if not trace_path:
-        return args.fn(args)
-    tracer = obs_trace.install(trace_path)
+    tracer = obs_trace.install(trace_path) if trace_path else None
     try:
         return args.fn(args)
+    except ReproError as exc:
+        # A user error (unknown policy, bad spec tail, ...): one line
+        # and exit status 2, as argparse reports a bad flag.
+        parser.exit(2, f"repro {args.command}: error: {exc}\n")
     finally:
-        obs_trace.uninstall()
-        tracer.export()
-        print(f"wrote trace to {trace_path}", file=sys.stderr)
+        if tracer is not None:
+            obs_trace.uninstall()
+            tracer.export()
+            print(f"wrote trace to {trace_path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ Every paper figure reduces to sweeps over this function:
    policy under test (two-phase policies get their profiling pass here);
 4. replay the trace on the GPU simulator and report timing.
 
-String policy names are resolved through the registry; ``"ORACLE"`` and
+Policy-spec strings (any form of :mod:`repro.policies.registry`'s
+grammar) are resolved through the registry; ``"ORACLE"`` and
 ``"ANNOTATED"`` trigger the extra profiling pass they need (the paper's
 two-phase simulation and compiler workflow respectively).
 """
@@ -128,11 +129,7 @@ def resolve_policy(policy: Union[str, PlacementPolicy],
             bo_capacity_bytes=bo_zone.capacity_bytes, dataset=dataset,
         )
         return make_policy("ANNOTATED"), hints
-    if name.partition("@")[0] == "ONLINE":
-        from repro.policies.online import online_from_spec
-
-        return online_from_spec(name), None
-    return make_policy(name), None
+    return make_policy(policy), None
 
 
 def run_experiment(workload: Union[str, TraceWorkload],
@@ -163,13 +160,8 @@ def run_experiment(workload: Union[str, TraceWorkload],
         # ONLINE places with its *initial* static policy (resolved
         # through the same path, so ORACLE/ANNOTATED initials get their
         # profiling passes), then migrates at epoch boundaries.
-        initial = online.initial
-        if isinstance(initial, str):
-            from repro.runner.spec import parse_policy
-
-            initial = parse_policy(initial.upper())
         resolved, hints = resolve_policy(
-            initial, workload, dataset, trace_accesses, seed, system,
+            online.initial, workload, dataset, trace_accesses, seed, system,
             process, training_dataset=training_dataset,
         )
     workload.reserve_in(process, dataset, hints=hints)

@@ -35,8 +35,8 @@ _API = {
     "SweepRunner": "repro.runner.sweep",
     "TraceHandle": "repro.runner.shm",
     "active": "repro.runner.sweep",
-    "bw_ratio_policy": "repro.runner.spec",
-    "canonical_policy": "repro.runner.spec",
+    "bw_ratio_policy": "repro.policies.registry",
+    "canonical_policy": "repro.policies.registry",
     "check_chunk_timeout": "repro.runner.sweep",
     "code_version_salt": "repro.runner.salt",
     "configure": "repro.runner.sweep",
@@ -52,7 +52,7 @@ _API = {
     "execute_spec": "repro.runner.sweep",
     "make_spec": "repro.runner.spec",
     "pack_chunk": "repro.runner.wire",
-    "parse_policy": "repro.runner.spec",
+    "parse_policy": "repro.policies.registry",
     "result_digest": "repro.runner.cache",
     "shm_available": "repro.runner.shm",
     "strict_json_dumps": "repro.runner.cache",

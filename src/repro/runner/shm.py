@@ -55,10 +55,11 @@ from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.core.errors import RunnerError
+from repro.core.errors import ReproError, RunnerError
 from repro.gpu.trace import DramTrace
 from repro.obs import trace as obs_trace
 from repro.obs.log import log_event
+from repro.policies.registry import make_policy, split_policy
 
 try:  # pragma: no cover - import always succeeds on CPython >= 3.8
     from multiprocessing import shared_memory as _shm_module
@@ -431,21 +432,17 @@ def planned_trace_keys(spec) -> tuple[tuple, ...]:
                   else DEFAULT_RAW_ACCESSES)
     keys = [trace_cache_key(spec.workload, spec.dataset, n_accesses,
                             spec.seed)]
-    policy = spec.policy.upper()
-    if policy.partition("@")[0] == "ONLINE":
-        try:
-            from repro.policies.online import online_from_spec
-
-            epochs = online_from_spec(policy).epochs
-        except Exception:  # noqa: BLE001 - malformed specs fail later
-            epochs = None
-        if epochs is not None:
-            key = trace_cache_key(spec.workload, spec.dataset,
-                                  n_accesses, spec.seed,
-                                  n_epochs=epochs)
-            if key not in keys:
-                keys.append(key)
-    if ("ANNOTATED" in policy
+    try:
+        epochs = (make_policy(spec.policy).epochs
+                  if split_policy(spec.policy)[0] == "ONLINE" else None)
+    except ReproError:  # malformed specs fail later
+        epochs = None
+    if epochs is not None:
+        key = trace_cache_key(spec.workload, spec.dataset, n_accesses,
+                              spec.seed, n_epochs=epochs)
+        if key not in keys:
+            keys.append(key)
+    if ("ANNOTATED" in spec.policy.upper()
             and spec.training_dataset
             and spec.training_dataset != spec.dataset):
         keys.append(trace_cache_key(spec.workload, spec.training_dataset,

@@ -12,26 +12,12 @@ Two properties make it the unit of work for the sweep runner:
   and its canonical form is JSON-serializable (for cache records and
   run manifests).
 
-Policies are carried as spec strings rather than objects.  The grammar
-is the registry name, optionally extended with an explicit fraction
-vector::
-
-    "LOCAL"                      registry policies, incl. ORACLE and
-    "ANNOTATED"                  ANNOTATED (profiled inside the run)
-    "BW-AWARE"                   SBIT-driven bandwidth ratio
-    "BW-AWARE@0.7,0.3"           explicit fraction vector (Figure 3's
-                                 xC-yB sweeps, two-pool ablations)
-    "BW-AWARE-COUNTER@0.5,0.5"   the deterministic ablation variant
-    "ONLINE"                     dynamic promotion/demotion, defaults
-    "ONLINE@cost=0.1,epochs=8"   k=v knob tail (sorted, non-default
-                                 knobs only; see repro.policies.online)
-
-:func:`canonical_policy` maps the policy inputs the experiment layer
-accepts (names, :class:`BwAwarePolicy` instances) onto this grammar;
-:func:`parse_policy` turns a spec string back into what
-``run_experiment`` expects.  Policy objects whose behaviour cannot be
-reconstructed from a string raise :class:`UncacheableSpecError` so
-callers can fall back to direct, uncached execution.
+Policies are carried as canonical policy-spec strings rather than
+objects; the grammar, :func:`canonical_policy` and :func:`parse_policy`
+live in :mod:`repro.policies.registry`.  Policy objects whose behaviour
+cannot be reconstructed from a string raise
+:class:`UncacheableSpecError` so callers can fall back to direct,
+uncached execution.
 """
 
 from __future__ import annotations
@@ -42,106 +28,11 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.errors import (
-    PolicyError,
-    RunnerError,
-    UncacheableSpecError,
-)
 from repro.core.limits import DEFAULT_REQUEST_LIMITS
 from repro.memory.topology import SystemTopology
 from repro.policies.base import PlacementPolicy
-from repro.policies.bwaware import BwAwarePolicy, CounterBwAwarePolicy
-from repro.policies.online import OnlinePolicy
+from repro.policies.registry import canonical_policy
 from repro.workloads.base import TraceWorkload
-
-#: policy names that may carry an explicit ``@f0,f1,...`` fraction tail.
-_FRACTION_POLICIES = {
-    "BW-AWARE": BwAwarePolicy,
-    "BW-AWARE-COUNTER": CounterBwAwarePolicy,
-}
-
-
-def _format_fractions(fractions) -> str:
-    return ",".join(repr(float(f)) for f in fractions)
-
-
-def bw_ratio_policy(co_percent: float) -> str:
-    """Policy spec for an explicit two-zone xC-yB split.
-
-    >>> bw_ratio_policy(30)
-    'BW-AWARE@0.7,0.3'
-    """
-    from repro.policies.bwaware import two_zone_fractions
-
-    return "BW-AWARE@" + _format_fractions(two_zone_fractions(co_percent))
-
-
-def canonical_policy(policy: Union[str, PlacementPolicy]) -> str:
-    """Reduce a policy input to its canonical spec string.
-
-    Accepts registry names (any case), already-canonical spec strings,
-    and BW-AWARE policy objects (whose only state is the optional
-    explicit fraction vector).  Anything else — custom policy classes,
-    oracle/annotated *instances* carrying profile data — raises
-    :class:`UncacheableSpecError`.
-    """
-    if isinstance(policy, str):
-        if policy.upper().partition("@")[0] == "ONLINE":
-            from repro.policies.online import (
-                canonical_online_tail,
-                parse_online_options,
-            )
-
-            tail = policy.partition("@")[2] or None
-            try:
-                canon = canonical_online_tail(parse_online_options(tail))
-            except PolicyError as exc:
-                raise UncacheableSpecError(str(exc))
-            return f"ONLINE@{canon}" if canon else "ONLINE"
-        name = policy.upper()
-        if "@" in name:
-            base, _, tail = name.partition("@")
-            if base not in _FRACTION_POLICIES:
-                raise UncacheableSpecError(
-                    f"policy {base!r} does not take a fraction vector"
-                )
-            try:
-                fractions = tuple(float(f) for f in tail.split(","))
-            except ValueError:
-                raise UncacheableSpecError(
-                    f"malformed fraction vector in policy spec {policy!r}"
-                )
-            return f"{base}@{_format_fractions(fractions)}"
-        return name
-    if type(policy) in (BwAwarePolicy, CounterBwAwarePolicy):
-        explicit = policy.explicit_fractions
-        if explicit is None:
-            return policy.name
-        return f"{policy.name}@{_format_fractions(explicit)}"
-    if isinstance(policy, OnlinePolicy):
-        # describe() emits the canonical sorted non-default knob tail.
-        return policy.describe()
-    raise UncacheableSpecError(
-        f"cannot canonicalize policy object {policy!r}; pass a registry "
-        "name or a BW-AWARE fraction spec instead"
-    )
-
-
-def parse_policy(spec: str) -> Union[str, PlacementPolicy]:
-    """Rebuild the ``run_experiment`` policy input from a spec string."""
-    if "@" not in spec:
-        return spec
-    base, _, tail = spec.partition("@")
-    if base.upper() == "ONLINE":
-        from repro.policies.online import online_from_spec
-
-        return online_from_spec(spec)
-    try:
-        cls = _FRACTION_POLICIES[base]
-    except KeyError:
-        raise RunnerError(f"unknown fraction policy {base!r} in {spec!r}")
-    fractions = tuple(float(f) for f in tail.split(","))
-    return cls(fractions=fractions)
 
 
 def describe_topology(topology: Optional[SystemTopology]) -> Optional[dict]:
@@ -246,7 +137,8 @@ def make_spec(workload: Union[str, TraceWorkload],
     """Canonicalize experiment inputs into a :class:`RunSpec`.
 
     Raises :class:`UncacheableSpecError` when ``policy`` is an object
-    the runner cannot serialize, and :class:`WorkloadError` (with the
+    the runner cannot serialize, :class:`PolicyError` for an unknown or
+    malformed policy spec, and :class:`WorkloadError` (with the
     unified unknown-workload message) when a workload *name* does not
     resolve, and :class:`RequestLimitError` when ``trace_accesses``
     exceeds :data:`~repro.core.limits.DEFAULT_REQUEST_LIMITS`.  String

@@ -82,6 +82,7 @@ from repro.core.errors import RunnerError, SweepError
 from repro.core.experiment import ExperimentResult, run_experiment
 from repro.obs import trace as obs_trace
 from repro.obs.log import log_event
+from repro.policies.registry import parse_policy
 from repro.resilience.faults import (
     FaultAction,
     FaultPlan,
@@ -106,11 +107,13 @@ from repro.runner.shm import (
     shm_available,
     shm_setting,
 )
-from repro.runner.spec import RunSpec, parse_policy
+from repro.runner.spec import RunSpec
 from repro.runner.wire import pack_chunk, unpack_chunk
 
 # Worker pools fork from this process: load the ANNOTATED policy's
-# profiling pass here, or each worker of every pool imports it again.
+# profiling pass and the ONLINE policy's migration stack here, or each
+# worker of every pool imports them again.
+import repro.policies.online  # noqa: F401
 import repro.profiling.profiler  # noqa: F401
 import repro.runtime.hints  # noqa: F401
 

@@ -71,11 +71,11 @@ from repro.memory.topology import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.policies.registry import policy_names
+from repro.policies.registry import parse_policy, policy_names
 from repro.profiling.cdf import AccessCdf
 from repro.profiling.profiler import PageAccessProfiler
 from repro.runner import ResultCache, SweepRunner, content_key, make_spec
-from repro.runner.spec import RunSpec, parse_policy
+from repro.runner.spec import RunSpec
 from repro.runtime.hints import get_allocation
 from repro.serve.batching import BatchSaturatedError, MicroBatcher, SingleFlight
 from repro.serve.config import ServeConfig
@@ -192,11 +192,6 @@ def parse_simulate_spec(payload: Mapping[str, Any]) -> RunSpec:
     policy = payload.get("policy", "BW-AWARE")
     if not isinstance(policy, str):
         raise BadRequestError("'policy' must be a string")
-    base = policy.upper().partition("@")[0]
-    if base not in policy_names():
-        raise BadRequestError(
-            f"unknown policy {policy!r}; known: {policy_names()}"
-        )
     topology_name = payload.get("topology")
     topology = None
     if topology_name is not None:
@@ -239,8 +234,9 @@ def parse_simulate_spec(payload: Mapping[str, Any]) -> RunSpec:
             training_dataset=training,
             engine=engine,
         )
-        # Build the policy now: its option checks would otherwise
-        # first run inside the job.
+        # make_spec checked the policy's options; the fraction count
+        # against the topology's zones is left, and would otherwise
+        # first fail inside the job.
         fractions = getattr(parse_policy(spec.policy),
                             "explicit_fractions", None)
     except ReproError as exc:

@@ -5,6 +5,7 @@ import argparse
 import pytest
 
 from repro.cli import build_parser, main
+from repro.policies.registry import policy_names
 
 
 def run_cli(capsys, *argv):
@@ -63,9 +64,17 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "-w", "lbm", "-t", "laptop"])
 
-    def test_unknown_policy_raises(self):
-        with pytest.raises(Exception):
+    def test_unknown_policy_raises(self, capsys):
+        """A library error exits 2 with one stderr line naming every
+        valid policy, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "-w", "lbm", "-p", "MAGIC", "-n", "20000"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro run: error: unknown policy 'MAGIC'")
+        for name in policy_names():
+            assert name in err
 
 
 class TestCompare:

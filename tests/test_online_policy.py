@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 from repro.core.errors import PolicyError
 from repro.migration.policy import EpochMigrationPolicy, validate_watermarks
 from repro.migration.tracker import HotnessTracker
-from repro.policies.online import (
-    OnlinePolicy,
+from repro.policies.online import OnlinePolicy
+from repro.policies.registry import (
     canonical_online_tail,
-    online_from_spec,
+    make_policy,
     parse_online_options,
 )
 
@@ -276,7 +276,7 @@ class TestSpecGrammar:
     def test_canonical_tail_round_trips(self, options):
         tail = canonical_online_tail(options)
         spec = f"ONLINE@{tail}" if tail else "ONLINE"
-        policy = online_from_spec(spec)
+        policy = make_policy(spec)
         assert policy.describe() == spec
         if tail:
             reparsed = parse_online_options(tail)
@@ -297,7 +297,7 @@ class TestSpecGrammar:
         assert canonical_online_tail({}) == ""
 
     def test_initial_with_embedded_commas_survives(self):
-        policy = online_from_spec("ONLINE@initial=BW-AWARE@0.7,0.3")
+        policy = make_policy("ONLINE@initial=BW-AWARE@0.7,0.3")
         assert policy.initial.upper().startswith("BW-AWARE")
         assert "0.7" in policy.describe()
 
@@ -315,7 +315,7 @@ class TestSpecGrammar:
             parse_online_options("low=0.5")
         with pytest.raises(PolicyError):
             parse_online_options("high=0.8")
-        policy = online_from_spec("ONLINE@high=0.8,low=0.5")
+        policy = make_policy("ONLINE@high=0.8,low=0.5")
         assert policy.watermarks == (0.5, 0.8)
 
 

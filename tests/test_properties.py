@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ from conftest import make_context
 from reference_loops import ReferenceSetAssocCache
 from repro.core.metrics import geomean
 from repro.core.units import PAGE_SIZE, bytes_to_pages, pages_to_bytes
-from repro.gpu.config import table1_config
+from repro.gpu import _native, cache
+from repro.gpu.cache import CacheHierarchy
+from repro.gpu.config import GpuConfig, table1_config
 from repro.gpu.simulator import GpuSystemSimulator
 from repro.gpu.throughput import ThroughputEngine
 from repro.gpu.trace import DramTrace, WorkloadCharacteristics
@@ -354,6 +357,25 @@ def _relabelled(topology: SystemTopology, perm) -> SystemTopology:
                           distance=distance)
 
 
+#: the line size of the drawn cache geometries.
+LINE = 128
+
+
+def _filter(config: GpuConfig, n_channels: int, lines: np.ndarray,
+            kernel: str) -> tuple:
+    """Miss indices and L1/L2 stats of one fresh hierarchy on the
+    ``"native"`` or the ``"numpy"`` kernel."""
+    hierarchy = CacheHierarchy(config, n_channels)
+    saved = cache._native_filter
+    if kernel == "numpy":
+        cache._native_filter = lambda: None
+    try:
+        misses = hierarchy.filter_stream_indices(lines)
+    finally:
+        cache._native_filter = saved
+    return misses.tolist(), hierarchy.l1_stats(), hierarchy.l2_stats()
+
+
 class TestMetamorphicRelations:
     """Relations between two runs of the same engine.  A bug that moves
     every engine (and every frozen digest) alike still breaks them."""
@@ -422,6 +444,59 @@ class TestMetamorphicRelations:
                                               err_msg=field)
             else:
                 assert vars(moved)[field] == value, field
+
+    @pytest.mark.parametrize("kernel", ["native", "numpy"])
+    @given(st.data(), st.integers(min_value=0, max_value=2**32 - 1))
+    @PROFILED
+    def test_filter_translation_keeps_the_miss_stream(self, kernel, data,
+                                                      seed):
+        """A line's L1 set, L2 channel and L2 set repeat with period
+        lcm(L1 sets, channels, L2 sets).  Shifting every line by a
+        multiple of it keeps each access in its sets beside the same
+        neighbours, so the same accesses miss; the shifts also carry
+        the stream across 2**16, 2**31 and 2**40."""
+        if kernel == "native" and _native.kernel("lru") is None:
+            pytest.skip("no native library on this host")
+        if data.draw(st.booleans(), label="table1"):
+            config, n_channels = table1_config(), 12
+        else:
+            l1_assoc = data.draw(st.integers(1, 8))
+            l2_assoc = data.draw(st.integers(1, 8))
+            config = GpuConfig(
+                n_sms=data.draw(st.integers(1, 20)),
+                l1_bytes_per_sm=data.draw(
+                    st.sampled_from([1, 2, 3, 4, 6, 7, 8, 12, 32]))
+                * l1_assoc * LINE,
+                l2_bytes_per_channel=data.draw(
+                    st.sampled_from([1, 3, 4, 5, 7, 16, 128]))
+                * l2_assoc * LINE,
+                line_size=LINE, l1_assoc=l1_assoc,
+                l2_assoc=l2_assoc)
+            n_channels = data.draw(st.sampled_from([1, 5, 7, 12, 16]))
+        period = math.lcm(
+            config.l1_bytes_per_sm // config.line_size // config.l1_assoc,
+            n_channels,
+            config.l2_bytes_per_channel // config.line_size
+            // config.l2_assoc)
+        # Random reuse or a cyclic sweep (LRU's worst case) over a span
+        # placed anywhere below 2**20.
+        n = data.draw(st.sampled_from([1, 300, 3000]))
+        span = data.draw(st.sampled_from([50, 500, 5000]))
+        if data.draw(st.booleans(), label="sweep"):
+            lines = np.arange(n) % span
+        else:
+            lines = np.random.default_rng(seed).integers(0, span, n)
+        lines += data.draw(st.integers(0, 2**20), label="base")
+        # A few periods up, then across each boundary where a kernel
+        # changes its path or dtype.
+        middle = int(lines.min() + lines.max()) // 2
+        multiples = [data.draw(st.integers(1, 4))] + [
+            max(1, (boundary - middle) // period)
+            for boundary in (2**16, 2**31, 2**40)]
+        expected = _filter(config, n_channels, lines, kernel)
+        for k in multiples:
+            assert _filter(config, n_channels, lines + k * period,
+                           kernel) == expected, k
 
     @given(st.floats(min_value=0.125, max_value=8.0),
            st.floats(min_value=0.05, max_value=0.95),
