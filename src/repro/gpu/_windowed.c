@@ -44,7 +44,7 @@
 
 /* ABI version of the library built from this file, _passes.c, _lru.c
  * and _synth.c; the loader refuses a library that disagrees. */
-int repro_native_abi(void) { return 4; }
+int repro_native_abi(void) { return 5; }
 
 static inline double dmax(double a, double b) { return a >= b ? a : b; }
 static inline double dmin(double a, double b) { return a <= b ? a : b; }

@@ -52,7 +52,10 @@ def replay_epochs(trace: DramTrace, zone_map: np.ndarray, engine,
     Each epoch runs on ``engine`` as a one-epoch sub-trace (raw accesses
     pro-rated) against the current zone map; the sub-traces are
     :attr:`DramTrace.epoch_traces`, built once per trace and reused by
-    every later replay of it.  After every epoch, empty or not,
+    every later replay of it.  The engine is bound to ``(topology,
+    chars, trace.bytes_per_access)`` once per replay, so each epoch
+    pays its kernel and a small fixed cost, and every epoch's result
+    equals ``engine.run`` on its sub-trace.  After every epoch, empty or not,
     ``on_boundary(pages, result, elapsed_ns, last)`` gets the epoch's
     pages, its result (``None`` if the epoch had no accesses), the
     execution time so far and whether it was the last epoch.  It
@@ -60,6 +63,7 @@ def replay_epochs(trace: DramTrace, zone_map: np.ndarray, engine,
     one (which it may have changed in place).  Returns the per-epoch
     results summed in epoch order.
     """
+    run = engine.bind(topology, chars, trace.bytes_per_access)
     results: list[SimResult] = []
     elapsed_ns = 0.0
     sub_traces = trace.epoch_traces
@@ -70,7 +74,7 @@ def replay_epochs(trace: DramTrace, zone_map: np.ndarray, engine,
             result = None
         else:
             pages = sub_trace.page_indices
-            result = engine.run(sub_trace, zone_map, topology, chars)
+            result = run(sub_trace, zone_map)
             results.append(result)
             elapsed_ns += result.total_time_ns
         next_map = on_boundary(pages, result, elapsed_ns,

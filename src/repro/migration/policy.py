@@ -120,16 +120,34 @@ class EpochMigrationPolicy:
         self.watermarks = validate_watermarks(watermarks)
 
     def _desired_bo_set(self, tracker: HotnessTracker) -> np.ndarray:
+        """The hottest pages, hottest first (ties by page index), until
+        they carry the BO traffic share or fill BO capacity.
+
+        At most ``bo_capacity_pages`` pages can be taken, so only those
+        are ranked: a partition selects them, ties at the cut going to
+        the lowest indices, and a stable sort orders the selection.
+        That is the head of the whole footprint's stable hottest-first
+        order, and so are its running sums.
+        """
         scores = tracker.scores
         total = float(scores.sum())
-        if total <= 0:
+        keep = min(self.bo_capacity_pages, scores.size)
+        if total <= 0 or keep == 0:
             return np.empty(0, dtype=np.int64)
-        order = np.argsort(-scores, kind="stable")
+        neg = -scores
+        if keep < scores.size:
+            part = np.argpartition(neg, keep - 1)
+            cut = neg[part[keep - 1]]
+            hotter = part[:keep][neg[part[:keep]] < cut]
+            tied = np.flatnonzero(neg == cut)[:keep - hotter.size]
+            selected = np.sort(np.concatenate((hotter, tied)))
+        else:
+            selected = np.arange(scores.size)
+        order = selected[np.argsort(neg[selected], kind="stable")]
         cumulative = np.cumsum(scores[order])
         target = self.bo_traffic_fraction * total
         take = int(np.searchsorted(cumulative, target)) + 1
-        take = min(take, self.bo_capacity_pages, order.size)
-        return order[:take]
+        return order[:min(take, keep)]
 
     def plan(self, zone_map: np.ndarray, tracker: HotnessTracker,
              budget_pages: Optional[int] = None) -> MigrationPlan:

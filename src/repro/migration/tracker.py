@@ -43,11 +43,15 @@ class HotnessTracker:
 
     def observe_epoch(self, page_indices: np.ndarray) -> None:
         """Fold one epoch's DRAM accesses into the estimate."""
-        page_indices = np.asarray(page_indices, dtype=np.int64)
-        if page_indices.size and (page_indices.min() < 0
-                                  or page_indices.max() >= self.n_pages):
+        # bincount rejects a negative page and lengthens its output
+        # past the last page for one beyond it: no extra range passes.
+        try:
+            counts = np.bincount(np.asarray(page_indices, dtype=np.int64),
+                                 minlength=self.n_pages)
+        except ValueError:
+            counts = None
+        if counts is None or counts.size != self.n_pages:
             raise SimulationError("observed page outside tracked range")
-        counts = np.bincount(page_indices, minlength=self.n_pages)
         self._scores *= self.decay
         self._scores += counts
         self.epochs_observed += 1

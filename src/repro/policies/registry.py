@@ -228,6 +228,22 @@ def make_policy(spec: str, **kwargs: object) -> PlacementPolicy:
     return _FACTORIES[name](**kwargs)
 
 
+def check_fraction_count(spec: str, n_zones: int) -> None:
+    """Raise :class:`PolicyError` when ``spec`` carries a fraction
+    vector, in its own tail or in an ONLINE ``initial=``, whose length
+    is not ``n_zones``; any other spec passes."""
+    name, tail = split_policy(spec)
+    if tail is None:
+        return
+    if name == "ONLINE":
+        check_fraction_count(parse_online_options(tail)["initial"], n_zones)
+        return
+    fractions = _parse_fractions(name, tail)
+    if len(fractions) != n_zones:
+        raise PolicyError(f"policy {spec!r} gives {len(fractions)} "
+                          f"fractions for {n_zones} zones")
+
+
 def parse_policy(spec: str) -> Union[str, PlacementPolicy]:
     """Rebuild the ``run_experiment`` policy input from a spec string:
     the spec itself when it has no tail (ORACLE and ANNOTATED need the

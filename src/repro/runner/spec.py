@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.limits import DEFAULT_REQUEST_LIMITS
-from repro.memory.topology import SystemTopology
+from repro.memory.topology import SystemTopology, simulated_baseline
 from repro.policies.base import PlacementPolicy
-from repro.policies.registry import canonical_policy
+from repro.policies.registry import canonical_policy, check_fraction_count
 from repro.workloads.base import TraceWorkload
 
 
@@ -138,7 +138,10 @@ def make_spec(workload: Union[str, TraceWorkload],
 
     Raises :class:`UncacheableSpecError` when ``policy`` is an object
     the runner cannot serialize, :class:`PolicyError` for an unknown or
-    malformed policy spec, and :class:`WorkloadError` (with the
+    malformed policy spec or one whose fraction vector (its own, or an
+    ONLINE ``initial=``) does not give one fraction per zone of
+    ``topology`` (the baseline when ``None``), and
+    :class:`WorkloadError` (with the
     unified unknown-workload message) when a workload *name* does not
     resolve, and :class:`RequestLimitError` when ``trace_accesses``
     exceeds :data:`~repro.core.limits.DEFAULT_REQUEST_LIMITS`.  String
@@ -153,9 +156,13 @@ def make_spec(workload: Union[str, TraceWorkload],
         from repro.workloads.suite import get_workload
 
         name = get_workload(workload).name
+    canonical = canonical_policy(policy)
+    if "@" in canonical:  # only a tail can carry a fraction vector
+        system = topology if topology is not None else simulated_baseline()
+        check_fraction_count(canonical, len(system.zones))
     return RunSpec(
         workload=name.lower(),
-        policy=canonical_policy(policy),
+        policy=canonical,
         dataset=dataset,
         topology=topology,
         bo_capacity_fraction=bo_capacity_fraction,

@@ -64,14 +64,10 @@ from repro.resilience.faults import (
     active_plan,
 )
 from repro.memory.acpi import FirmwareTables, Sbit, enumerate_tables
-from repro.memory.topology import (
-    simulated_baseline,
-    topology_by_name,
-    topology_names,
-)
+from repro.memory.topology import topology_by_name, topology_names
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.policies.registry import parse_policy, policy_names
+from repro.policies.registry import policy_names
 from repro.profiling.cdf import AccessCdf
 from repro.profiling.profiler import PageAccessProfiler
 from repro.runner import ResultCache, SweepRunner, content_key, make_spec
@@ -234,19 +230,8 @@ def parse_simulate_spec(payload: Mapping[str, Any]) -> RunSpec:
             training_dataset=training,
             engine=engine,
         )
-        # make_spec checked the policy's options; the fraction count
-        # against the topology's zones is left, and would otherwise
-        # first fail inside the job.
-        fractions = getattr(parse_policy(spec.policy),
-                            "explicit_fractions", None)
     except ReproError as exc:
         raise BadRequestError(str(exc))
-    if fractions is not None:
-        n_zones = len((topology or simulated_baseline()).zones)
-        if len(fractions) != n_zones:
-            raise BadRequestError(
-                f"policy {spec.policy!r} gives {len(fractions)} "
-                f"fractions for {n_zones} zones")
     return spec
 
 

@@ -8,7 +8,9 @@ vectorized form of :mod:`repro.gpu.throughput`
 ``tests/test_throughput_oracle.py`` holds the engine to with ``==``
 on every field, the migration planner's page-at-a-time budget trim
 (:func:`reference_trim_to_budget`, held ``==`` to its closed form by
-``tests/test_migration.py``), and the first forms of trace synthesis:
+``tests/test_migration.py``) and its hottest-first page walk
+(:func:`reference_desired_bo_set`, held ``==`` to the partitioned
+selection there too), and the first forms of trace synthesis:
 the two dynamic access patterns (:func:`reference_phase_shift`,
 :func:`reference_sliding_window`) and the per-phase interleave
 (:func:`reference_raw_access_stream`), held ``==`` to
@@ -447,6 +449,30 @@ def reference_trim_to_budget(n_promote: int, n_demote: int,
         if n_promote == 0 and n_demote == 0:
             break
     return n_promote, n_demote
+
+
+def reference_desired_bo_set(scores: np.ndarray, bo_traffic_fraction: float,
+                             bo_capacity_pages: int) -> list[int]:
+    """The seed ``EpochMigrationPolicy._desired_bo_set`` as a loop: walk
+    every page hottest first (a stable sort, so ties go by page index),
+    taking pages until their running score reaches the BO traffic share
+    or BO capacity is full."""
+    total = float(np.asarray(scores).sum())
+    if total <= 0:
+        return []
+    values = np.asarray(scores).tolist()
+    order = sorted(range(len(values)), key=lambda page: -values[page])
+    target = bo_traffic_fraction * total
+    chosen: list[int] = []
+    running = 0.0
+    for page in order:
+        if len(chosen) == bo_capacity_pages:
+            break
+        chosen.append(page)
+        running += values[page]
+        if running >= target:
+            break
+    return chosen
 
 
 def reference_phase_shift(rng: np.random.Generator, n_accesses: int,

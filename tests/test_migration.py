@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_loops import reference_trim_to_budget
+from reference_loops import reference_desired_bo_set, reference_trim_to_budget
 
 from repro.core.errors import ConfigError, PolicyError, SimulationError
 from repro.core.units import PAGE_SIZE, gbps
@@ -316,3 +316,49 @@ class TestBudgetTrim:
                 for budget in range(25):
                     assert trim_to_budget(p, d, budget) == \
                         reference_trim_to_budget(p, d, budget)
+
+
+@st.composite
+def _hotness(draw):
+    """Scores with many ties (a few levels, zeros among them), or
+    spread ones; a capacity anywhere from 0 to past the footprint."""
+    n_pages = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        levels = np.array(draw(st.lists(
+            st.sampled_from((0.0, 0.5, 1.0, 3.0, 7.25)), min_size=1,
+            max_size=4)))
+        scores = rng.choice(levels, n_pages)
+    else:
+        scores = rng.random(n_pages) * 10.0
+        scores[rng.random(n_pages) < 0.3] = 0.0
+    capacity = draw(st.one_of(st.integers(0, n_pages + 5),
+                              st.sampled_from((0, n_pages))))
+    fraction = draw(st.sampled_from((1e-9, 0.3, 0.7, 0.999, 1.0)))
+    return scores, capacity, fraction
+
+
+class TestDesiredSet:
+    """The planner's partitioned hottest-first selection against the
+    seed's whole-footprint stable sort, as a loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hotness())
+    def test_selection_equals_loop(self, case):
+        scores, capacity, fraction = case
+        tracker = HotnessTracker(scores.size)
+        tracker._scores[:] = scores
+        policy = EpochMigrationPolicy(bo_zone=0, co_zone=1,
+                                      bo_capacity_pages=capacity,
+                                      bo_traffic_fraction=fraction)
+        got = policy._desired_bo_set(tracker)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_desired_bo_set(scores, fraction,
+                                                        capacity)
+
+    def test_ties_at_the_cut_take_the_lowest_pages(self):
+        tracker = HotnessTracker(8)
+        tracker._scores[:] = [1.0, 4.0, 2.0, 2.0, 4.0, 2.0, 0.0, 2.0]
+        policy = EpochMigrationPolicy(0, 1, bo_capacity_pages=4,
+                                      bo_traffic_fraction=1.0)
+        assert policy._desired_bo_set(tracker).tolist() == [1, 4, 2, 3]

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import PolicyError, UncacheableSpecError
 from repro.core.experiment import run_experiment
+from repro.memory.topology import three_pool_topology
 from repro.policies.registry import make_policy, policy_names
 from repro.runner import (
     canonical_policy,
@@ -284,6 +285,17 @@ _specs = st.one_of(
 )
 
 
+def _zones_for(canon: str) -> int:
+    """The zone count a spec's fraction vector, its own or its ONLINE
+    initial's, asks for; 2 (the baseline's) without one."""
+    policy = parse_policy(canon)
+    initial = getattr(policy, "initial", None)
+    if isinstance(initial, str):
+        policy = parse_policy(initial)
+    fractions = getattr(policy, "explicit_fractions", None)
+    return 2 if fractions is None else len(fractions)
+
+
 class TestCanonicalProperty:
     """Runs under the conftest ``dev``/``ci`` hypothesis profiles."""
 
@@ -292,7 +304,14 @@ class TestCanonicalProperty:
         canon = canonical_policy(spec)
         assert canonical_policy(canon) == canon
         assert canonical_policy(parse_policy(spec)) == canon
-        assert make_spec("bfs", spec).policy == canon
+        # make_spec checks the fraction count against the topology.
+        if _zones_for(canon) == 3:
+            with pytest.raises(PolicyError, match="for 2 zones"):
+                make_spec("bfs", spec)
+            topology = three_pool_topology()
+        else:
+            topology = None
+        assert make_spec("bfs", spec, topology=topology).policy == canon
 
 
 class TestUnknownNames:
@@ -327,6 +346,55 @@ class TestUnknownNames:
         err = capsys.readouterr().err
         assert "runner.retry" not in err
         assert err.count("\n") == 1 and "unknown policy 'MAGIC'" in err
+        assert not list(tmp_path.glob("runs/*/manifest.json"))
+
+
+class TestFractionCount:
+    """``make_spec`` holds the topology, so it checks that a fraction
+    vector, a policy's own or an ONLINE ``initial=``, gives one
+    fraction per zone, before any run."""
+
+    @pytest.mark.parametrize("spec", [
+        "BW-AWARE@0.2,0.3,0.5", "bw-aware-counter@0.2,0.3,0.5",
+        "BW-AWARE@1.0", "ONLINE@initial=BW-AWARE@0.2,0.3,0.5",
+        "ONLINE@cost=0.1,initial=BW-AWARE-COUNTER@0.2,0.3,0.5",
+    ])
+    def test_wrong_count_raises_on_the_baseline(self, spec):
+        with pytest.raises(PolicyError, match="for 2 zones"):
+            make_spec("bfs", spec)
+
+    def test_count_follows_the_topology(self):
+        three = three_pool_topology()
+        spec = make_spec("bfs", "ONLINE@initial=BW-AWARE@0.2,0.3,0.5",
+                         topology=three)
+        assert spec.policy == "ONLINE@initial=BW-AWARE@0.2,0.3,0.5"
+        assert make_spec("bfs", "BW-AWARE@0.2,0.3,0.5",
+                         topology=three).policy == "BW-AWARE@0.2,0.3,0.5"
+        with pytest.raises(PolicyError, match="2 fractions for 3 zones"):
+            make_spec("bfs", "BW-AWARE@0.7,0.3", topology=three)
+        for spec in ("BW-AWARE", "ONLINE", "ONLINE@initial=LOCAL"):
+            assert make_spec("bfs", spec, topology=three).policy == spec
+
+    def test_serve_answers_400(self, service):
+        for policy in ("BW-AWARE@0.2,0.3,0.5",
+                       "ONLINE@initial=BW-AWARE@0.2,0.3,0.5"):
+            with pytest.raises(BadRequestError,
+                               match="3 fractions for 2 zones"):
+                service.parse_simulate_spec({"workload": "bfs",
+                                             "policy": policy})
+
+    @pytest.mark.parametrize("policy", [
+        "BW-AWARE@0.2,0.3,0.5", "ONLINE@initial=BW-AWARE@0.2,0.3,0.5"])
+    def test_compare_rejects_before_the_runner(self, capsys, tmp_path,
+                                               policy):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "-w", "bfs", "-p", policy, "-n", "20000",
+                  "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "runner.retry" not in err
+        assert err.count("\n") == 1 and "3 fractions for 2 zones" in err
         assert not list(tmp_path.glob("runs/*/manifest.json"))
 
 
