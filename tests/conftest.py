@@ -39,6 +39,7 @@ def fresh_loader(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(_native, "_resolved", False)
     monkeypatch.setattr(_native, "_kernels", {})
+    monkeypatch.setattr(_native, "_library", None)
     monkeypatch.setattr(interleave, "_checked", interleave._UNCHECKED)
     return tmp_path / "xdg" / "repro" / "native"
 

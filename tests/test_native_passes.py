@@ -1,6 +1,7 @@
 """The native engine passes against their numpy forms, bit for bit.
 
-:func:`repro.gpu.service.throughput_pass` and
+The throughput engine's (epoch, zone) bins (``repro_throughput_pass``,
+driven through :mod:`native_probes`) and
 :func:`repro.gpu.service.event_pass` run a compiled port
 (``gpu/_passes.c``) of the engines' numpy per-access passes where the
 native library loads.  The port promises the *same* floats, so
@@ -20,8 +21,9 @@ everything here compares with ``==``:
   no buffer of the trace's length (it takes almost no page faults).
 
 The numpy forms run with ``service._native_kernels`` patched to
-``None``; with no compiler both sides are numpy and the suite checks
-the fallback against itself.
+``None`` (the bins: ``service._throughput_pass_numpy``); with no
+compiler both sides are numpy and the suite checks the fallback against
+itself.
 """
 
 import math
@@ -33,6 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import stream_seams
+from native_probes import probes
 from repro.core.errors import SimulationError
 from repro.gpu import _native, service
 from repro.gpu.config import table1_config
@@ -101,9 +104,12 @@ class TestThroughputPass:
     @given(data=st.data(), topology=st.sampled_from(TOPOLOGIES))
     def test_bins_equal(self, data, topology):
         trace, zone_map = data.draw(traces(len(topology)))
-        slow, fast = numpy_and_native(
-            service.throughput_pass, trace, zone_map,
-            topology.write_cost_factors)
+        factors = np.asarray(topology.write_cost_factors)
+        slow = service._throughput_pass_numpy(trace, zone_map, factors)
+        native = probes()
+        fast = (slow if native is None else native["throughput"](
+            trace.page_indices, trace.is_write, zone_map, factors,
+            trace.n_epochs))
         for want, got in zip(slow, fast):
             assert got.shape == (trace.n_epochs, len(topology))
             assert bits(got) == bits(want)
@@ -282,7 +288,7 @@ class TestNativeBounds:
 
     @pytest.fixture
     def kernels(self):
-        bound = _native.kernels()
+        bound = probes()
         if bound is None:
             pytest.skip("no native library on this host")
         return bound
@@ -308,12 +314,12 @@ class TestNativeBounds:
                               np.array([3.0, 3.0]), n_banks, 32, 16, 0.5,
                               8)
 
-    def test_write_flags_must_align(self, kernels):
+    def test_write_flags_must_align(self):
+        """The bound passes read write flags only from a trace, which
+        rejects flags that do not align with its pages."""
         with pytest.raises(SimulationError, match="align"):
-            kernels["throughput"](np.arange(50) % 10,
-                                  np.zeros(49, dtype=bool),
-                                  np.zeros(10, dtype=np.int64),
-                                  np.array([1.1]), 4)
+            DramTrace(page_indices=np.arange(50) % 10, footprint_pages=10,
+                      n_raw_accesses=50, is_write=np.zeros(49, dtype=bool))
 
 
 
