@@ -14,7 +14,10 @@ selection there too), and the first forms of trace synthesis:
 the two dynamic access patterns (:func:`reference_phase_shift`,
 :func:`reference_sliding_window`) and the per-phase interleave
 (:func:`reference_raw_access_stream`), held ``==`` to
-:mod:`repro.workloads` by ``tests/test_synth_native.py``.  They are
+:mod:`repro.workloads` by ``tests/test_synth_native.py``, and the
+page-at-a-time frame allocator walk (:func:`reference_allocate_pages`),
+held ``==`` to ``PhysicalMemory.allocate_pages`` and
+``Process.place_all`` by ``tests/test_allocator.py``.  They are
 kept here, in the test suite, as the behavioural oracle: the golden
 equality suite (``tests/test_golden_vectorized.py``) and the kernel
 differential tests (``tests/test_lru_native.py``) check the native
@@ -42,7 +45,12 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.errors import SimulationError, WorkloadError
+from repro.core.errors import (
+    ConfigError,
+    OutOfMemoryError,
+    SimulationError,
+    WorkloadError,
+)
 from repro.gpu.cache import CacheStats
 from repro.gpu.config import GpuConfig
 from repro.gpu.trace import (
@@ -574,3 +582,37 @@ def reference_raw_access_stream(workload, dataset: str, n_accesses: int,
         pieces.append(phase_stream)
         flag_pieces.append(phase_flags)
     return np.concatenate(pieces), np.concatenate(flag_pieces)
+
+
+def reference_allocate_pages(physical, first, spill_order, strict=False):
+    """The page-by-page ``PhysicalMemory.allocate`` walk: every page
+    builds its own chain (``spill_order`` of its first zone, completed
+    with the missing zones in id order unless ``strict``), takes one
+    frame from the first zone in it with a free frame through
+    ``ZoneAllocator.allocate``, and the first page that cannot be
+    placed stops the walk.  Returns ``(zones, frames, error)`` as
+    ``allocate_pages`` does."""
+    zones: list[int] = []
+    frames: list[int] = []
+    for zone in np.asarray(first).tolist():
+        chain = list(spill_order(zone))
+        if not strict:
+            chain += [z for z in range(len(physical.topology))
+                      if z not in chain]
+        try:
+            for zone_id in chain:
+                allocator = physical.allocator(zone_id)
+                if not allocator.full:
+                    break
+            else:
+                raise OutOfMemoryError(
+                    f"zones {chain} exhausted in topology "
+                    f"{physical.topology.name}"
+                )
+        except (ConfigError, OutOfMemoryError) as error:
+            return (np.array(zones, dtype=np.int16),
+                    np.array(frames, dtype=np.int64), error)
+        zones.append(zone_id)
+        frames.append(allocator.allocate())
+    return (np.array(zones, dtype=np.int16),
+            np.array(frames, dtype=np.int64), None)
