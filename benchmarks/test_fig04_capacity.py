@@ -17,3 +17,23 @@ def test_fig4_capacity_sweep(regenerate):
     assert mean.y_at(0.1) < 0.6
     # Memory-insensitive workloads hold their performance (comd).
     assert figure.get("comd").y_at(0.1) > 0.9
+
+
+def test_spill_goes_to_the_nearest_pool():
+    """Section 2.2: a full local pool spills to the SLIT-nearest zone.
+
+    On two pools every spill order is the same, so this runs on the
+    three-pool system (HBM, then GDDR5, then DDR4 by SLIT distance)
+    with HBM shrunk to 10% of the footprint: LOCAL fills HBM and puts
+    every other page in GDDR5, none in DDR4.
+    """
+    from repro.core.experiment import run_experiment
+    from repro.memory.topology import three_pool_topology
+
+    for name in ("bfs", "xsbench", "lbm"):
+        result = run_experiment(name, policy="LOCAL",
+                                topology=three_pool_topology(),
+                                bo_capacity_fraction=0.1,
+                                trace_accesses=20_000)
+        hbm, gddr, ddr = result.zone_page_counts
+        assert hbm > 0 and gddr > 0 and ddr == 0, (name, hbm, gddr, ddr)

@@ -16,6 +16,7 @@ directly — mirroring the real software stack's information flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from repro.core.errors import ConfigError
 from repro.core.units import to_gbps
@@ -84,8 +85,15 @@ class Slit:
 
     def nearest_domains(self, from_domain: int) -> tuple[int, ...]:
         """Domains sorted by distance from ``from_domain`` (self first)."""
-        row = self.distances[from_domain]
-        return tuple(sorted(range(len(row)), key=lambda j: (row[j], j)))
+        return self._nearest[from_domain]
+
+    @cached_property
+    def _nearest(self) -> tuple[tuple[int, ...], ...]:
+        # Every zonelist of a placement asks for the same few rows.
+        return tuple(
+            tuple(sorted(range(len(row)), key=lambda j: (row[j], j)))
+            for row in self.distances
+        )
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,10 @@ class FirmwareTables:
     sbit: Sbit
 
 
+#: topologies whose tables :func:`enumerate_tables` keeps (LRU).
+TABLES_MEMO_SIZE = 256
+
+
 def enumerate_tables(topology: SystemTopology,
                      clock_ghz: float = 1.4) -> FirmwareTables:
     """Derive SRAT/SLIT/SBIT from a hardware topology (firmware's job).
@@ -133,7 +145,17 @@ def enumerate_tables(topology: SystemTopology,
     zone gets 10 and remote zones get ``10 * latency_remote /
     latency_local`` rounded, exactly how BIOS vendors derive SLIT from
     measured latencies.  SBIT carries each zone's aggregate bandwidth.
+
+    The tables are frozen and a function of ``(topology, clock_ghz)``
+    alone, so equal topologies share one :class:`FirmwareTables`: the
+    last :data:`TABLES_MEMO_SIZE` are kept.
     """
+    return _enumerate_tables(topology, float(clock_ghz))
+
+
+@lru_cache(maxsize=TABLES_MEMO_SIZE)
+def _enumerate_tables(topology: SystemTopology,
+                      clock_ghz: float) -> FirmwareTables:
     zones = topology.zones
     entries = []
     base = 0

@@ -40,7 +40,10 @@ ahead of it — so time spent queued behind other chunks never counts.
 A timeout or a ``BrokenProcessPool`` abandons and rebuilds the pool,
 and the failed chunks are retried with exponential backoff +
 deterministic jitter, **split in half** on each retry so a single
-poisoned spec is progressively isolated.  A spec
+poisoned spec is progressively isolated.  An input error
+(:data:`FAIL_FAST_ERRORS`) is not retried: a retry runs the same
+inputs into the same error, so its spec fails at once, with no backoff
+and no halving, and the rest of its chunk runs again.  A spec
 that exhausts ``max_retries`` gets one last in-process attempt (the
 degraded serial fallback); if that fails too the sweep raises a
 structured :class:`~repro.core.errors.SweepError` naming the offending
@@ -78,7 +81,14 @@ from repro.core.cachedir import (
     DEFAULT_CACHE_DIRNAME,
     cache_root,
 )
-from repro.core.errors import RunnerError, SweepError
+from repro.core.errors import (
+    ConfigError,
+    OutOfMemoryError,
+    PolicyError,
+    RunnerError,
+    SweepError,
+    WorkloadError,
+)
 from repro.core.experiment import ExperimentResult, run_experiment
 from repro.obs import trace as obs_trace
 from repro.obs.log import log_event
@@ -127,6 +137,12 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 
 #: retry budget per spec when none is configured.
 DEFAULT_MAX_RETRIES = 2
+
+#: errors a spec's own inputs cause, so every retry would raise them
+#: again: they fail their spec at once.  Worker death, timeouts,
+#: ``OSError`` and injected faults stay retriable.
+FAIL_FAST_ERRORS = (OutOfMemoryError, PolicyError, ConfigError,
+                    WorkloadError)
 
 
 def default_jobs() -> int:
@@ -210,11 +226,16 @@ def _run_chunk_body(specs: Sequence[RunSpec],
                     ) -> list[tuple[dict, float]]:
     perform_worker_action(action)
     out = []
-    for spec in specs:
+    for position, spec in enumerate(specs):
         start = time.perf_counter()
-        with obs_trace.span("runner.exec", cat="runner",
-                            spec=spec.label()):
-            result = execute_spec(spec)
+        try:
+            with obs_trace.span("runner.exec", cat="runner",
+                                spec=spec.label()):
+                result = execute_spec(spec)
+        except FAIL_FAST_ERRORS as exc:
+            # Name the spec to the parent, which fails it at once.
+            exc.chunk_position = position
+            raise
         out.append((encode_result(result), time.perf_counter() - start))
     return out
 
@@ -330,6 +351,8 @@ class _Wave:
     harvest.
 
     ``failed`` collects ``(block, cause)`` pairs for the retry logic;
+    ``rejected`` the ``(spec index, cause)`` pairs of input errors,
+    which fail at once, and ``rerun`` the rest of their chunks;
     ``broken`` records that the pool has to be abandoned and rebuilt.
     """
 
@@ -345,6 +368,8 @@ class _Wave:
         self.tracing = obs_trace.enabled()
         self.pending: deque[_Chunk] = deque()
         self.failed: list[tuple[list[int], str]] = []
+        self.rejected: list[tuple[int, str]] = []
+        self.rerun: list[list[int]] = []
         self.broken = False
 
     def submit(self, block: list[int]) -> None:
@@ -435,10 +460,17 @@ class _Wave:
                 chunk_span.annotate(outcome="crashed")
             except Exception as exc:  # noqa: BLE001
                 self.recovery.chunk_errors += 1
-                self.failed.append(
-                    (block, f"{type(exc).__name__}: {exc}"))
-                chunk_span.annotate(
-                    outcome="error", cause=f"{type(exc).__name__}: {exc}")
+                cause = f"{type(exc).__name__}: {exc}"
+                position = getattr(exc, "chunk_position", None)
+                if isinstance(exc, FAIL_FAST_ERRORS) and position is not None:
+                    self.rejected.append((block[position], cause))
+                    rest = block[:position] + block[position + 1:]
+                    if rest:
+                        self.rerun.append(rest)
+                    chunk_span.annotate(outcome="rejected", cause=cause)
+                else:
+                    self.failed.append((block, cause))
+                    chunk_span.annotate(outcome="error", cause=cause)
             else:
                 runner._harvest(specs, self.keys, block, payload,
                                 self.results, self.durations)
@@ -767,6 +799,8 @@ class SweepRunner:
                 except Exception as exc:  # noqa: BLE001 - retry boundary
                     recovery.chunk_errors += 1
                     last_cause = f"{type(exc).__name__}: {exc}"
+                    if isinstance(exc, FAIL_FAST_ERRORS):
+                        break
                     if attempt < self.max_retries:
                         recovery.retries += 1
                         obs_trace.instant("runner.retry", cat="runner",
@@ -787,8 +821,8 @@ class SweepRunner:
                 causes.append(last_cause)
         if failed:
             raise SweepError(
-                f"sweep failed for {len(failed)} spec(s) after "
-                f"{self.max_retries} retries each: {', '.join(failed)}",
+                f"sweep failed for {len(failed)} spec(s): "
+                f"{', '.join(failed)}",
                 failed_specs=failed, causes=causes,
             )
 
@@ -871,6 +905,9 @@ class SweepRunner:
                     if queue:
                         self._backoff_sleep(retry_round, recovery)
                         retry_round += 1
+                for index, cause in wave.rejected:
+                    failed[index] = cause
+                queue.extend(wave.rerun)
         except BaseException:
             # A sweep aborting mid-flight (deadline, KeyboardInterrupt)
             # must not leave orphaned work running: drop the pool.  On
@@ -882,8 +919,8 @@ class SweepRunner:
             order = sorted(failed)
             labels = [specs[i].label() for i in order]
             raise SweepError(
-                f"sweep failed for {len(failed)} spec(s) despite "
-                f"retries and serial fallback: {', '.join(labels)}",
+                f"sweep failed for {len(failed)} spec(s): "
+                f"{', '.join(labels)}",
                 failed_specs=labels,
                 causes=[failed[i] for i in order],
             )

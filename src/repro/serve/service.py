@@ -63,7 +63,7 @@ from repro.resilience.faults import (
     InjectedFaultError,
     active_plan,
 )
-from repro.memory.acpi import FirmwareTables, Sbit, enumerate_tables
+from repro.memory.acpi import Sbit, enumerate_tables
 from repro.memory.topology import topology_by_name, topology_names
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
@@ -379,7 +379,6 @@ class PlacementService:
         # left /metrics stale between batches and blind to bursts.
         self._batcher.on_depth_change = (
             lambda depth: self.m_queue_depth.set(depth))
-        self._tables_cache: dict[str, FirmwareTables] = {}
 
         m = self.metrics
         self.m_requests = m.counter(
@@ -593,14 +592,10 @@ class PlacementService:
         if topology is None:
             topology = "baseline"
         if isinstance(topology, str):
-            if topology not in self._tables_cache:
-                try:
-                    self._tables_cache[topology] = enumerate_tables(
-                        topology_by_name(topology)
-                    )
-                except ReproError as exc:
-                    raise BadRequestError(str(exc))
-            return self._tables_cache[topology], topology
+            try:
+                return enumerate_tables(topology_by_name(topology)), topology
+            except ReproError as exc:
+                raise BadRequestError(str(exc))
         if isinstance(topology, Mapping):
             bandwidths = topology.get("bandwidth_gbps")
             if not isinstance(bandwidths, Sequence) or not bandwidths:

@@ -5,7 +5,10 @@ allocator (heap grows upward from :data:`HEAP_BASE`) and records the
 physical mapping of every virtual page.  Mappings are stored in dense
 numpy arrays indexed by virtual page number, which makes the hot
 experiment path — "which zone serves this page?" for a few hundred
-thousand trace entries — a single fancy-index operation.
+thousand trace entries — a single fancy-index operation.  Reserving a
+range only moves the bump pointer; the tables grow to cover every
+reserved page when they are next read, so a program that reserves all
+its allocations before placing any grows them once.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ class AddressSpace:
     def __init__(self) -> None:
         self._next_va = HEAP_BASE
         self._allocations: list[Allocation] = []
-        base_vpn = HEAP_BASE // PAGE_SIZE
-        self._base_vpn = base_vpn
+        self._base_vpn = HEAP_BASE // PAGE_SIZE
+        #: pages reserved so far; :meth:`_tables` grows the page
+        #: tables to this length.
+        self._n_pages = 0
         self._zone = np.full(0, UNMAPPED, dtype=np.int16)
         self._frame = np.full(0, -1, dtype=np.int64)
 
@@ -71,7 +76,8 @@ class AddressSpace:
         )
         self._next_va = allocation.va_end
         self._allocations.append(allocation)
-        self._grow_tables(allocation.first_vpn + allocation.n_pages)
+        self._n_pages = allocation.first_vpn + allocation.n_pages \
+            - self._base_vpn
         return allocation
 
     def allocation_of(self, virtual_address: int) -> Allocation:
@@ -87,40 +93,43 @@ class AddressSpace:
     # Page table
     # ------------------------------------------------------------------
 
-    def _grow_tables(self, end_vpn: int) -> None:
-        needed = end_vpn - self._base_vpn
-        if needed <= len(self._zone):
-            return
-        grow = needed - len(self._zone)
-        self._zone = np.concatenate(
-            [self._zone, np.full(grow, UNMAPPED, dtype=np.int16)]
-        )
-        self._frame = np.concatenate(
-            [self._frame, np.full(grow, -1, dtype=np.int64)]
-        )
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The zone and frame tables, grown to cover every reserved
+        page."""
+        grow = self._n_pages - len(self._zone)
+        if grow:
+            self._zone = np.concatenate(
+                [self._zone, np.full(grow, UNMAPPED, dtype=np.int16)]
+            )
+            self._frame = np.concatenate(
+                [self._frame, np.full(grow, -1, dtype=np.int64)]
+            )
+        return self._zone, self._frame
 
     def _index(self, vpn: int) -> int:
         idx = vpn - self._base_vpn
-        if idx < 0 or idx >= len(self._zone):
+        if idx < 0 or idx >= self._n_pages:
             raise TranslationError(f"vpn {vpn} outside managed range")
         return idx
 
     def map_page(self, vpn: int, mapping: PageMapping) -> None:
         """Install the physical mapping for one virtual page."""
         idx = self._index(vpn)
-        if self._zone[idx] != UNMAPPED:
+        zone, frame = self._tables()
+        if zone[idx] != UNMAPPED:
             raise TranslationError(f"vpn {vpn} is already mapped")
-        self._zone[idx] = mapping.zone_id
-        self._frame[idx] = mapping.frame
+        zone[idx] = mapping.zone_id
+        frame[idx] = mapping.frame
 
     def unmap_page(self, vpn: int) -> PageMapping:
         """Remove and return the mapping for one virtual page."""
         idx = self._index(vpn)
-        if self._zone[idx] == UNMAPPED:
+        zone, frame = self._tables()
+        if zone[idx] == UNMAPPED:
             raise TranslationError(f"vpn {vpn} is not mapped")
-        mapping = PageMapping(int(self._zone[idx]), int(self._frame[idx]))
-        self._zone[idx] = UNMAPPED
-        self._frame[idx] = -1
+        mapping = PageMapping(int(zone[idx]), int(frame[idx]))
+        zone[idx] = UNMAPPED
+        frame[idx] = -1
         return mapping
 
     def _span(self, allocation: Allocation) -> slice:
@@ -130,25 +139,33 @@ class AddressSpace:
     def allocation_zones(self, allocation: Allocation) -> np.ndarray:
         """Read-only zone id per page of ``allocation`` (``UNMAPPED``
         where a page is not faulted in)."""
-        view = self._zone[self._span(allocation)]
+        view = self._tables()[0][self._span(allocation)]
         view.flags.writeable = False
         return view
 
     def unmapped_pages(self, allocation: Allocation) -> np.ndarray:
         """Indices, within ``allocation``, of its unmapped pages."""
-        return np.flatnonzero(self._zone[self._span(allocation)] == UNMAPPED)
+        zone = self._tables()[0][self._span(allocation)]
+        return (zone == UNMAPPED).nonzero()[0]
 
     def map_pages(self, allocation: Allocation, pages: np.ndarray,
                   zones: np.ndarray, frames: np.ndarray) -> None:
-        """Install mappings for pages ``pages`` of ``allocation``."""
-        span = self._span(allocation)
-        zone_view = self._zone[span]
-        taken = np.flatnonzero(zone_view[pages] != UNMAPPED)
+        """Install mappings for pages ``pages`` (increasing indices)
+        of ``allocation``."""
+        start = allocation.first_vpn - self._base_vpn
+        if pages.size and pages[-1] - pages[0] + 1 == pages.size:
+            # A run, such as every page of a fresh allocation.
+            start += int(pages[0])
+            where = slice(start, start + pages.size)
+        else:
+            where = start + pages
+        zone, frame = self._tables()
+        taken = (zone[where] != UNMAPPED).nonzero()[0]
         if taken.size:
             vpn = allocation.first_vpn + int(pages[taken[0]])
             raise TranslationError(f"vpn {vpn} is already mapped")
-        zone_view[pages] = zones
-        self._frame[span][pages] = frames
+        zone[where] = zones
+        frame[where] = frames
 
     def unmap_pages(self, allocation: Allocation
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +174,9 @@ class AddressSpace:
         Returns the released ``(zones, frames)`` in page order.
         """
         span = self._span(allocation)
-        zone_view = self._zone[span]
-        frame_view = self._frame[span]
+        zone, frame = self._tables()
+        zone_view = zone[span]
+        frame_view = frame[span]
         mapped = zone_view != UNMAPPED
         released = zone_view[mapped], frame_view[mapped]
         zone_view[mapped] = UNMAPPED
@@ -167,18 +185,19 @@ class AddressSpace:
 
     def is_mapped(self, vpn: int) -> bool:
         idx = vpn - self._base_vpn
-        if idx < 0 or idx >= len(self._zone):
+        if idx < 0 or idx >= self._n_pages:
             return False
-        return self._zone[idx] != UNMAPPED
+        return self._tables()[0][idx] != UNMAPPED
 
     def translate(self, virtual_address: int) -> PageMapping:
         """Zone and frame backing ``virtual_address``."""
         idx = self._index(vpn_of(virtual_address))
-        if self._zone[idx] == UNMAPPED:
+        zone, frame = self._tables()
+        if zone[idx] == UNMAPPED:
             raise TranslationError(
                 f"page fault: {virtual_address:#x} is unmapped"
             )
-        return PageMapping(int(self._zone[idx]), int(self._frame[idx]))
+        return PageMapping(int(zone[idx]), int(frame[idx]))
 
     def zone_of_vpns(self, vpns: np.ndarray) -> np.ndarray:
         """Vectorized translation of virtual page numbers to zone ids.
@@ -188,9 +207,9 @@ class AddressSpace:
         recoverable fault.
         """
         idx = np.asarray(vpns, dtype=np.int64) - self._base_vpn
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self._zone)):
+        if idx.size and (idx.min() < 0 or idx.max() >= self._n_pages):
             raise TranslationError("vpn outside managed range")
-        zones = self._zone[idx]
+        zones = self._tables()[0][idx]
         if idx.size and zones.min() == UNMAPPED:
             bad = int(np.asarray(vpns)[zones == UNMAPPED][0])
             raise TranslationError(f"page fault: vpn {bad} is unmapped")
@@ -203,10 +222,8 @@ class AddressSpace:
         and the analytic engines consume: entry ``k`` is the zone backing
         the ``k``-th page of the program footprint.
         """
-        pieces = [self._zone[self._span(a)] for a in self._allocations]
-        if not pieces:
-            return np.empty(0, dtype=np.int16)
-        flat = np.concatenate(pieces)
+        # Allocations tile the table in program order, with no gaps.
+        flat = self._tables()[0].copy()
         if flat.size and flat.min() == UNMAPPED:
             raise TranslationError("zone_map() on partially mapped space")
         return flat

@@ -50,7 +50,7 @@ class ZoneAllocator:
     @property
     def free_pages(self) -> int:
         """Frames still available."""
-        return self.capacity_pages - self.used_pages
+        return self.capacity_pages - self._next_frame + len(self._free_list)
 
     @property
     def full(self) -> bool:
@@ -85,16 +85,17 @@ class ZoneAllocator:
                 f"zone {self.zone_id}: requested {count} frames, "
                 f"{self.free_pages} free"
             )
-        keep = max(0, len(self._free_list) - count)
-        recycled = self._free_list[keep:][::-1]
-        del self._free_list[keep:]
-        self._free_set.difference_update(recycled)
-        fresh = count - len(recycled)
-        frames = np.concatenate([
-            np.asarray(recycled, dtype=np.int64),
-            np.arange(self._next_frame, self._next_frame + fresh,
-                      dtype=np.int64),
-        ])
+        fresh = max(0, count - len(self._free_list))
+        # The last ``fresh`` entries are the bump pointer's frames; the
+        # ones before them are overwritten with the recycled frames.
+        frames = np.arange(self._next_frame + fresh - count,
+                           self._next_frame + fresh, dtype=np.int64)
+        if fresh < count:
+            keep = len(self._free_list) - (count - fresh)
+            recycled = self._free_list[keep:]
+            del self._free_list[keep:]
+            self._free_set.difference_update(recycled)
+            frames[:count - fresh] = recycled[::-1]
         self._next_frame += fresh
         return frames
 
@@ -177,9 +178,16 @@ class PhysicalMemory:
         ``spill_order(zone)`` the preference chain behind a first zone
         (completed as in :meth:`allocate`).  The outcome is exactly that
         of calling :meth:`allocate` once per page, in order, with the
-        page's chain.  Between two moments where a zone fills, a page's
-        zone depends only on its first zone, so the batch is placed in
-        at most one array pass per zone that fills.
+        page's chain.
+
+        Until a zone fills, a page's zone depends only on its first
+        zone, so the pages are placed in segments, one per zone that
+        fills (at most one more than there are zones), each costing a
+        handful of array operations over its pages: every first zone
+        is redirected to where its chain lands, the segment is cut
+        after the page that takes some zone's last free frame, and
+        each zone hands its frames to its pages in page order.
+        ``spill_order`` is asked once per distinct first zone.
 
         Returns ``(zones, frames, error)``.  ``zones`` and ``frames``
         cover the placed prefix of the pages.  ``error`` is what the
@@ -187,48 +195,84 @@ class PhysicalMemory:
         lacks), or ``None`` when every page was placed.  The prefix
         stays allocated either way, as it would page by page.
         """
-        firsts, first_index = np.unique(np.asarray(first),
-                                        return_inverse=True)
-        chains = [self._chain(spill_order(int(zone)), strict)
-                  for zone in firsts]
-        n_pages = first_index.size
+        first = np.asarray(first, dtype=np.intp)
+        n_pages = first.size
         zones = np.empty(n_pages, dtype=np.int16)
         frames = np.empty(n_pages, dtype=np.int64)
+        if not n_pages:
+            return zones, frames, None
+        allocators = self._allocators
+        n_zones = len(allocators)
+        # Zone ids are 0..n_zones-1, so a first zone of the topology is
+        # its own slot.  (Viewed unsigned, a negative id is past them.)
+        if first.view(np.uintp).max() < n_zones:
+            index = first
+            counts = np.bincount(first, minlength=n_zones).tolist()
+            keys = slots = [zone for zone in range(n_zones) if counts[zone]]
+        else:
+            found, index = np.unique(first, return_inverse=True)
+            keys, slots = found.tolist(), range(found.size)
+        chains = [(slot, self._chain(spill_order(key), strict))
+                  for slot, key in zip(slots, keys)]
+        # Where each slot's pages land while no zone fills; -1 marks a
+        # chain that cannot be served.
+        redirect = [-1] * max(n_zones, len(keys))
         start = 0
-        while start < n_pages:
-            # Where each first zone lands while no zone fills; -1 marks
-            # a first zone whose chain cannot be served.
-            redirect = np.empty(len(chains), dtype=np.int64)
+        while True:
             errors: dict[int, Exception] = {}
-            for k, chain in enumerate(chains):
+            for slot, chain in chains:
                 try:
-                    redirect[k] = self._first_free(chain)
+                    redirect[slot] = self._first_free(chain)
                 except (ConfigError, OutOfMemoryError) as exc:
-                    redirect[k] = -1
-                    errors[k] = exc
-            target = redirect[first_index[start:]]
-            blocked = np.flatnonzero(target < 0)
-            stop = start + int(blocked[0]) if blocked.size else n_pages
-            if stop == start:
-                error = errors[int(first_index[start])]
-                return zones[:start], frames[:start], error
+                    redirect[slot] = -1
+                    errors[slot] = exc
+            # While every first zone lands on itself, the first zones
+            # are the targets.
+            identity = index is first and all(
+                redirect[slot] == slot for slot in slots)
+            if identity:
+                target = index[start:]
+            else:
+                target = np.array(redirect)[index[start:]]
+            stop = n_pages
+            if errors:
+                blocked = (target < 0).nonzero()[0]
+                if blocked.size:
+                    stop = start + int(blocked[0])
+                    if stop == start:
+                        return (zones[:start], frames[:start],
+                                errors[int(index[start])])
+            segment = target[:stop - start]
+            if start or not identity:
+                counts = np.bincount(segment, minlength=n_zones).tolist()
             # Cut the segment after the page that takes a zone's last
             # free frame: the pages behind it see a different chain.
-            counts = np.bincount(target[:stop - start])
-            for zone_id in np.flatnonzero(counts).tolist():
-                free = self._allocators[zone_id].free_pages
-                if counts[zone_id] >= free:
-                    fill = np.flatnonzero(target == zone_id)[free - 1]
-                    stop = min(stop, start + int(fill) + 1)
-            segment = target[:stop - start]
+            cut = stop
+            taken = [(zone_id, count) for zone_id, count
+                     in enumerate(counts) if count]
+            for zone_id, count in taken:
+                free = allocators[zone_id].free_pages
+                if count >= free:
+                    fill = int((segment == zone_id).nonzero()[0][free - 1])
+                    cut = min(cut, start + fill + 1)
+            if cut < stop:
+                stop, segment = cut, segment[:cut - start]
+                taken = [(zone_id, count) for zone_id, count in enumerate(
+                    np.bincount(segment, minlength=n_zones).tolist())
+                    if count]
             zones[start:stop] = segment
-            placed = frames[start:stop]
-            for zone_id, count in enumerate(np.bincount(segment).tolist()):
-                if count:
-                    placed[segment == zone_id] = \
-                        self._allocators[zone_id].allocate_many(count)
+            handed = [allocators[zone_id].allocate_many(count)
+                      for zone_id, count in taken]
+            if len(handed) == 1:
+                frames[start:stop] = handed[0]
+            else:
+                # A stable sort by zone lines the pages up with their
+                # zones' frames, each zone's in page order.
+                order = zones[start:stop].argsort(kind="stable")
+                frames[start:stop][order] = np.concatenate(handed)
+            if stop == n_pages:
+                return zones, frames, None
             start = stop
-        return zones, frames, None
 
     def _chain(self, preferred: Iterable[int], strict: bool) -> list[int]:
         chain = list(preferred)
@@ -238,7 +282,7 @@ class PhysicalMemory:
 
     def _first_free(self, chain: list[int]) -> int:
         for zone_id in chain:
-            if not self.allocator(zone_id).full:
+            if self.allocator(zone_id).free_pages:
                 return zone_id
         raise OutOfMemoryError(
             f"zones {chain} exhausted in topology {self.topology.name}"

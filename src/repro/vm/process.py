@@ -21,6 +21,13 @@ effective policy once for the first-choice zone of every unmapped page
 the spill chains and hand out frames for the whole batch.  Zones,
 frames and policy state (random draws, round-robin counters) come out
 exactly as if each page had been faulted in on its own.
+
+A process is cheap to build: its firmware tables come from
+:func:`~repro.memory.acpi.enumerate_tables`, which keeps one
+:class:`~repro.memory.acpi.FirmwareTables` per (topology, clock), and
+reserving a range only moves the address space's bump pointer.  A
+fault-in then costs a few array passes over the allocation's pages, in
+the policy and in ``allocate_pages``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,12 @@ from repro.vm.page import Allocation
 
 
 class Process:
-    """A GPU-side process with allocation-time page placement."""
+    """A GPU-side process with allocation-time page placement.
+
+    ``tables`` defaults to the memoised firmware view of ``topology``
+    (shared with every process built on an equal topology);
+    ``physical`` defaults to a fresh :class:`PhysicalMemory`.
+    """
 
     def __init__(self, topology: SystemTopology,
                  physical: Optional[PhysicalMemory] = None,

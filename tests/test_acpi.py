@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import ConfigError
 from repro.memory.acpi import (
     SLIT_LOCAL_DISTANCE,
+    TABLES_MEMO_SIZE,
     Sbit,
     Slit,
     Srat,
@@ -12,6 +13,7 @@ from repro.memory.acpi import (
     enumerate_tables,
 )
 from repro.memory.topology import simulated_baseline, symmetric_topology
+from repro.vm.process import Process
 
 
 class TestSrat:
@@ -113,3 +115,27 @@ class TestEnumerateTables:
         tables = enumerate_tables(baseline)
         assert isinstance(tables.sbit.bandwidth_gbps[0], float)
         assert isinstance(tables.slit.distances[0][0], int)
+
+
+class TestTablesMemo:
+    def test_equal_topologies_share_one_table_set(self):
+        first = Process(simulated_baseline(bo_capacity_gib=0.5))
+        second = Process(simulated_baseline(bo_capacity_gib=0.5))
+        assert first.topology is not second.topology
+        assert first.tables is second.tables
+
+    def test_topology_and_clock_both_key_the_tables(self):
+        tables = enumerate_tables(simulated_baseline())
+        assert enumerate_tables(simulated_baseline(), 1.4) is tables
+        assert enumerate_tables(simulated_baseline(bo_capacity_gib=1.0)) \
+            is not tables
+        # The hop to CO memory is in core cycles: the clock sets SLIT.
+        slow = enumerate_tables(simulated_baseline(), clock_ghz=0.7)
+        assert slow.slit.distance(0, 1) > tables.slit.distance(0, 1)
+
+    def test_memo_is_bounded(self):
+        tables = enumerate_tables(symmetric_topology(bandwidth_gbps=1.0))
+        for k in range(TABLES_MEMO_SIZE):
+            enumerate_tables(symmetric_topology(bandwidth_gbps=2.0 + k))
+        again = enumerate_tables(symmetric_topology(bandwidth_gbps=1.0))
+        assert again == tables and again is not tables

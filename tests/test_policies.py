@@ -6,7 +6,11 @@ import pytest
 from conftest import make_context
 from repro.core.errors import PolicyError
 from repro.core.units import PAGE_SIZE
-from repro.memory.topology import simulated_baseline, symmetric_topology
+from repro.memory.topology import (
+    simulated_baseline,
+    symmetric_topology,
+    three_pool_topology,
+)
 from repro.policies.base import spill_chain, validate_fractions
 from repro.policies.bwaware import (
     BwAwarePolicy,
@@ -33,6 +37,13 @@ class TestSpillChain:
     def test_covers_all_zones_once(self, context):
         chain = spill_chain(0, context)
         assert sorted(chain) == [0, 1]
+
+    def test_remaining_zones_nearest_first(self):
+        # HBM, GDDR5 and DDR4 sit at SLIT 10, 13 and 27 from the GPU:
+        # a two-zone chain has one order, three zones show the walk.
+        context = make_context(three_pool_topology())
+        assert spill_chain(0, context) == [0, 1, 2]
+        assert spill_chain(2, context) == [2, 0, 1]
 
 
 class TestValidateFractions:
