@@ -30,6 +30,10 @@ class RequestLimitError(ConfigError):
         self.value = value
         self.limit = limit
 
+    def __reduce__(self):
+        # Rebuilt from its fields when it crosses a process boundary.
+        return type(self), (self.field, self.value, self.limit)
+
 
 class OutOfMemoryError(ReproError):
     """No physical frame could satisfy an allocation request.
@@ -89,6 +93,9 @@ class IngestError(WorkloadError):
         self.file = file
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.file, self.line, self.column)
 
     def to_dict(self) -> dict:
         """JSON-able structure for HTTP error bodies and quarantine
