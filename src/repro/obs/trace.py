@@ -50,7 +50,6 @@ import os
 import sys
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence, Union
@@ -74,6 +73,8 @@ _lane_var: contextvars.ContextVar[Optional[int]] = \
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id (compact enough for labels)."""
+    import uuid  # deferred: only serve and its client make trace ids
+
     return uuid.uuid4().hex[:16]
 
 

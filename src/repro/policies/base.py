@@ -22,7 +22,6 @@ allocation metadata.  They never touch the page table; the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ if TYPE_CHECKING:  # break the policies <-> vm import cycle
     from repro.vm.page import Allocation
 
 
-@dataclass
 class PlacementContext:
     """Everything a policy may consult when placing a page.
 
@@ -43,15 +41,26 @@ class PlacementContext:
     must work from *exposed* information — SBIT for bandwidth — rather
     than from omniscient knowledge of the hardware).  ``rng`` provides
     the randomness for the paper's random-draw BW-AWARE implementation
-    and is seeded by the experiment harness for reproducibility.
+    and is seeded by the experiment harness for reproducibility: unless
+    one is passed in, it is built from ``seed`` on its first read, so
+    policies that never draw never pay for a generator.
     """
 
-    tables: FirmwareTables
-    physical: PhysicalMemory
-    local_zone: int
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.default_rng(0)
-    )
+    def __init__(self, tables: FirmwareTables, physical: PhysicalMemory,
+                 local_zone: int,
+                 rng: Optional[np.random.Generator] = None,
+                 seed: int = 0) -> None:
+        self.tables = tables
+        self.physical = physical
+        self.local_zone = local_zone
+        self._rng = rng
+        self._seed = seed
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
 
     @property
     def n_zones(self) -> int:

@@ -26,8 +26,13 @@ Reads: a :class:`ResultCache` indexes key → frame by walking the frame
 headers of every segment once, and walks only the bytes appended since
 when a lookup misses, so records other processes append (a ``repro
 serve`` daemon, parallel CI shards sharing one directory) are found.
-A hit slices the memory-mapped segment, hashes the raw result bytes
-against the stored SHA-256 and parses only the result part.
+A hit slices the memory-mapped segment.  If those bytes equal a frame
+this instance already verified and decoded with the same decode step,
+the hit returns that decoded value: equal bytes cannot give another
+verdict or value.  Any other frame has its CRC and the raw result
+bytes' SHA-256 checked, and only its result part parsed.  Decoded
+values are therefore shared between hits, and the default decode hands
+out nothing a caller can change in place.
 
 Writes: :meth:`ResultCache.put_many` appends a batch of frames with
 one write and one fsync; the sweep runner commits each harvested chunk
@@ -96,6 +101,10 @@ QUARANTINE_DIRNAME = "quarantine"
 #: which also bounds the bytes one walk reads at once.
 SEGMENT_MAX_BYTES = 64 << 20
 
+#: frame bytes a :class:`ResultCache` keeps, with their decoded values,
+#: to answer repeat reads of unchanged frames (oldest dropped first).
+VERIFIED_MEMO_BYTES = 8 << 20
+
 _SEGMENT_PREFIX, _SEGMENT_SUFFIX = "seg-", ".log"
 
 #: ``\xff`` never occurs in the ASCII JSON parts, so a walk can find
@@ -137,9 +146,49 @@ def encode_result(result: ExperimentResult) -> dict:
     }
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a decoded cache record is read-only")
+
+
+class _ReadOnlyDict(dict):
+    """A dict no caller can change in place.  It compares and encodes
+    as a dict; copies and pickles are plain dicts."""
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _ReadOnlyList(list):
+    """A list no caller can change in place.  It compares and encodes
+    as a list; copies and pickles are plain lists."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = _read_only
+    sort = reverse = _read_only
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def read_only(value):
+    """JSON data ``value`` with every dict and list made read-only, for
+    decode steps whose values later cache hits hand out again."""
+    if isinstance(value, dict):
+        return _ReadOnlyDict((k, read_only(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return _ReadOnlyList(read_only(v) for v in value)
+    return value
+
+
 def decode_result(payload: dict) -> ExperimentResult:
-    """Rebuild an :class:`ExperimentResult` from its encoded form."""
+    """Rebuild an :class:`ExperimentResult` from its encoded form.  Its
+    ``bytes_by_zone`` and ``migration`` are read-only."""
     sim = payload["sim"]
+    bytes_by_zone = np.asarray(sim["bytes_by_zone"], dtype=np.float64)
+    bytes_by_zone.flags.writeable = False
     return ExperimentResult(
         workload=payload["workload"],
         dataset=payload["dataset"],
@@ -148,8 +197,7 @@ def decode_result(payload: dict) -> ExperimentResult:
             engine=sim["engine"],
             total_time_ns=float(sim["total_time_ns"]),
             dram_accesses=int(sim["dram_accesses"]),
-            bytes_by_zone=np.asarray(sim["bytes_by_zone"],
-                                     dtype=np.float64),
+            bytes_by_zone=bytes_by_zone,
             time_bandwidth_ns=float(sim["time_bandwidth_ns"]),
             time_latency_ns=float(sim["time_latency_ns"]),
             time_compute_ns=float(sim["time_compute_ns"]),
@@ -160,7 +208,7 @@ def decode_result(payload: dict) -> ExperimentResult:
         topology_name=payload["topology_name"],
         # .get(): records written before the ONLINE policy lack the key
         # (they are also orphaned by the salt bump, but stay decodable).
-        migration=payload.get("migration"),
+        migration=read_only(payload.get("migration")),
     )
 
 
@@ -374,6 +422,10 @@ class ResultCache:
         #: segments this instance left a torn tail in; it never
         #: appends to them again.
         self._abandoned: set[str] = set()
+        #: key -> (frame, decode, value) of frames that passed both
+        #: checksums and decoded, oldest first; see :meth:`get`.
+        self._verified: dict[str, tuple[bytes, Callable, Any]] = {}
+        self._verified_bytes = 0
 
     @property
     def quarantine_dir(self) -> Path:
@@ -522,6 +574,23 @@ class ResultCache:
                   cause="torn frame at the end of the segment")
         return True
 
+    def _remember(self, key: str, frame: bytes, decode: Callable,
+                  value: Any) -> None:
+        """Keep a verified, decoded frame, within
+        :data:`VERIFIED_MEMO_BYTES`."""
+        self._forget_verified(key)
+        if len(frame) > VERIFIED_MEMO_BYTES:
+            return
+        while self._verified_bytes + len(frame) > VERIFIED_MEMO_BYTES:
+            self._forget_verified(next(iter(self._verified)))
+        self._verified[key] = (frame, decode, value)
+        self._verified_bytes += len(frame)
+
+    def _forget_verified(self, key: str) -> None:
+        entry = self._verified.pop(key, None)
+        if entry is not None:
+            self._verified_bytes -= len(entry[0])
+
     def get(self, key: str,
             decode: Callable[[dict], T] = decode_result) -> Optional[T]:
         """The cached record for ``key``, or ``None`` (counted a miss).
@@ -531,6 +600,12 @@ class ResultCache:
         ``KeyError``, ``TypeError``), are quarantined so they are
         recomputed once, not re-read on every lookup — and a corrupt
         record can never surface as a wrong result.
+
+        Every hit reads the frame.  A frame byte-equal to one this
+        instance already verified and decoded with an equal ``decode``
+        returns that same value, so ``decode`` must build values its
+        callers cannot change (as :func:`decode_result` and
+        :func:`read_only` do).
         """
         with self._lock, obs_trace.span("cache.get", cat="cache",
                                         key=key[:12]) as span:
@@ -552,14 +627,22 @@ class ResultCache:
                             "injected fault at cache.read")
                     self._damage(where, action)
             frame = where[0].read(where[1], where[2])
-            try:
-                result = decode(json.loads(_verified_result(frame, key)))
-            except (ValueError, KeyError, TypeError) as exc:
-                self.stats.misses += 1
-                cause = f"{type(exc).__name__}: {exc}"
-                self._quarantine(key, where, frame, cause)
-                span.annotate(outcome="quarantined", cause=cause)
-                return None
+            known = self._verified.get(key)
+            if (known is not None and known[0] == frame
+                    and known[1] == decode):
+                result = known[2]
+            else:
+                try:
+                    result = decode(json.loads(_verified_result(frame,
+                                                                key)))
+                except (ValueError, KeyError, TypeError) as exc:
+                    self.stats.misses += 1
+                    cause = f"{type(exc).__name__}: {exc}"
+                    self._forget_verified(key)
+                    self._quarantine(key, where, frame, cause)
+                    span.annotate(outcome="quarantined", cause=cause)
+                    return None
+                self._remember(key, frame, decode, result)
             self.stats.hits += 1
             span.annotate(outcome="hit")
             return result
@@ -719,6 +802,8 @@ class ResultCache:
             for segment in list(self._segments.values()):
                 self._forget(segment)
             self._abandoned.clear()
+            self._verified.clear()
+            self._verified_bytes = 0
             for entry in os.scandir(self.root):
                 try:
                     if _segment_number(entry.name) is not None:

@@ -291,6 +291,10 @@ class ServeApp:
         return f"http://{self.config.host}:{self.port}"
 
     async def start(self) -> None:
+        # With tracing on, a request without a trace id gets one from
+        # new_trace_id: load its deferred uuid now, not on that request.
+        import uuid  # noqa: F401
+
         await self.service.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,

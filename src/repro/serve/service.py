@@ -71,6 +71,7 @@ from repro.policies.registry import policy_names
 from repro.profiling.cdf import AccessCdf
 from repro.profiling.profiler import PageAccessProfiler
 from repro.runner import ResultCache, SweepRunner, content_key, make_spec
+from repro.runner.cache import read_only
 from repro.runner.spec import RunSpec
 from repro.runtime.hints import get_allocation
 from repro.serve.batching import BatchSaturatedError, MicroBatcher, SingleFlight
@@ -322,9 +323,15 @@ _PROFILE_FIELDS = ("workload", "dataset", "seed", "n_accesses",
 
 
 def _decode_profile(payload: dict) -> dict:
-    """A cached profile record's payload; ``KeyError`` (so the record
-    is quarantined) unless it carries every field."""
-    return {field: payload[field] for field in _PROFILE_FIELDS}
+    """A cached profile record's payload, read-only (later hits share
+    it); ``KeyError`` (so the record is quarantined) unless it carries
+    every field."""
+    return read_only({field: payload[field] for field in _PROFILE_FIELDS})
+
+
+def _decode_tuned(payload: dict) -> AutotuneReport:
+    """A cached tuned-ratio report, read-only (later hits share it)."""
+    return AutotuneReport.from_dict(read_only(payload))
 
 
 class PlacementService:
@@ -1029,7 +1036,7 @@ class PlacementService:
             # run_autotune is looked up at call time: benchmarks rebind it.
             lambda _: self._cached(
                 key, spec, lambda: run_autotune(**params),
-                AutotuneReport.to_dict, AutotuneReport.from_dict, force),
+                AutotuneReport.to_dict, _decode_tuned, force),
             deadline, workload=params["workload"], topology=topology_name)
         return {
             "profile_key": key,

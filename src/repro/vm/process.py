@@ -69,7 +69,7 @@ class Process:
             tables=self.tables,
             physical=self.physical,
             local_zone=topology.gpu_local_zone,
-            rng=np.random.default_rng(seed),
+            seed=seed,
         )
         self._prepared_policies: set[int] = set()
 

@@ -141,12 +141,14 @@ class TestComparePolicies:
 
 #: what a static ``repro run`` never executes: the sweep runner and its
 #: cache, fault injection, the metrics registry, the ONLINE policy and
-#: its migration stack, the numpy LRU fallback, and ANNOTATED's
-#: profiling pass with the CUDA-shaped runtime it hints through.
+#: its migration stack, the numpy LRU fallback, ANNOTATED's profiling
+#: pass with the CUDA-shaped runtime it hints through, and the ``uuid``
+#: only serve's trace ids use.
 DEFERRED = ("repro.runner", "repro.resilience", "repro.obs.metrics",
             "repro.migration", "repro.policies.online", "repro.gpu.lru",
             "repro.profiling.profiler", "repro.profiling.datastruct_map",
-            "repro.runtime", "multiprocessing", "concurrent.futures")
+            "repro.runtime", "multiprocessing", "concurrent.futures",
+            "uuid")
 
 
 def _loaded_after(code: str, watched, timeout: float = 60) -> list:

@@ -53,6 +53,26 @@ class TestProcessPlacement:
         zone_map = process.place_all(LocalPolicy())
         assert zone_map.tolist() == [0, 0, 0, 0]
 
+    def test_local_placement_builds_no_generator(self, baseline,
+                                                 monkeypatch):
+        """The placement RNG is built on its first read, from the
+        process seed: LOCAL never draws, so it never pays for one."""
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        process = Process(baseline, seed=3)
+        process.reserve(8 * PAGE_SIZE)
+        process.place_all(LocalPolicy())
+        assert built == []
+        first = process.context.rng.random()
+        assert built == [3]
+        assert first == default_rng(3).random()
+
     def test_spill_when_local_full(self):
         topo = simulated_baseline(bo_capacity_gib=4 * PAGE_SIZE / 2**30)
         process = Process(topo)

@@ -6,8 +6,10 @@ served; and a damaged cache degrades to misses, never to crashes or
 wrong numbers.
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 import struct
 
 import pytest
@@ -17,11 +19,13 @@ from repro.core.experiment import run_experiment
 from repro.memory.topology import simulated_baseline, symmetric_topology
 from repro.policies.bwaware import BwAwarePolicy, CounterBwAwarePolicy
 from repro.policies.local import LocalPolicy
+from repro.resilience import FaultPlan, FaultRule
 from repro.runner import (
     ResultCache,
     bw_ratio_policy,
     canonical_policy,
     code_version_salt,
+    content_key,
     decode_result,
     encode_result,
     make_spec,
@@ -146,6 +150,26 @@ class TestCacheKeyInvalidation:
         a = make_spec("bfs", "local", trace_accesses=ACCESSES)
         b = make_spec("BFS", "LOCAL", trace_accesses=ACCESSES)
         assert a.cache_key("s") == b.cache_key("s")
+
+    def test_key_is_the_content_key_of_the_canonical_spec(self):
+        """The key a spec memoises is the one its canonical form hashes
+        to, for any salt; a replaced spec gets its own, and a pickle
+        carries the fields alone."""
+        spec = make_spec("bfs", BwAwarePolicy.from_ratio(30),
+                         topology=simulated_baseline(),
+                         bo_capacity_fraction=0.25,
+                         trace_accesses=ACCESSES, seed=3)
+        fresh_pickle = pickle.dumps(spec)
+        key = spec.cache_key("s")
+        assert pickle.dumps(spec) == fresh_pickle
+        replaced = dataclasses.replace(spec, seed=4)
+        unpickled = pickle.loads(pickle.dumps(spec))
+        assert unpickled == spec and hash(unpickled) == hash(spec)
+        assert replaced.cache_key("s") != key
+        for candidate in (spec, replaced, unpickled):
+            for salt in ("s", "t"):
+                assert candidate.cache_key(salt) == content_key(
+                    candidate.canonical(), salt)
 
     def test_code_version_salt_is_stable_in_process(self):
         assert code_version_salt() == code_version_salt()
@@ -346,6 +370,109 @@ class TestResultCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
+
+
+class TestVerifiedMemo:
+    """A hit whose frame bytes equal a frame this cache already verified
+    and decoded returns that value; any other bytes take every check a
+    cold read takes."""
+
+    def warm(self, tmp_path, fault_plan=None, policy="LOCAL"):
+        cache = ResultCache(tmp_path, fault_plan=(
+            FaultPlan() if fault_plan is None else fault_plan))
+        spec = make_spec("bfs", policy, trace_accesses=ACCESSES)
+        key = spec.cache_key("s")
+        cache.put(key, spec.canonical(), run_experiment(
+            "bfs", policy=policy, trace_accesses=ACCESSES))
+        first = cache.get(key)
+        assert first is not None
+        return cache, spec, key, first
+
+    def test_repeat_hits_share_one_decode_and_count(self, tmp_path):
+        cache, _, key, first = self.warm(tmp_path)
+        assert cache.get(key) is first
+        assert cache.get(key) is first
+        assert cache.stats.hits == 3
+        assert cache.stats.misses == 0
+
+    def test_read_fault_after_a_hit_quarantines(self, tmp_path):
+        plan = FaultPlan()
+        cache, spec, key, first = self.warm(tmp_path, plan)
+        plan.rules.append(FaultRule("cache.read", "corrupt", times=1))
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.quarantined == 1
+        assert cache.locate(key) is None
+        cache.put(key, spec.canonical(), small_result())  # recomputed
+        again = cache.get(key)
+        assert encode_result(again) == encode_result(first)
+        assert cache.get(key) is again
+        assert cache.stats.hits == 3
+
+    @pytest.mark.parametrize("reseal", [False, True],
+                             ids=["crc", "sha256"])
+    def test_byte_patched_after_a_hit_is_quarantined(self, tmp_path,
+                                                     damage_frame, reseal):
+        cache, _, key, _ = self.warm(tmp_path)
+
+        def flip(frame):  # the result JSON's first byte, "{"
+            frame[FRAME_HEADER] ^= 1
+
+        damage_frame(cache, key, flip, reseal=reseal)
+        assert cache.get(key) is None
+        assert cache.stats.quarantined == 1
+        assert cache.locate(key) is None
+
+    def test_record_rewritten_under_its_key_decodes_afresh(self, tmp_path):
+        cache, spec, key, first = self.warm(tmp_path)
+        other = run_experiment("bfs", policy="INTERLEAVE",
+                               trace_accesses=ACCESSES)
+        cache.put(key, spec.canonical(), other)
+        got = cache.get(key)
+        assert encode_result(got) == encode_result(other)
+        assert encode_result(got) != encode_result(first)
+
+    def test_another_decode_never_gets_the_first_ones_value(self,
+                                                           tmp_path):
+        cache, _, key, first = self.warm(tmp_path)
+        payloads = []
+
+        def raw(payload):
+            payloads.append(payload)
+            return payload
+
+        got = cache.get(key, raw)
+        assert payloads == [encode_result(first)]
+        assert got is payloads[0]
+        assert cache.get(key, raw) is got  # now memoised for ``raw``
+        rebuilt = cache.get(key)
+        assert rebuilt is not first
+        assert encode_result(rebuilt) == encode_result(first)
+        assert cache.stats.hits == 4
+
+    def test_a_hit_cannot_change_a_later_hit(self, tmp_path):
+        cache, _, key, first = self.warm(tmp_path, policy="ONLINE")
+        before = encode_result(first)
+        assert first.migration is not None
+        with pytest.raises(ValueError):
+            first.sim.bytes_by_zone[0] = 0.0
+        with pytest.raises(TypeError):
+            first.migration["pages_migrated"] = -1
+        with pytest.raises(TypeError):
+            first.migration["moves_per_epoch"].append(1)
+        assert encode_result(cache.get(key)) == before
+        # Copies and pickles are plain data again.
+        moved = copy.deepcopy(first.migration)
+        moved["moves_per_epoch"].append(1)
+        assert type(pickle.loads(pickle.dumps(first)).migration) is dict
+        assert encode_result(cache.get(key)) == before
+
+    def test_clear_forgets_verified_frames(self, tmp_path):
+        cache, spec, key, first = self.warm(tmp_path)
+        cache.clear()
+        assert cache.get(key) is None
+        cache.put(key, spec.canonical(), small_result())
+        assert cache.get(key) is not first
 
 
 class TestSpecCanonical:
