@@ -41,20 +41,18 @@ class PlacementContext:
     must work from *exposed* information — SBIT for bandwidth — rather
     than from omniscient knowledge of the hardware).  ``rng`` provides
     the randomness for the paper's random-draw BW-AWARE implementation
-    and is seeded by the experiment harness for reproducibility: unless
-    one is passed in, it is built from ``seed`` on its first read, so
-    policies that never draw never pay for a generator.
+    and is seeded by the experiment harness for reproducibility: it is
+    built from ``seed`` on its first read, so policies that never draw
+    never pay for a generator.
     """
 
     def __init__(self, tables: FirmwareTables, physical: PhysicalMemory,
-                 local_zone: int,
-                 rng: Optional[np.random.Generator] = None,
-                 seed: int = 0) -> None:
+                 local_zone: int, seed: int = 0) -> None:
         self.tables = tables
         self.physical = physical
         self.local_zone = local_zone
-        self._rng = rng
         self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
 
     @property
     def rng(self) -> np.random.Generator:

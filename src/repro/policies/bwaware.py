@@ -22,7 +22,6 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -61,15 +60,6 @@ def two_zone_fractions(co_percent: float, bo_zone: int = 0,
     fractions[co_zone] = co_percent / 100.0
     fractions[bo_zone] = 1.0 - co_percent / 100.0
     return tuple(fractions)
-
-
-@lru_cache(maxsize=256)
-def _draw_buckets(fractions: tuple[float, ...]) -> np.ndarray:
-    """The running sum of ``fractions`` a draw is bucketed against
-    (read-only): one per fraction vector, not one per placement."""
-    cumulative = np.cumsum(np.asarray(fractions, dtype=float))
-    cumulative.flags.writeable = False
-    return cumulative
 
 
 class BwAwarePolicy(PlacementPolicy):
@@ -120,8 +110,8 @@ class BwAwarePolicy(PlacementPolicy):
                 )
         else:
             fractions = ctx.tables.sbit.fractions()
-        self._fractions = fractions
-        self._cumulative = _draw_buckets(fractions)
+        self._fractions = tuple(fractions)
+        self._cumulative = np.cumsum(np.asarray(fractions, dtype=float))
 
     def first_zones(self, allocation: Allocation, pages: np.ndarray,
                     ctx: PlacementContext) -> np.ndarray:

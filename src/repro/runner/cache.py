@@ -103,6 +103,9 @@ SEGMENT_MAX_BYTES = 64 << 20
 
 #: frame bytes a :class:`ResultCache` keeps, with their decoded values,
 #: to answer repeat reads of unchanged frames (oldest dropped first).
+#: Only the frame bytes are counted: the decoded values held beside
+#: them, as Python objects, can take several times their JSON size, so
+#: this bounds the memo's memory only indirectly.
 VERIFIED_MEMO_BYTES = 8 << 20
 
 _SEGMENT_PREFIX, _SEGMENT_SUFFIX = "seg-", ".log"

@@ -26,7 +26,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 from repro.core.limits import DEFAULT_REQUEST_LIMITS
@@ -61,24 +60,17 @@ def describe_topology(topology: Optional[SystemTopology]) -> Optional[dict]:
     return json.loads(json.dumps(description, default=str))
 
 
-def _key_payload(canonical: dict) -> bytes:
-    """The bytes :func:`content_key` hashes for ``canonical``."""
-    return json.dumps(canonical, sort_keys=True, separators=(",", ":"),
-                      default=str).encode()
-
-
-def _salted_key(payload: bytes, salt: str) -> str:
-    digest = hashlib.sha256(payload)
-    digest.update(b"\0")
-    digest.update(salt.encode())
-    return digest.hexdigest()
-
-
 def content_key(canonical: dict, salt: str) -> str:
     """Salted SHA-256 (64 hex) of a canonical description: the key of
     every result-cache record.  Records other than experiments carry a
     ``"kind"`` in ``canonical``, so their keys never meet a spec's."""
-    return _salted_key(_key_payload(canonical), salt)
+    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"),
+                         default=str)
+    digest = hashlib.sha256()
+    digest.update(payload.encode())
+    digest.update(b"\0")
+    digest.update(salt.encode())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -117,22 +109,9 @@ class RunSpec:
             "engine": self.engine,
         }
 
-    @cached_property
-    def _canonical_bytes(self) -> bytes:
-        # Written straight into __dict__, so a frozen spec builds its
-        # canonical JSON once; dataclasses.replace builds a new spec.
-        return _key_payload(self.canonical())
-
-    def __getstate__(self) -> dict:
-        # Pickles carry the fields alone: the memo rebuilds from them.
-        state = dict(self.__dict__)
-        state.pop("_canonical_bytes", None)
-        return state
-
     def cache_key(self, salt: str) -> str:
-        """Content hash of the canonical spec plus a code-version salt:
-        ``content_key(self.canonical(), salt)``."""
-        return _salted_key(self._canonical_bytes, salt)
+        """Content hash of the canonical spec plus a code-version salt."""
+        return content_key(self.canonical(), salt)
 
     def label(self) -> str:
         """Short human-readable tag for manifests and logs."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -72,7 +71,7 @@ def context(baseline):
         tables=enumerate_tables(baseline),
         physical=PhysicalMemory(baseline),
         local_zone=baseline.gpu_local_zone,
-        rng=np.random.default_rng(7),
+        seed=7,
     )
 
 
@@ -82,7 +81,7 @@ def make_context(topology, seed: int = 7) -> PlacementContext:
         tables=enumerate_tables(topology),
         physical=PhysicalMemory(topology),
         local_zone=topology.gpu_local_zone,
-        rng=np.random.default_rng(seed),
+        seed=seed,
     )
 
 

@@ -146,16 +146,6 @@ class TestBwAwarePolicy:
         with pytest.raises(PolicyError):
             policy.prepare((), context)
 
-    def test_draw_buckets_built_once_per_fraction_vector(self, context):
-        sbit_a, sbit_b = BwAwarePolicy(), BwAwarePolicy()
-        sbit_a.prepare((), context)
-        sbit_b.prepare((), context)
-        assert sbit_a._cumulative is sbit_b._cumulative
-        assert not sbit_a._cumulative.flags.writeable
-        explicit = BwAwarePolicy.from_ratio(30)
-        explicit.prepare((), context)
-        assert explicit._cumulative.tolist() == pytest.approx([0.7, 1.0])
-
     def test_fraction_arity_checked_on_every_prepare(self, context):
         policy = BwAwarePolicy.from_ratio(30)
         policy.prepare((), context)
