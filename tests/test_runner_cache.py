@@ -152,9 +152,9 @@ class TestCacheKeyInvalidation:
         assert a.cache_key("s") == b.cache_key("s")
 
     def test_key_is_the_content_key_of_the_canonical_spec(self):
-        """The key a spec memoises is the one its canonical form hashes
-        to, for any salt; a replaced spec gets its own, and a pickle
-        carries the fields alone."""
+        """A spec's key is the one its canonical form hashes to, for
+        any salt; a replaced spec gets its own, and asking for a key
+        leaves the spec's pickle unchanged."""
         spec = make_spec("bfs", BwAwarePolicy.from_ratio(30),
                          topology=simulated_baseline(),
                          bo_capacity_fraction=0.25,
