@@ -165,7 +165,7 @@ def _sweep_runner(args: argparse.Namespace):
                       runs_dir=args.runs_dir,
                       chunk_timeout_s=args.chunk_timeout,
                       max_retries=args.max_retries,
-                      shm=getattr(args, "shm", None))
+                      shm=args.shm)
 
 
 def cmd_autotune(args: argparse.Namespace) -> int:
@@ -420,16 +420,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
-            jobs=args.jobs if args.jobs is not None else 1,
             max_pending_jobs=args.max_pending,
             simulate_workers=args.workers,
             request_timeout_s=args.timeout,
             breaker_threshold=args.breaker_threshold,
             breaker_reset_s=args.breaker_reset,
             drain_timeout_s=args.drain_timeout,
-            chunk_timeout_s=args.chunk_timeout,
             max_retries=args.max_retries,
-            use_shm=args.shm,
         )
     except ConfigError as exc:
         raise SystemExit(str(exc))
@@ -609,14 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-retries", type=int, default=None,
                        help="retry budget per spec before the sweep "
                             "fails (default: $REPRO_MAX_RETRIES or 2)")
-        p.add_argument("--shm", dest="shm", action="store_true",
-                       default=None,
-                       help="force shared-memory trace shipping "
-                            "(default: $REPRO_SHM, or automatic when "
-                            "--jobs > 1)")
         p.add_argument("--no-shm", dest="shm", action="store_false",
-                       help="disable shared-memory trace shipping "
-                            "(workers synthesize traces themselves)")
+                       default=None,
+                       help="disable shared-memory trace shipping when "
+                            "--jobs > 1 (workers synthesize traces "
+                            "themselves; default: $REPRO_SHM, else on)")
 
     p_run = sub.add_parser("run", help="run one placement experiment")
     common(p_run)
@@ -753,10 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
                               f"{describe_default()})")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="disable the on-disk result cache")
-    p_serve.add_argument("--jobs", "-j", type=int, default=None,
-                         help="worker processes per simulate job")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="threads draining the simulate queue")
+                         help="threads draining the job queue; each "
+                              "simulate runs in-process on one of them")
     p_serve.add_argument("--max-pending", type=int, default=8,
                          help="distinct in-flight simulate jobs before "
                               "429 backpressure")
@@ -771,21 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=10.0,
                          help="seconds graceful shutdown waits for "
                               "in-flight jobs")
-    p_serve.add_argument("--chunk-timeout", type=_chunk_timeout,
-                         help="runner per-chunk wall-clock budget in "
-                              "seconds (default: $REPRO_CHUNK_TIMEOUT "
-                              "or off)")
     p_serve.add_argument("--max-retries", type=int, default=None,
                          help="runner retry budget per spec "
                               "(default: $REPRO_MAX_RETRIES or 2)")
-    p_serve.add_argument("--shm", dest="shm", action="store_true",
-                         default=None,
-                         help="force shared-memory trace shipping for "
-                              "the daemon's runner (default: "
-                              "$REPRO_SHM, or automatic when "
-                              "--jobs > 1)")
-    p_serve.add_argument("--no-shm", dest="shm", action="store_false",
-                         help="disable shared-memory trace shipping")
     trace_option(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
 

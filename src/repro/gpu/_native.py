@@ -6,10 +6,11 @@ Four C files make up the library, ABI version 5:
   streams its per-access inputs through one sliding buffer of a few
   windows, filled in access order by a producer, so its working
   memory is O(window + channels), never O(accesses).  Its own entry,
-  kernel ``"windowed"``, has no caller in the package: it is the test
-  entry that feeds the core from arrays, to differential-test it on
-  arbitrary per-access occupancy and latency, which the event pass,
-  building them from per-zone tables, cannot reach;
+  ``repro_simulate_windowed``, which feeds the core from arrays, has no
+  caller in the package: tests bind it through :func:`library` to
+  differential-test the core on arbitrary per-access occupancy and
+  latency, which the event pass, building them from per-zone tables,
+  cannot reach;
 * ``_passes.c``, the engines' per-access passes: zone map to
   (epoch, zone) bins and on to the throughput engine's bound tail —
   per-epoch bandwidth, latency and compute bounds, epoch times, bytes
@@ -176,41 +177,6 @@ def _open(path: Path, rebuilt: bool = False) -> ctypes.CDLL:
     if abi != _ABI:
         raise OSError(f"{path.name}: ABI {abi}, expected {_ABI}")
     return lib
-
-
-def _bind_windowed(lib: ctypes.CDLL) -> Callable:
-    """The compiled windowed core over arrays, for tests: the only way
-    to drive it on arbitrary per-access occupancy and latency (the
-    event pass makes them from per-zone tables).  Arrays of unequal
-    length, and a channel id outside ``[0, n_channels)``, raise
-    :class:`SimulationError`; the doubles are the caller's to keep
-    finite."""
-    fn = lib.repro_simulate_windowed
-    fn.restype = ctypes.c_double
-    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3 + [
-        ctypes.POINTER(ctypes.c_int)]
-
-    def simulate(ready_base, occupancy, latency, channel_ids,
-                 n_channels, window):
-        arrays = [np.ascontiguousarray(a, dtype=np.float64)
-                  for a in (ready_base, occupancy, latency)]
-        channels = np.ascontiguousarray(channel_ids, dtype=np.int64)
-        if any(a.size != channels.size for a in arrays):
-            raise SimulationError(
-                "native windowed kernel: ready times, occupancy, latency "
-                "and channel ids must have one value per access")
-        status = ctypes.c_int(0)
-        last = fn(*(a.ctypes.data for a in arrays), channels.ctypes.data,
-                  channels.size, n_channels, max(1, int(window)),
-                  ctypes.byref(status))
-        if status.value == -1:
-            raise MemoryError("native windowed kernel: out of memory")
-        if status.value == -2:
-            raise SimulationError("native windowed kernel: a channel id "
-                                  f"outside [0, {n_channels})")
-        return last
-
-    return simulate
 
 
 def _bind_lru(lib: ctypes.CDLL) -> Callable:
@@ -469,8 +435,7 @@ def _bind_interleave(lib: ctypes.CDLL) -> Callable:
 
 
 #: kernel name -> binder of its entry point in the loaded library.
-_BINDERS = {"windowed": _bind_windowed,
-            "bind_throughput": _bind_throughput_binder,
+_BINDERS = {"bind_throughput": _bind_throughput_binder,
             "bind_events": _bind_event_binder, "lru": _bind_lru,
             "interleave": _bind_interleave}
 
@@ -523,8 +488,8 @@ def library() -> Optional[ctypes.CDLL]:
 
 def kernel(name: str) -> Optional[Callable]:
     """The native kernel ``name`` (a key of :data:`_BINDERS`:
-    ``"windowed"``, ``"bind_throughput"``, ``"bind_events"``, ``"lru"``
-    or ``"interleave"``), with the library built/loaded on first call;
+    ``"bind_throughput"``, ``"bind_events"``, ``"lru"`` or
+    ``"interleave"``), with the library built/loaded on first call;
     ``None`` when the library is unavailable (the caller falls back to
     numpy)."""
     bound = kernels()

@@ -48,8 +48,8 @@ O(window + channels), not O(accesses).  The
 numpy kernel (:func:`_simulate_numpy` and :func:`_simulate_sequential`)
 is the fallback on hosts where the library cannot be built or loaded,
 and the oracle the native path is tested against (through the
-library's ``"windowed"`` test entry); :func:`kernel_path` says which
-one this process runs.
+library's ``repro_simulate_windowed`` test entry); :func:`kernel_path`
+says which one this process runs.
 
 The engines' whole per-access passes live here too, so no engine
 branches on the kernel: :func:`bind_throughput_pass` (zone map to

@@ -15,8 +15,9 @@ both:
   serial execution);
 * :class:`RunManifest` — per-batch observability records written to
   ``<runs_dir>/<run_id>/manifest.json``;
-* :func:`active` / :func:`configure` / :func:`configured` — the shared
-  process-wide runner the CLI and figure regenerators go through.
+* :func:`active` / :func:`configured` — the shared process-wide
+  runner the CLI and figure regenerators go through (the serve daemon
+  keeps its own, in-process one).
 
 See ``docs/api.md`` ("Running sweeps in parallel") for usage.
 """
@@ -39,7 +40,6 @@ _API = {
     "canonical_policy": "repro.policies.registry",
     "check_chunk_timeout": "repro.runner.sweep",
     "code_version_salt": "repro.runner.salt",
-    "configure": "repro.runner.sweep",
     "configured": "repro.runner.sweep",
     "content_key": "repro.runner.spec",
     "decode_result": "repro.runner.cache",

@@ -66,9 +66,8 @@ try:  # pragma: no cover - import always succeeds on CPython >= 3.8
 except ImportError:  # pragma: no cover - trimmed stdlib builds
     _shm_module = None
 
-#: master switch: "1"/"true"/"on" force-enable, "0"/"false"/"off"
-#: disable, unset means automatic (on for parallel sweeps when the
-#: platform supports it).
+#: master switch for parallel sweeps: "0"/"false"/"no"/"off" disable
+#: the arena; unset or "1"/"true"/"yes"/"on" leave it on.
 SHM_ENV = "REPRO_SHM"
 
 #: byte budget for live segments before idle ones are evicted.
@@ -83,16 +82,12 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def shm_setting() -> Optional[bool]:
-    """The ``REPRO_SHM`` tri-state: True/False/None (= automatic)."""
+def shm_setting() -> bool:
+    """The ``REPRO_SHM`` switch: off only for an off value."""
     raw = os.environ.get(SHM_ENV, "").strip().lower()
-    if not raw:
-        return None
-    if raw in _TRUE:
-        return True
-    if raw in _FALSE:
-        return False
-    raise RunnerError(f"{SHM_ENV} must be boolean-ish, got {raw!r}")
+    if raw and raw not in _TRUE | _FALSE:
+        raise RunnerError(f"{SHM_ENV} must be boolean-ish, got {raw!r}")
+    return raw not in _FALSE
 
 
 def shm_available() -> bool:
@@ -251,8 +246,8 @@ class SharedTraceArena:
         # The sequence is process-global, NOT per-arena: workers
         # memoize decoded traces by segment name, so a name must never
         # be reused within one parent process — a second arena (e.g.
-        # after reconfigure()) restarting its own counter would alias
-        # old names and serve stale traces from worker memos.
+        # after close()) restarting its own counter would alias old
+        # names and serve stale traces from worker memos.
         return f"{SEGMENT_PREFIX}_{os.getpid()}_{next(_NAME_SEQ)}"
 
     def publish(self, key: tuple, trace: DramTrace) -> TraceHandle:

@@ -56,11 +56,12 @@ decisions are made in the parent and shipped to workers as arguments,
 so every recovery path is deterministic and testable.
 
 A module-global *active runner* lets high-level entry points (the CLI,
-figure regenerators) share one configuration: ``configure()`` installs
-a runner, ``configured()`` scopes one to a ``with`` block, ``active()``
-returns the current one (building an environment-default runner on
-first use: ``REPRO_JOBS`` workers, caching only if ``REPRO_CACHE_DIR``
-is set).
+figure regenerators) share one configuration: ``configured()`` scopes
+a runner to a ``with`` block, ``active()`` returns the current one
+(building an environment-default runner on first use: ``REPRO_JOBS``
+workers, caching only if ``REPRO_CACHE_DIR`` is set).  The serve
+daemon keeps its own runner at ``jobs=1``: each simulate is one spec,
+run in-process on the daemon thread that drew it.
 """
 
 from __future__ import annotations
@@ -501,10 +502,10 @@ class SweepRunner:
     as its traces are published, and finished chunks are harvested in
     submission order while later blocks are still being built.
 
-    Zero-copy substrate: ``shm`` (``None`` → ``REPRO_SHM``, else
-    automatic: on for parallel runs when the platform supports it)
-    publishes each unique workload trace into a shared-memory segment
-    once per sweep and ships segment names to workers instead of
+    Zero-copy substrate: ``shm`` (``None`` → ``REPRO_SHM``, else on;
+    used only when the platform supports it) makes a parallel run
+    publish each unique workload trace into a shared-memory segment
+    once per sweep and ship segment names to workers instead of
     re-synthesizing per process; a block holds a reference on its
     segments from submit to harvest, so the ``REPRO_SHM_MAX_BYTES``
     budget only ever evicts traces no pending chunk needs.  It is an
@@ -549,9 +550,8 @@ class SweepRunner:
                             else max(0, int(max_retries)))
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self._fault_plan = fault_plan
-        #: tri-state policy: True/False forced, None = automatic
-        #: (parallel runs use shm when the platform supports it).
-        self.shm_policy = shm if shm is not None else shm_setting()
+        #: whether parallel runs may ship traces over shared memory.
+        self.shm = shm_setting() if shm is None else bool(shm)
         self._arena: Optional[SharedTraceArena] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         #: injectable for tests; the only place the runner sleeps.
@@ -564,14 +564,10 @@ class SweepRunner:
 
     @property
     def shm_enabled(self) -> bool:
-        """Will this runner use shared-memory traces for fan-out?"""
-        if self.shm_policy is False:
-            return False
-        if not shm_available():
-            return False  # forced-on degrades silently to pickle
-        if self.shm_policy is True:
-            return True
-        return self.jobs > 1
+        """Will this runner's fan-out ship traces over shared memory?
+        (On without platform support, it degrades silently to
+        pickle.)"""
+        return self.shm and shm_available()
 
     def _ensure_arena(self) -> SharedTraceArena:
         if self._arena is None:
@@ -792,30 +788,24 @@ class SweepRunner:
                 [specs[i].label() for i in misses[position:]])
             last_cause: Optional[str] = None
             for attempt in range(self.max_retries + 1):
-                try:
-                    self._apply_inprocess_action(self._decide(label))
-                    frame, _ = _execute_chunk((specs[index],))
-                    encoded, spent = unpack_chunk(frame)[0]
-                except Exception as exc:  # noqa: BLE001 - retry boundary
-                    recovery.chunk_errors += 1
-                    last_cause = f"{type(exc).__name__}: {exc}"
-                    if isinstance(exc, FAIL_FAST_ERRORS):
-                        break
-                    if attempt < self.max_retries:
-                        recovery.retries += 1
-                        obs_trace.instant("runner.retry", cat="runner",
-                                          spec=label, attempt=attempt + 1,
-                                          cause=last_cause)
-                        log_event("runner.retry", level="warning",
-                                  spec=label, attempt=attempt + 1,
-                                  cause=last_cause)
-                        self._backoff_sleep(attempt, recovery)
-                else:
-                    results[index] = decode_result(encoded)
-                    durations[index] = spent
-                    self._checkpoint(specs, keys, index, results)
+                exc = self._attempt_inprocess(specs, keys, index, label,
+                                              results, durations)
+                if exc is None:
                     last_cause = None
                     break
+                recovery.chunk_errors += 1
+                last_cause = f"{type(exc).__name__}: {exc}"
+                if isinstance(exc, FAIL_FAST_ERRORS):
+                    break
+                if attempt < self.max_retries:
+                    recovery.retries += 1
+                    obs_trace.instant("runner.retry", cat="runner",
+                                      spec=label, attempt=attempt + 1,
+                                      cause=last_cause)
+                    log_event("runner.retry", level="warning",
+                              spec=label, attempt=attempt + 1,
+                              cause=last_cause)
+                    self._backoff_sleep(attempt, recovery)
             if last_cause is not None:
                 failed.append(label)
                 causes.append(last_cause)
@@ -937,17 +927,30 @@ class SweepRunner:
                           spec=label, cause=cause)
         log_event("runner.degraded_serial", level="warning",
                   spec=label, cause=cause)
+        exc = self._attempt_inprocess(specs, keys, index, label,
+                                      results, durations)
+        if exc is not None:
+            failed[index] = (f"{type(exc).__name__}: {exc} "
+                             f"(after: {cause})")
+
+    def _attempt_inprocess(self, specs: Sequence[RunSpec],
+                           keys: Sequence[str], index: int, label: str,
+                           results: list, durations: list
+                           ) -> Optional[Exception]:
+        """Run ``specs[index]`` once in this process, under its fault
+        decision, and record and checkpoint its result; the exception
+        the run raised, or ``None``.  Recording and checkpointing stay
+        outside the caught region: their errors propagate."""
         try:
             self._apply_inprocess_action(self._decide(label))
             frame, _ = _execute_chunk((specs[index],))
             encoded, spent = unpack_chunk(frame)[0]
-        except Exception as exc:  # noqa: BLE001 - terminal boundary
-            failed[index] = (f"{type(exc).__name__}: {exc} "
-                             f"(after: {cause})")
-        else:
-            results[index] = decode_result(encoded)
-            durations[index] = spent
-            self._checkpoint(specs, keys, index, results)
+        except Exception as exc:  # noqa: BLE001 - retry boundary
+            return exc
+        results[index] = decode_result(encoded)
+        durations[index] = spent
+        self._checkpoint(specs, keys, index, results)
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -962,31 +965,6 @@ def active() -> SweepRunner:
     global _ACTIVE
     if _ACTIVE is None:
         _ACTIVE = SweepRunner()
-    return _ACTIVE
-
-
-def configure(jobs: Optional[int] = None,
-              cache: Union[ResultCache, bool, None] = None,
-              runs_dir: Union[str, Path, None] = None,
-              chunk_timeout_s: Optional[float] = None,
-              max_retries: Optional[int] = None,
-              fault_plan: Optional[FaultPlan] = None,
-              shm: Optional[bool] = None) -> SweepRunner:
-    """Install (and return) a new process-wide runner.
-
-    The displaced runner's pool and shm segments are released — it
-    stays usable (both rebuild lazily) but holds no resources while
-    inactive.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = SweepRunner(jobs=jobs, cache=cache, runs_dir=runs_dir,
-                          chunk_timeout_s=chunk_timeout_s,
-                          max_retries=max_retries,
-                          fault_plan=fault_plan,
-                          shm=shm)
-    if previous is not None:
-        previous.close()
     return _ACTIVE
 
 

@@ -16,8 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.cachedir import cache_root
-from repro.core.errors import ConfigError, RunnerError
-from repro.runner import check_chunk_timeout
+from repro.core.errors import ConfigError
 
 #: environment variable naming the daemon clients talk to by default.
 SERVE_URL_ENV = "REPRO_SERVE_URL"
@@ -56,8 +55,10 @@ class ServeConfig:
     jobs — simulate, profile and autotune together (deduplicated
     joiners ride along for free); beyond it the daemon answers 429 with
     ``Retry-After``.  ``simulate_workers`` threads drain that queue; a
-    simulate job runs one :class:`~repro.runner.sweep.SweepRunner` batch,
-    and every kind consults the shared on-disk result cache first.
+    simulate job runs one spec through the daemon's in-process
+    :class:`~repro.runner.sweep.SweepRunner` on the thread that drew it
+    (the runner retries it up to ``max_retries`` times), and every kind
+    consults the shared on-disk result cache first.
     ``/v1/placement`` never enters this
     queue — it is answered from the closed-form ``GetAllocation`` path,
     micro-batched over a fixed 2 ms collection window (at most 64 per
@@ -72,8 +73,6 @@ class ServeConfig:
     cache_dir: Optional[Union[str, Path]] = None
     #: disable the on-disk cache entirely (tests, ephemeral runs).
     use_cache: bool = True
-    #: worker processes per simulate job (SweepRunner ``jobs``).
-    jobs: int = 1
 
     #: distinct jobs of any kind allowed in flight before 429.
     max_pending_jobs: int = 8
@@ -93,17 +92,9 @@ class ServeConfig:
     breaker_probes: int = 1
     #: how long graceful shutdown waits for in-flight jobs to drain.
     drain_timeout_s: float = 10.0
-    #: per-chunk wall-clock budget for the runner (None → no timeout,
-    #: or $REPRO_CHUNK_TIMEOUT).
-    chunk_timeout_s: Optional[float] = None
     #: per-spec retry budget for the runner (None → 2, or
     #: $REPRO_MAX_RETRIES).
     max_retries: Optional[int] = None
-    #: shared-memory trace shipping for the runner (None → $REPRO_SHM,
-    #: else automatic when ``jobs`` > 1).  The daemon's runner owns one
-    #: arena for its whole lifetime, so warm workers reuse published
-    #: traces across requests.
-    use_shm: Optional[bool] = None
 
     #: ceiling on request body size (bytes); 413 beyond it.
     max_body_bytes: int = 4 * 1024 * 1024
@@ -129,10 +120,6 @@ class ServeConfig:
             raise ConfigError("breaker_probes must be >= 1")
         _check_seconds("drain_timeout_s", self.drain_timeout_s,
                        allow_zero=True)
-        try:
-            check_chunk_timeout(self.chunk_timeout_s)
-        except RunnerError as exc:
-            raise ConfigError(str(exc)) from None
         if self.max_body_bytes < 1:
             raise ConfigError("max_body_bytes must be >= 1")
         _check_seconds("header_read_timeout_s", self.header_read_timeout_s)

@@ -349,13 +349,13 @@ class PlacementService:
         self._draining = False
 
         cache_dir = self.config.resolved_cache_dir()
+        # Each simulate job is one spec, so the runner never fans out:
+        # it runs in-process on the worker thread that drew the job.
         self.runner = SweepRunner(
-            jobs=self.config.jobs,
+            jobs=1,
             cache=(ResultCache(cache_dir) if cache_dir is not None
                    else False),
-            chunk_timeout_s=self.config.chunk_timeout_s,
             max_retries=self.config.max_retries,
-            shm=self.config.use_shm,
         )
         # External-trace registry lives under the same cache root the
         # result cache uses; no cache root (use_cache=False) means no
@@ -462,12 +462,6 @@ class PlacementService:
         self.m_runner_retries = m.counter(
             "repro_serve_runner_retries_total",
             "Chunk retries performed by the sweep runner.")
-        self.m_runner_rebuilds = m.counter(
-            "repro_serve_runner_pool_rebuilds_total",
-            "Worker pools abandoned and rebuilt by the sweep runner.")
-        self.m_runner_degraded = m.counter(
-            "repro_serve_runner_degraded_serial_total",
-            "Specs that fell back to in-process serial execution.")
         self.m_cache_quarantined = m.gauge(
             "repro_serve_cache_quarantined_total",
             "Corrupt cache records quarantined by this daemon's "
@@ -527,15 +521,6 @@ class PlacementService:
         return (self._fault_plan if self._fault_plan is not None
                 else active_plan())
 
-    def _export_runner_recovery(self, recovery: Mapping[str, Any]) -> None:
-        """Surface one job's runner recovery counts on /metrics."""
-        if recovery.get("retries"):
-            self.m_runner_retries.inc(recovery["retries"])
-        if recovery.get("pool_rebuilds"):
-            self.m_runner_rebuilds.inc(recovery["pool_rebuilds"])
-        if recovery.get("degraded_serial"):
-            self.m_runner_degraded.inc(recovery["degraded_serial"])
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -559,9 +544,6 @@ class PlacementService:
             self.m_drained.inc(len(done))
         await self._batcher.stop()
         self._executor.shutdown(wait=False, cancel_futures=True)
-        # Release the runner's worker pool and unlink its shm segments
-        # — the daemon exiting must leave /dev/shm exactly as found.
-        self.runner.close()
 
     @property
     def draining(self) -> bool:
@@ -838,11 +820,12 @@ class PlacementService:
             raise
         record = outcome.manifest.records[0]
         result = outcome.results[0]
-        self._export_runner_recovery(outcome.manifest.recovery)
+        recovery = outcome.manifest.recovery
+        self.m_runner_retries.inc(recovery["retries"])
         report = {
             "cache_hit": bool(record.cache_hit),
             "duration_s": time.perf_counter() - started,
-            "recovery": dict(outcome.manifest.recovery),
+            "recovery": dict(recovery),
             "result": {
                 "workload": result.workload,
                 "dataset": result.dataset,

@@ -6,7 +6,9 @@ read a trace's memoised stream arrays.  These probes bind the same C
 entries over the caller's arrays, so a test can drive each on inputs
 the engines never build: the throughput engine's (epoch, zone) bins
 alone (``repro_throughput_pass``), its bound tail alone
-(``repro_throughput_tail``) and the event pass (``repro_event_pass``).
+(``repro_throughput_tail``), the event pass (``repro_event_pass``) and
+the windowed core under it, fed per-access occupancy and latency
+directly (``repro_simulate_windowed``).
 
 :func:`probes` returns them by name, or ``None`` where the library is
 unavailable.
@@ -17,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.core.errors import SimulationError
 from repro.gpu import _native
 
 #: the passes' leading arguments: pages, write flags, accesses, zone
@@ -46,8 +49,9 @@ def _address(array):
 
 
 def probes() -> Optional[dict[str, Callable]]:
-    """``"throughput"``, ``"throughput_tail"`` and ``"events"`` over the
-    loaded library; ``None`` when it is unavailable."""
+    """``"throughput"``, ``"throughput_tail"``, ``"events"`` and
+    ``"windowed"`` over the loaded library; ``None`` when it is
+    unavailable."""
     lib = _native.library()
     if lib is None:
         return None
@@ -60,6 +64,10 @@ def probes() -> Optional[dict[str, Callable]]:
     events_fn = _entry(lib, "repro_event_pass",
                        STREAM_ARGS + [ctypes.c_void_p] * 2
                        + [ctypes.c_double] + [ctypes.c_void_p] * 2)
+    windowed_fn = _entry(lib, "repro_simulate_windowed",
+                         [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3
+                         + [ctypes.POINTER(ctypes.c_int)])
+    windowed_fn.restype = ctypes.c_double
 
     def throughput(pages, is_write, zone_map, write_factors, n_epochs):
         """``(counts, occupancy)``, each ``(n_epochs, Z)`` float64."""
@@ -115,5 +123,30 @@ def probes() -> Optional[dict[str, Callable]]:
             zone_counts.ctypes.data), "event")
         return float(out[0]), out[1:], zone_counts
 
+    def windowed(ready_base, occupancy, latency, channel_ids, n_channels,
+                 window):
+        """The last completion time, as ``repro.gpu.service.
+        _simulate_numpy`` gives it.  Arrays of unequal length, and a
+        channel id outside ``[0, n_channels)``, raise
+        :class:`SimulationError`; the doubles are the caller's to keep
+        finite."""
+        arrays = [np.ascontiguousarray(a, dtype=np.float64)
+                  for a in (ready_base, occupancy, latency)]
+        channels = np.ascontiguousarray(channel_ids, dtype=np.int64)
+        if any(a.size != channels.size for a in arrays):
+            raise SimulationError(
+                "native windowed kernel: ready times, occupancy, latency "
+                "and channel ids must have one value per access")
+        status = ctypes.c_int(0)
+        last = windowed_fn(*(a.ctypes.data for a in arrays),
+                           channels.ctypes.data, channels.size, n_channels,
+                           max(1, int(window)), ctypes.byref(status))
+        if status.value == -1:
+            raise MemoryError("native windowed kernel: out of memory")
+        if status.value == -2:
+            raise SimulationError("native windowed kernel: a channel id "
+                                  f"outside [0, {n_channels})")
+        return last
+
     return {"throughput": throughput, "throughput_tail": throughput_tail,
-            "events": events}
+            "events": events, "windowed": windowed}

@@ -102,6 +102,33 @@ class TestCompare:
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())  # no sweep ran
 
+    def test_no_shm_runs(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "compare", "-w", "bfs", "-n", "20000",
+                            "-p", "LOCAL", "--jobs", "2", "--no-shm",
+                            "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert "LOCAL" in out and "1.000x" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--jobs", "2"],
+    ["serve", "-j", "2"],
+    ["serve", "--chunk-timeout", "5"],
+    ["serve", "--shm"],
+    ["serve", "--no-shm"],
+    ["compare", "-w", "bfs", "--shm"],
+    ["figure", "fig03_ratio_sweep", "--shm"],
+    ["mix", "a", "b", "--shm"],
+])
+def test_removed_runner_flags_are_unrecognised(capsys, argv):
+    """The daemon runs each simulate in-process, so it takes no worker,
+    chunk-budget or arena flags; the sweep verbs keep only ``--no-shm``,
+    since the arena is already on by default."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestServe:
     @pytest.mark.parametrize("timeout", ["nan", "0"])

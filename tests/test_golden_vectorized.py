@@ -23,12 +23,12 @@ import numpy as np
 import pytest
 
 from conftest import bwaware_zone_map
+from native_probes import probes
 from reference_loops import (
     ReferenceCacheHierarchy,
     reference_banked_run,
     reference_detailed_run,
 )
-from repro.gpu import _native
 from repro.gpu.cache import CacheHierarchy
 from repro.gpu.config import table1_config
 from repro.gpu.engine import BankedEngine, DetailedEngine
@@ -161,9 +161,9 @@ class TestServiceKernel:
         64,
     ))
     def test_batched_equals_sequential(self, window):
-        kernels = [kernel for kernel in (_simulate_numpy,
-                                         _native.kernel("windowed"))
-                   if kernel is not None]
+        native = probes()
+        kernels = [_simulate_numpy] + ([native["windowed"]]
+                                       if native is not None else [])
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(1, 400))

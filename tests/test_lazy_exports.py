@@ -35,3 +35,10 @@ def test_unknown_name_raises_attribute_error_naming_the_package(package):
     with pytest.raises(AttributeError, match=repr(package.__name__)):
         package.no_such_export
     assert not hasattr(package, "no_such_export")
+
+
+def test_runner_exports_no_configure():
+    """Runners are scoped with ``configured()``; there is no installer
+    that outlives a block."""
+    with pytest.raises(ImportError):
+        from repro.runner import configure  # noqa: F401

@@ -405,12 +405,27 @@ class TestGoldenEquivalence:
     def test_env_disables_shm(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM", "0")
         runner = SweepRunner(jobs=2, cache=False)
-        assert runner.shm_policy is False
+        assert runner.shm is False
         assert not runner.shm_enabled
+
+    @pytest.mark.parametrize("raw, on", [
+        ("", True), ("1", True), ("on", True), (" Yes ", True),
+        ("TRUE", True), ("0", False), ("off", False), ("No", False),
+        ("false", False)])
+    def test_env_switch_is_on_unless_off(self, monkeypatch, raw, on):
+        monkeypatch.setenv("REPRO_SHM", raw)
+        assert SweepRunner(jobs=2, cache=False).shm is on
+
+    def test_bad_env_value_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "maybe")
+        with pytest.raises(RunnerError, match="REPRO_SHM must be "
+                           "boolean-ish, got 'maybe'"):
+            SweepRunner(jobs=2, cache=False)
 
     def test_ctor_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM", "0")
         runner = SweepRunner(jobs=2, cache=False, shm=True)
+        assert runner.shm is True
         assert runner.shm_enabled
 
     def test_unavailable_platform_degrades_to_pickle(self, monkeypatch):
@@ -419,7 +434,7 @@ class TestGoldenEquivalence:
         monkeypatch.setattr(sweep_mod, "shm_available", lambda: False)
         runner = SweepRunner(jobs=2, cache=False, shm=True)
         try:
-            assert not runner.shm_enabled  # forced-on degrades silently
+            assert not runner.shm_enabled  # on degrades silently
             out = [encode_result(r)
                    for r in runner.run(grid_specs()[:4])]
             assert runner._arena is None

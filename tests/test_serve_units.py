@@ -18,6 +18,7 @@ from repro.core.errors import ConfigError, ServeError
 from repro.memory.acpi import enumerate_tables
 from repro.memory.topology import simulated_baseline
 from repro.obs.metrics import MetricsRegistry, parse_metrics
+from repro.resilience.faults import FaultPlan, install_plan
 from repro.runner import SweepRunner, default_cache_root
 from repro.serve.batching import (
     BatchSaturatedError,
@@ -421,3 +422,42 @@ class TestSimulateValidation:
         )
         salt = service.runner.salt
         assert spec_a.cache_key(salt) == spec_b.cache_key(salt)
+
+
+class TestInProcessSimulate:
+    """A simulate job is one spec, so the daemon's runner runs it
+    in-process: it never builds a worker pool or a trace arena, and of
+    its recovery counts only retries can move."""
+
+    def test_default_daemon_never_fans_out(self, tmp_path):
+        payload = {"workload": "bfs", "policy": "LOCAL",
+                   "trace_accesses": 20_000}
+
+        async def scenario(service):
+            await service.start()
+            try:
+                cold = await service.simulate(payload)
+                warm = await service.simulate(payload)
+                install_plan(FaultPlan.from_string("runner.chunk:error:1"))
+                try:
+                    retried = await service.simulate({**payload, "seed": 1})
+                finally:
+                    install_plan(None)
+            finally:
+                await service.stop()
+            return cold, warm, retried
+
+        service = PlacementService(ServeConfig(cache_dir=tmp_path / "cache"))
+        service.runner._sleep = lambda _s: None
+        cold, warm, retried = asyncio.run(scenario(service))
+        assert not cold["cache_hit"] and warm["cache_hit"]
+        assert warm["result"] == cold["result"]
+        assert not retried["cache_hit"]
+        assert retried["recovery"]["retries"] == 1
+        assert service.runner.jobs == 1
+        assert service.runner._pool is None
+        assert service.runner._arena is None
+        metrics = service.metrics_text()
+        assert "repro_serve_runner_retries_total 1" in metrics
+        assert "repro_serve_runner_pool_rebuilds_total" not in metrics
+        assert "repro_serve_runner_degraded_serial_total" not in metrics

@@ -6,10 +6,11 @@ promises the *same float*, not a close one, so everything here compares
 with ``==``:
 
 * a hypothesis differential test over raw streams, through the
-  library's ``"windowed"`` test entry (tiny windows that take the
-  sequential branch, windows equal to and above the stream length,
-  1-64 channels, zero and tied occupancies, compute-throttled and
-  saturated streams, and the empty stream), plus stream lengths on
+  library's windowed test entry (the ``"windowed"`` probe of
+  :mod:`native_probes`; tiny windows that take the sequential branch,
+  windows equal to and above the stream length, 1-64 channels, zero
+  and tied occupancies, compute-throttled and saturated streams, and
+  the empty stream), plus stream lengths on
   every seam of the core's sliding buffer (``stream_seams``);
 * the test entry's input checks: a channel id outside
   ``[0, n_channels)`` and arrays of unequal length raise;
@@ -35,6 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bwaware_zone_map, stream_seams
+from native_probes import probes
 from repro.core.errors import SimulationError
 from repro.core.experiment import run_experiment
 from repro.gpu import _native, service
@@ -50,11 +52,11 @@ N_RAW = 30_000
 
 @pytest.fixture(scope="module")
 def native():
-    kernel = _native.kernel("windowed")
-    if kernel is None and shutil.which(_native.CC) is None:
+    bound = probes()
+    if bound is None and shutil.which(_native.CC) is None:
         pytest.skip(f"no C compiler ({_native.CC}) on this host")
-    assert kernel is not None, "a compiler exists but the build failed"
-    return kernel
+    assert bound is not None, "a compiler exists but the build failed"
+    return bound["windowed"]
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +223,7 @@ class TestBuild:
         inputs = _engine_inputs("bfs")
         engine = DetailedEngine(table1_config())
         monkeypatch.setattr(_native, "CC", "repro-no-such-cc")
-        assert _native.kernel("windowed") is None
+        assert probes() is None
         assert service.kernel_path() == "numpy"
         fallback = engine.run(*inputs)
         # One log line for the process, not one per call.
@@ -243,7 +245,7 @@ class TestBuild:
         n = 500
         stream = (np.arange(n, dtype=float), np.ones(n), np.full(n, 5.0),
                   np.arange(n) % 4, 4, 8)
-        assert (_native.kernel("windowed")(*stream)
+        assert (probes()["windowed"](*stream)
                 == service._simulate_numpy(*stream))
 
     def test_library_missing_entry_points_is_rebuilt(self, native,
@@ -271,12 +273,13 @@ class TestBuild:
             while not os.path.exists({str(go)!r}):
                 time.sleep(0.005)
             import numpy as np
-            from repro.gpu import _native, service
+            from native_probes import probes
+            from repro.gpu import service
             assert service.kernel_path() == "native"
             n = 3000
             stream = (np.arange(n) * 0.3, np.linspace(0, 4, n),
                       np.full(n, 80.0), np.arange(n) % 16, 16, 256)
-            print(repr(_native.kernel("windowed")(*stream)))
+            print(repr(probes()["windowed"](*stream)))
             print(repr(service._simulate_numpy(*stream)))
         """)
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
