@@ -104,7 +104,7 @@ class TestCompare:
 
     def test_no_shm_runs(self, capsys, tmp_path):
         code, out = run_cli(capsys, "compare", "-w", "bfs", "-n", "20000",
-                            "-p", "LOCAL", "--jobs", "2", "--no-shm",
+                            "-p", "LOCAL", "--no-shm",
                             "--cache-dir", str(tmp_path))
         assert code == 0
         assert "LOCAL" in out and "1.000x" in out
